@@ -396,10 +396,8 @@ def process_record(
                 for r in reports:
                     if r.equality_attained:
                         flags.append(f"{r.test.value}: bound attained with equality")
-    except PoslinkError as exc:
+    except Exception as exc:  # one bad record must not end the batch
         error = f"{type(exc).__name__}: {exc}"
-    except ValueError as exc:
-        error = f"ValueError: {exc}"
 
     return RecordResult(
         name=record.name,

@@ -30,17 +30,19 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Link invariants and positivity obstruction tests",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    caps = Caps()
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "record"), default="text",
                         help="text report or machine-readable JSON records")
     common.add_argument("--out", metavar="PATH", help="write output here instead of stdout")
-    common.add_argument("--cap", type=int, default=16, metavar="N",
-                        help="crossing cap for homology (default 16)")
-    common.add_argument("--bracket-cap", type=int, default=20, metavar="N",
-                        help="crossing count above which the bracket warns (default 20)")
-    common.add_argument("--skein-budget", type=int, default=10**6, metavar="N",
-                        help="node budget for the Conway recursion (default 1e6)")
+    common.add_argument("--cap", type=int, default=caps.khovanov, metavar="N",
+                        help="crossing cap for homology (default %(default)s)")
+    common.add_argument("--bracket-cap", type=int, default=caps.bracket, metavar="N",
+                        help="crossing count above which the bracket warns (default %(default)s)")
+    common.add_argument("--skein-budget", type=int, default=caps.skein_nodes,
+                        metavar="N",
+                        help="node budget for the Conway recursion (default %(default)s)")
     common.add_argument("--jobs", type=int, default=1, metavar="N",
                         help="worker threads for batch processing")
     common.add_argument("--mirror", choices=("auto", "never", "always"), default="auto",

@@ -35,7 +35,7 @@ from .errors import (
     UnsupportedTorsionExponent,
 )
 from .laurent import LaurentPoly
-from .snf import snf_divisors
+from .snf import SparseRows, snf_divisors
 
 DEFAULT_CROSSING_CAP = 16
 
@@ -135,11 +135,17 @@ class GradingSummary:
 @dataclass
 class ChainSlice:
     """The subcomplex at one quantum grading: generator counts per
-    homological degree and the boundary matrices between them."""
+    homological degree and the boundary maps between them.
+
+    ``boundaries[i]`` is the map C^i -> C^(i+1) as sparse rows: a list of
+    ``generator_counts[i + 1]`` dicts, one per generator of C^(i+1), each
+    sending a generator index of C^i to its nonzero coefficient.  Absent
+    columns are zero; a row with no entries is an empty dict.
+    """
 
     quantum_grading: int
     generator_counts: dict[int, int]
-    boundaries: dict[int, list[list[int]]]  # i -> matrix C^i -> C^(i+1)
+    boundaries: dict[int, SparseRows]
 
 
 def _state_circles_data(d: Diagram, mask: int, a_pairs, b_pairs) -> tuple[list[int], dict[int, int]]:
@@ -202,16 +208,12 @@ def chain_slices(d: Diagram, *, cap: int = DEFAULT_CROSSING_CAP) -> dict[int, Ch
             local.append(pos)
         offsets.append(local)
 
-    matrices: dict[tuple[int, int], list[list[int]]] = {}
+    matrices: dict[tuple[int, int], SparseRows] = {}
 
-    def matrix_for(i: int, j: int) -> list[list[int]] | None:
-        rows = counts.get((i + 1, j), 0)
-        cols = counts.get((i, j), 0)
-        if cols == 0:
-            return None
+    def rows_for(i: int, j: int) -> SparseRows:
         m = matrices.get((i, j))
         if m is None:
-            m = [[0] * cols for _ in range(rows)]
+            m = [{} for _ in range(counts.get((i + 1, j), 0))]
             matrices[(i, j)] = m
         return m
 
@@ -239,7 +241,7 @@ def chain_slices(d: Diagram, *, cap: int = DEFAULT_CROSSING_CAP) -> dict[int, Ch
                     if src not in (s1, s2)
                 ]
                 _emit_merge(
-                    matrix_for, offsets, mask, mask2, i,
+                    rows_for, offsets, mask, mask2, i,
                     base1, n1, s1, s2, merged, rest, sign,
                 )
             else:
@@ -250,7 +252,7 @@ def chain_slices(d: Diagram, *, cap: int = DEFAULT_CROSSING_CAP) -> dict[int, Ch
                     if src != s1
                 ]
                 _emit_split(
-                    matrix_for, offsets, mask, mask2, i,
+                    rows_for, offsets, mask, mask2, i,
                     base1, n1, s1, t1, t2, rest, sign,
                 )
 
@@ -260,14 +262,11 @@ def chain_slices(d: Diagram, *, cap: int = DEFAULT_CROSSING_CAP) -> dict[int, Ch
         sl.generator_counts[i] = n
     for j, sl in slices.items():
         for i in sl.generator_counts:
-            m = matrices.get((i, j))
-            if m is None:
-                m = [[0] * sl.generator_counts[i] for _ in range(counts.get((i + 1, j), 0))]
-            sl.boundaries[i] = m
+            sl.boundaries[i] = rows_for(i, j)
     return slices
 
 
-def _emit_merge(matrix_for, offsets, mask, mask2, i, base1, n1,
+def _emit_merge(rows_for, offsets, mask, mask2, i, base1, n1,
                 s1, s2, merged, rest, sign):
     bs1, bs2 = 1 << s1, 1 << s2
     for bits in range(1 << n1):
@@ -279,11 +278,12 @@ def _emit_merge(matrix_for, offsets, mask, mask2, i, base1, n1,
             if bits & (1 << src):
                 out |= 1 << dst
         j = (n1 - 2 * bits.bit_count()) + base1
-        m = matrix_for(i, j)
-        m[offsets[mask2][out]][offsets[mask][bits]] += sign
+        row = rows_for(i, j)[offsets[mask2][out]]
+        col = offsets[mask][bits]
+        row[col] = row.get(col, 0) + sign
 
 
-def _emit_split(matrix_for, offsets, mask, mask2, i, base1, n1,
+def _emit_split(rows_for, offsets, mask, mask2, i, base1, n1,
                 s1, t1, t2, rest, sign):
     b1, b2 = 1 << t1, 1 << t2
     for bits in range(1 << n1):
@@ -292,13 +292,16 @@ def _emit_split(matrix_for, offsets, mask, mask2, i, base1, n1,
             if bits & (1 << src):
                 out |= 1 << dst
         j = (n1 - 2 * bits.bit_count()) + base1
-        m = matrix_for(i, j)
+        m = rows_for(i, j)
+        targets = offsets[mask2]
         col = offsets[mask][bits]
         if bits & (1 << s1):
-            m[offsets[mask2][out | b1 | b2]][col] += sign  # x -> x.x
+            outs = (out | b1 | b2,)  # x -> x.x
         else:
-            m[offsets[mask2][out | b2]][col] += sign  # 1 -> 1.x + x.1
-            m[offsets[mask2][out | b1]][col] += sign
+            outs = (out | b2, out | b1)  # 1 -> 1.x + x.1
+        for target in outs:
+            row = m[targets[target]]
+            row[col] = row.get(col, 0) + sign
 
 
 def khovanov_homology(d: Diagram, *, cap: int = DEFAULT_CROSSING_CAP) -> BigradedGroups:

@@ -195,6 +195,8 @@ KH1_CAVEAT = (
     "positive links; the contrapositive use stays sound"
 )
 
+SPLIT_CAVEAT = "Conway polynomial zero or unknown; the link may be split"
+
 
 def khovanov_test_from_kh1(
     kh: BigradedGroups, n: int, lead_conway: int | None
@@ -203,10 +205,15 @@ def khovanov_test_from_kh1(
 
     For a positive link that rank equals the second-coefficient magnitude,
     so a Fail still certifies non-positivity even though the identification
-    is only hypothesized for arbitrary input.
+    is only hypothesized for arbitrary input.  Split positive links break
+    the identity (rank Kh^1 is 0 on the closure of sigma_1^k in B_3), so
+    the test needs a known nonzero Conway polynomial; lead_conway is None
+    when the Conway polynomial is zero or was not computed.
     """
-    p1 = kh1_rank(kh)
     kind = TestKind.KHOVANOV_FROM_KH1
+    if lead_conway is None:
+        return _not_applicable(kind, SPLIT_CAVEAT)
+    p1 = kh1_rank(kh)
     if p1 not in APPLICABLE_P1:
         return _not_applicable(kind, f"rank Kh^1 = {p1} is outside the supported cases")
     j_lower, j_upper = kh.j_range()

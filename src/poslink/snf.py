@@ -1,64 +1,82 @@
 """Smith normal form over the integers, exact arithmetic only.
 
-Boundary matrices of resolution cubes are sparse and dominated by unit
-entries, so the work happens in two phases: a sparse Gaussian elimination
-of +-1 pivots (each contributes an invariant factor 1 and drops one row
-and one column, leaving the Schur complement), then a classical dense
-reduction of whatever small remainder survives.  Markowitz-style pivot
-choice keeps fill-in down.
+Input is sparse: a list of rows, each a dict sending a column index to its
+coefficient (absent columns and zero values are zero).  Boundary maps of
+resolution cubes come in this form, are mostly zero, and are dominated by
++-1 entries, so the work happens in two phases.
+
+1. Unit elimination.  Sweep the live rows in order; at each row holding a
+   +-1, pivot on the unit whose column has the fewest live entries, clear
+   that column from the other rows (each pivot contributes an invariant
+   factor 1 and drops one row and one column, leaving the Schur
+   complement), and go on to the next row.  Sweeps repeat until one finds
+   no unit.  Choosing the sparsest column of a row keeps fill-in down
+   without a global search over all rows.
+2. Dense remainder.  Whatever survives holds no unit; it is packed into a
+   dense matrix and reduced classically.
 """
 
 from __future__ import annotations
 
 IntMatrix = list[list[int]]
+SparseRows = list[dict[int, int]]
 
 
-def snf_divisors(matrix: IntMatrix) -> list[int]:
+def snf_divisors(matrix: SparseRows) -> list[int]:
     """Nonzero diagonal of the Smith normal form, each dividing the next.
 
     The length of the result is the rank; entries greater than 1 are the
-    torsion orders of the cokernel.
+    torsion orders of the cokernel.  The input rows are not modified.
     """
     rows: dict[int, dict[int, int]] = {}
     cols: dict[int, set[int]] = {}
     for r, row in enumerate(matrix):
-        data = {c: v for c, v in enumerate(row) if v}
+        data = {c: v for c, v in row.items() if v}
         if data:
             rows[r] = data
             for c in data:
                 cols.setdefault(c, set()).add(r)
 
     units = 0
-    while True:
-        pivot = _best_unit_pivot(rows, cols)
-        if pivot is None:
-            break
-        r, c, v = pivot
-        prow = rows[r]
-        for r2 in list(cols[c]):
-            if r2 == r:
+    pivoted = True
+    while pivoted:
+        pivoted = False
+        for r in list(rows):
+            prow = rows.get(r)
+            if prow is None:
+                continue  # emptied by an earlier pivot of this sweep
+            c = None
+            for c2, v in prow.items():
+                if (v == 1 or v == -1) and (c is None or len(cols[c2]) < len(cols[c])):
+                    c = c2
+            if c is None:
                 continue
-            row2 = rows[r2]
-            m = row2[c] * v  # 1/v == v for units
-            for c2, pv in prow.items():
-                nv = row2.get(c2, 0) - m * pv
-                if nv:
-                    if c2 not in row2:
-                        cols.setdefault(c2, set()).add(r2)
-                    row2[c2] = nv
-                elif c2 in row2:
-                    del row2[c2]
-                    cols[c2].discard(r2)
-            if not row2:
-                del rows[r2]
-        for c2 in prow:
-            live = cols.get(c2)
-            if live is not None:
-                live.discard(r)
-                if not live:
-                    del cols[c2]
-        del rows[r]
-        units += 1
+            v = prow[c]
+            for r2 in list(cols[c]):
+                if r2 == r:
+                    continue
+                row2 = rows[r2]
+                m = row2[c] * v  # 1/v == v for units
+                for c2, pv in prow.items():
+                    nv = row2.get(c2, 0) - m * pv
+                    if nv:
+                        if c2 not in row2:
+                            cols.setdefault(c2, set()).add(r2)
+                        row2[c2] = nv
+                    elif c2 in row2:
+                        del row2[c2]
+                        cols[c2].discard(r2)
+                if not row2:
+                    del rows[r2]
+            for c2 in prow:
+                live = cols.get(c2)
+                if live is not None:
+                    live.discard(r)
+                    if not live:
+                        del cols[c2]
+            del rows[r]
+            units += 1
+            pivoted = True
 
     if not rows:
         return [1] * units
@@ -72,23 +90,6 @@ def snf_divisors(matrix: IntMatrix) -> list[int]:
             row[index[c]] = v
         dense.append(row)
     return [1] * units + _dense_snf_divisors(dense)
-
-
-def _best_unit_pivot(
-    rows: dict[int, dict[int, int]], cols: dict[int, set[int]]
-) -> tuple[int, int, int] | None:
-    best = None
-    best_cost = None
-    for r, data in rows.items():
-        row_weight = len(data) - 1
-        for c, v in data.items():
-            if v == 1 or v == -1:
-                cost = row_weight * (len(cols[c]) - 1)
-                if best_cost is None or cost < best_cost:
-                    best, best_cost = (r, c, v), cost
-                    if cost == 0:
-                        return best
-    return best
 
 
 def _dense_snf_divisors(m: IntMatrix) -> list[int]:
@@ -175,5 +176,5 @@ def _nondivisible(m: IntMatrix, t: int, rows: int, cols: int) -> int | None:
     return None
 
 
-def rank(matrix: IntMatrix) -> int:
+def rank(matrix: SparseRows) -> int:
     return len(snf_divisors(matrix))

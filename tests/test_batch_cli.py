@@ -12,6 +12,7 @@ from poslink import (
     cmd_survey,
     cmd_test,
     ingest_csv,
+    parse_braid,
     parse_poly,
 )
 from poslink.cli import main
@@ -149,6 +150,16 @@ class TestSurvey:
             for report in result.reports:
                 assert report.verdict is not Verdict.FAIL
 
+    def test_survey_3x8_all_ok(self):
+        # the split closures of sigma_1^k in B_3 have rank Kh^1 = 0 but
+        # nonzero p1; without a Conway polynomial the Kh^1 test must stand down
+        batch = cmd_survey(3, 8)
+        assert batch.all_ok, [r.error for r in batch if r.error]
+        result = batch.results[[r.name for r in batch].index("closure(strands=3; 1 1)")]
+        kh1_report = result.reports[2]
+        assert kh1_report.verdict is Verdict.NOT_APPLICABLE
+        assert "may be split" in kh1_report.note
+
     def test_empty_bounds(self):
         assert len(cmd_survey(1, 0)) == 0
         assert len(cmd_survey(0, 5)) == 0
@@ -169,6 +180,27 @@ class TestPerRecordIsolation:
         assert good[0]["error"] is None
         assert good[1]["error"] is not None
         assert good[2]["error"] is None
+
+    def test_unexpected_exception_does_not_abort(self, monkeypatch):
+        import poslink.batch
+
+        real_jones = poslink.batch.jones_V
+
+        def flaky_jones(d, **kwargs):
+            if d.crossing_count == 2:
+                raise RuntimeError("boom")
+            return real_jones(d, **kwargs)
+
+        monkeypatch.setattr(poslink.batch, "jones_V", flaky_jones)
+        records = [
+            LinkRecord(name=text, braid=parse_braid(text))
+            for text in ("strands=2; 1 1 1", "strands=2; 1 1", "strands=3; 1 2 1 2")
+        ]
+        batch = cmd_compute(records, want=frozenset({"jones"}))
+        assert [r.error for r in batch] == [None, "RuntimeError: boom", None]
+        assert batch.results[0].invariants["jones"] == "t + t^3 - t^4"
+        assert batch.results[2].invariants["jones"] == "t + t^3 - t^4"
+        assert not batch.all_ok
 
 
 class TestCli:

@@ -14,6 +14,7 @@ from poslink import (
     jones_summary,
     jones_test,
     jones_V,
+    kh1_rank,
     khovanov_homology,
     khovanov_test,
     khovanov_test_from_kh1,
@@ -160,6 +161,17 @@ class TestKh1Variant:
         r = khovanov_test_from_kh1(kh, 1, 1)
         assert r.verdict is Verdict.PASS
         assert (r.lhs, r.rhs) == (1, 1)
+
+    def test_split_link_not_applicable(self):
+        # closure of sigma_1^2 in B_3: a positive split link with p1 = 1
+        # but rank Kh^1 = 0, and a zero Conway polynomial
+        from poslink import braid_closure, parse_braid
+
+        kh = khovanov_homology(braid_closure(parse_braid("strands=3; 1 1")))
+        assert kh1_rank(kh) == 0
+        r = khovanov_test_from_kh1(kh, 3, None)
+        assert r.verdict is Verdict.NOT_APPLICABLE
+        assert "may be split" in r.note
 
     def test_rank_out_of_range(self):
         from poslink import BigradedGroups

@@ -6,7 +6,16 @@ from math import prod
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poslink.snf import rank, snf_divisors
+from poslink.snf import rank, snf_divisors as _snf_divisors
+
+
+def sparse(matrix):
+    """Dense rows -> the sparse rows snf_divisors takes."""
+    return [{c: v for c, v in enumerate(row) if v} for row in matrix]
+
+
+def snf_divisors(matrix):
+    return _snf_divisors(sparse(matrix))
 
 
 def rational_rank(matrix):
@@ -65,6 +74,18 @@ matrices = st.integers(1, 5).flatmap(
     )
 )
 
+unit_heavy = st.integers(2, 12).flatmap(
+    lambda n: st.integers(2, 12).flatmap(
+        lambda m: st.lists(
+            st.lists(
+                st.sampled_from([0, 0, 0, 0, 1, -1, 2]), min_size=m, max_size=m
+            ),
+            min_size=n,
+            max_size=n,
+        )
+    )
+)
+
 
 class TestProperties:
     @given(matrix=matrices)
@@ -89,8 +110,24 @@ class TestProperties:
         else:
             assert prod(divisors) == abs(det)
 
+    @given(matrix=unit_heavy)
+    @settings(max_examples=100, deadline=None)
+    def test_sparse_unit_heavy(self, matrix):
+        # larger, mostly zero matrices of +-1 with a few 2s: several unit
+        # sweeps, fill-in, and sometimes a dense remainder
+        divisors = snf_divisors(matrix)
+        for a, b in zip(divisors, divisors[1:]):
+            assert b % a == 0
+        assert len(divisors) == rational_rank(matrix)
+
+    def test_input_rows_untouched(self):
+        rows = [{0: 1, 1: 2}, {0: 1, 1: 4, 2: 0}]
+        snapshot = [dict(row) for row in rows]
+        assert _snf_divisors(rows) == [1, 2]
+        assert rows == snapshot
+
     def test_rank_helper(self):
-        assert rank([[1, 2], [2, 4]]) == 1
+        assert rank(sparse([[1, 2], [2, 4]])) == 1
 
 
 def _det(matrix):
