@@ -55,8 +55,6 @@ from .obstruction import (
 
 SCHEMA_VERSION = "poslink.record/1"
 
-DEFAULT_BRACKET_CAP = 20
-
 COLUMN_ROLES = ("name", "pd", "braid", "jones", "conway", "kh", "components")
 
 
@@ -65,13 +63,16 @@ class Caps:
     """Cost knobs with desk-scale defaults."""
 
     khovanov: int = DEFAULT_CROSSING_CAP
-    bracket: int = DEFAULT_BRACKET_CAP
     skein_nodes: int = DEFAULT_NODE_BUDGET
 
 
 @dataclass
 class LinkRecord:
-    """One link worth of input: a diagram, ingested invariants, or both."""
+    """One link worth of input: a diagram, ingested invariants, or both.
+
+    A row that failed to parse carries its message in ``error`` instead,
+    and its result reports that error.
+    """
 
     name: str
     pd: Diagram | None = None
@@ -81,10 +82,12 @@ class LinkRecord:
     kh: BigradedGroups | None = None
     components: int | None = None
     flags: list[str] = field(default_factory=list)
+    error: str | None = None
 
     def __post_init__(self) -> None:
         if (
-            self.pd is None
+            self.error is None
+            and self.pd is None
             and self.braid is None
             and self.jones is None
             and self.conway is None
@@ -153,8 +156,9 @@ def ingest_csv(path: str, column_map: dict[str, str]) -> list[LinkRecord]:
 
     column_map sends logical roles (name, pd, braid, jones, conway, kh,
     components) to header names.  Cell parse failures are flagged on the
-    record, never fatal to the batch; rows with no usable content are
-    dropped with a warning flag on no record at all.
+    record, never fatal to the batch; a row whose every filled cell fails
+    becomes a record carrying those messages as its error, and a row with
+    no filled cell is dropped.
     """
     for role in column_map:
         if role not in COLUMN_ROLES:
@@ -196,24 +200,13 @@ def ingest_csv(path: str, column_map: dict[str, str]) -> list[LinkRecord]:
                 fields[role] = parsers[role](cell)
             except (PoslinkError, ValueError) as exc:
                 flags.append(f"{role}: cell parse error: {exc}")
-        if not fields and not flags:
-            continue
-        try:
+        if fields:
             records.append(LinkRecord(name=name, flags=flags, **fields))
-        except ValueError as exc:
-            # nothing usable survived parsing; keep a marker so the batch
-            # still reports one result per input row
-            records.append(_placeholder_record(name, flags, f"row unusable: {exc}"))
+        elif flags:
+            # every filled cell failed to parse: keep the row as an error
+            # record so the batch still reports one result per input row
+            records.append(LinkRecord(name=name, error="row unusable: " + "; ".join(flags)))
     return records
-
-
-def _placeholder_record(name: str, flags: list[str], message: str) -> LinkRecord:
-    rec = LinkRecord.__new__(LinkRecord)
-    rec.name = name
-    rec.pd = rec.braid = rec.jones = rec.conway = rec.kh = None
-    rec.components = None
-    rec.flags = flags + [message]
-    return rec
 
 
 def records_from_lines(lines: Iterable[str]) -> list[LinkRecord]:
@@ -231,7 +224,7 @@ def records_from_lines(lines: Iterable[str]) -> list[LinkRecord]:
                 records.append(LinkRecord(name=f"{name}: {text}", braid=parse_braid(text)))
         except PoslinkError as exc:
             records.append(
-                _placeholder_record(f"{name}: {text}", [], f"input parse error: {exc}")
+                LinkRecord(name=f"{name}: {text}", error=f"input parse error: {exc}")
             )
     return records
 
@@ -275,7 +268,7 @@ def process_record(
 ) -> RecordResult:
     t0 = time.perf_counter()
     flags = list(record.flags)
-    error: str | None = None
+    error = record.error
     invariants: dict[str, str] = {}
     gradings = None
     reports: list[ObstructionReport] = []
@@ -288,18 +281,12 @@ def process_record(
     else:
         source = "invariants"
 
-    if (
-        record.pd is None
-        and record.braid is None
-        and record.jones is None
-        and record.conway is None
-        and record.kh is None
-    ):
+    if error is not None:
         return RecordResult(
             name=record.name,
             source=source,
             flags=flags,
-            error="no usable input on this row",
+            error=error,
             invariants={},
             gradings=None,
             reports=[],
@@ -313,7 +300,7 @@ def process_record(
         if d is not None:
             need = set(want) | ({"jones", "conway", "kh"} if run_tests else set())
             if "jones" in need:
-                computed["jones"] = jones_V(d, cap=caps.bracket)
+                computed["jones"] = jones_V(d)
             if "conway" in need:
                 try:
                     computed["conway"] = conway(d, node_budget=caps.skein_nodes)
@@ -470,19 +457,25 @@ def positive_braid_words(max_strands: int, max_length: int) -> Iterator[BraidWor
 
 
 def survey_corpus(max_strands: int, max_length: int) -> list[tuple[BraidWord, Diagram]]:
-    """Deduplicated survey entries keyed by the (Jones, Conway) fingerprint."""
-    seen: set[tuple[str, str]] = set()
+    """One positive braid word per conjugacy key, with its closure.
+
+    The key of a word on n strands is n and the least word among the
+    cyclic rotations of its letters and of their images under i -> n - i.
+    Rotation conjugates by a letter and the flip by the Garside element, so
+    every dropped word closes up to the same link as a kept one.  Words of
+    one key share their length and come in lexicographic order, so the
+    kept word is the least one.
+    """
+    seen: set[tuple[int, tuple[int, ...]]] = set()
     out = []
     for word in positive_braid_words(max_strands, max_length):
-        d = braid_closure(word)
-        fingerprint = (
-            format_poly(jones_V(d), "t"),
-            format_poly(conway(d), "z"),
-        )
-        if fingerprint in seen:
+        n, letters = word.strand_count, word.letters
+        flipped = tuple(n - k for k in letters)
+        key = (n, min(w[i:] + w[:i] for w in (letters, flipped) for i in range(len(w))))
+        if key in seen:
             continue
-        seen.add(fingerprint)
-        out.append((word, d))
+        seen.add(key)
+        out.append((word, braid_closure(word)))
     return out
 
 

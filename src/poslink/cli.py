@@ -38,8 +38,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", metavar="PATH", help="write output here instead of stdout")
     common.add_argument("--cap", type=int, default=caps.khovanov, metavar="N",
                         help="crossing cap for homology (default %(default)s)")
-    common.add_argument("--bracket-cap", type=int, default=caps.bracket, metavar="N",
-                        help="crossing count above which the bracket warns (default %(default)s)")
     common.add_argument("--skein-budget", type=int, default=caps.skein_nodes,
                         metavar="N",
                         help="node budget for the Conway recursion (default %(default)s)")
@@ -152,7 +150,7 @@ def render_text(batch: BatchResult) -> str:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    caps = Caps(khovanov=args.cap, bracket=args.bracket_cap, skein_nodes=args.skein_budget)
+    caps = Caps(khovanov=args.cap, skein_nodes=args.skein_budget)
     try:
         if args.command == "survey":
             batch = cmd_survey(args.strands, args.max_length, caps=caps, jobs=args.jobs)

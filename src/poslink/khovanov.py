@@ -1,5 +1,6 @@
 """Integral Khovanov homology from the cube of resolutions.
 
+The circles of each cube vertex come from :func:`poslink.diagram.cube_states`.
 Generators at a cube vertex are labelings of the smoothed circles by the
 two-dimensional Frobenius algebra basis {1, x}; edges merge or split
 circles and carry the usual sign rule (parity of B-smoothings at lower
@@ -26,7 +27,7 @@ from .diagram import (
     a_state_circles,
     b_state_circles,
     crossing_signs,
-    smoothing_pairs,
+    cube_states,
 )
 from .errors import (
     CrossingCapExceeded,
@@ -148,31 +149,6 @@ class ChainSlice:
     boundaries: dict[int, SparseRows]
 
 
-def _state_circles_data(d: Diagram, mask: int, a_pairs, b_pairs) -> tuple[list[int], dict[int, int]]:
-    """Circle keys (sorted minimal arcs, then free-circle sentinels) and an
-    arc -> circle-index map for one cube vertex."""
-    parent = list(range(d.arc_count + 1))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for e in range(d.crossing_count):
-        for x, y in (b_pairs[e] if (mask >> e) & 1 else a_pairs[e]):
-            rx, ry = find(x), find(y)
-            if rx != ry:
-                if rx > ry:
-                    rx, ry = ry, rx
-                parent[ry] = rx
-    keys = sorted({find(arc) for arc in range(1, d.arc_count + 1)})
-    keys += [-(f + 1) for f in range(d.free_circles)]
-    index = {key: pos for pos, key in enumerate(keys)}
-    arc_to_circle = {arc: index[find(arc)] for arc in range(1, d.arc_count + 1)}
-    return keys, arc_to_circle
-
-
 def chain_slices(d: Diagram, *, cap: int = DEFAULT_CROSSING_CAP) -> dict[int, ChainSlice]:
     """Assemble the full cube as independent per-quantum-grading complexes."""
     c = d.crossing_count
@@ -185,18 +161,17 @@ def chain_slices(d: Diagram, *, cap: int = DEFAULT_CROSSING_CAP) -> dict[int, Ch
     p = sum(1 for s in signs if s > 0)
     qn = c - p
     shift = p - 2 * qn
-    a_pairs = [smoothing_pairs(t, "A") for t in d.crossings]
-    b_pairs = [smoothing_pairs(t, "B") for t in d.crossings]
 
-    states = [
-        _state_circles_data(d, mask, a_pairs, b_pairs) for mask in range(1 << c)
-    ]
-
-    # first pass: index every generator within its (i, j) slot
+    # per mask: circle keys (sorted least arcs, then free-circle sentinels),
+    # key -> circle index, the arc labels, and the index of each labeling
+    # of the circles within its (i, j) slot
+    states: list[tuple[list[int], dict[int, int], tuple[int, ...]]] = []
+    offsets: list[list[int]] = []
     counts: dict[tuple[int, int], int] = {}
-    offsets: list[list[int]] = []  # per mask: generator index offset per labeling
-    for mask in range(1 << c):
-        keys, _ = states[mask]
+    free_keys = [-(f + 1) for f in range(d.free_circles)]
+    for mask, _, labels in cube_states(d):
+        keys = sorted(set(labels[1:])) + free_keys
+        states.append((keys, {key: pos for pos, key in enumerate(keys)}, labels))
         n = len(keys)
         i = mask.bit_count() - qn
         base = mask.bit_count() + shift
@@ -217,9 +192,9 @@ def chain_slices(d: Diagram, *, cap: int = DEFAULT_CROSSING_CAP) -> dict[int, Ch
             matrices[(i, j)] = m
         return m
 
-    # second pass: differentials along each cube edge
+    # then the differentials along each cube edge
     for mask in range(1 << c):
-        keys1, arc_circle1 = states[mask]
+        keys1, index1, labels1 = states[mask]
         n1 = len(keys1)
         i = mask.bit_count() - qn
         base1 = mask.bit_count() + shift
@@ -228,15 +203,14 @@ def chain_slices(d: Diagram, *, cap: int = DEFAULT_CROSSING_CAP) -> dict[int, Ch
             if mask & bit:
                 continue
             mask2 = mask | bit
-            keys2, arc_circle2 = states[mask2]
+            _, index2, labels2 = states[mask2]
             sign = -1 if (mask & (bit - 1)).bit_count() & 1 else 1
-            a, b, _, _ = d.crossings[e]
-            s1, s2 = arc_circle1[a], arc_circle1[b]
-            target_index2 = {key: pos for pos, key in enumerate(keys2)}
+            a, b, c_arc, _ = d.crossings[e]
+            s1, s2 = index1[labels1[a]], index1[labels1[b]]
             if s1 != s2:
-                merged = arc_circle2[a]
+                merged = index2[labels2[a]]
                 rest = [
-                    (src, target_index2[key])
+                    (src, index2[key])
                     for src, key in enumerate(keys1)
                     if src not in (s1, s2)
                 ]
@@ -245,9 +219,9 @@ def chain_slices(d: Diagram, *, cap: int = DEFAULT_CROSSING_CAP) -> dict[int, Ch
                     base1, n1, s1, s2, merged, rest, sign,
                 )
             else:
-                t1, t2 = arc_circle2[a], arc_circle2[d.crossings[e][2]]
+                t1, t2 = index2[labels2[a]], index2[labels2[c_arc]]
                 rest = [
-                    (src, target_index2[key])
+                    (src, index2[key])
                     for src, key in enumerate(keys1)
                     if src != s1
                 ]

@@ -1,5 +1,6 @@
 """Exact Laurent polynomials with half-integer exponents, and the
-Kauffman-bracket route to the Jones polynomial.
+Kauffman-bracket route to the Jones polynomial.  The bracket's state sum
+reads the circles of each smoothing from :func:`poslink.diagram.cube_states`.
 
 Exponents are stored as integer counts of half-steps (stored key k means
 exponent k/2), so t^(1/2) is exact and no rational arithmetic is needed.
@@ -9,7 +10,6 @@ Coefficients are arbitrary-precision integers.
 from __future__ import annotations
 
 import re
-import warnings
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,8 +20,8 @@ from .diagram import (
     crossing_signs,
     a_state_circles,
     b_state_circles,
+    cube_states,
     is_positive,
-    smoothing_pairs,
 )
 from .errors import (
     MalformedPolynomial,
@@ -265,50 +265,19 @@ def _parse_exponent(token: str) -> int:
 # Kauffman bracket and the Jones polynomial
 
 
-def kauffman_bracket(d: Diagram, *, cap: int = 20) -> LaurentPoly:
+def kauffman_bracket(d: Diagram) -> LaurentPoly:
     """State sum over all smoothings, in the variable A.
 
     Sum of A^(#A - #B) * delta^(circles - 1) with delta = -A^2 - A^-2,
-    normalized so a single crossing-free circle has bracket 1.  Cost is
-    2^c states; above ``cap`` crossings a warning is emitted (never an
-    error) since runtime grows quickly.
+    normalized so a single crossing-free circle has bracket 1.  The
+    smoothings come from :func:`~poslink.diagram.cube_states`; cost is
+    2^c states.
     """
+    if not d.crossings and not d.free_circles:
+        return LaurentPoly.one()
     c = d.crossing_count
-    if c > cap:
-        warnings.warn(
-            f"Kauffman bracket on {c} crossings enumerates 2^{c} states",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    if c == 0:
-        if d.free_circles == 0:
-            return LaurentPoly.one()
-        return _delta_power(d.free_circles - 1)
-
-    joins_a = [smoothing_pairs(t, "A") for t in d.crossings]
-    joins_b = [smoothing_pairs(t, "B") for t in d.crossings]
-    arc_count = d.arc_count
-    profile: Counter[tuple[int, int]] = Counter()  # (#B, circles) -> states
-    parent = list(range(arc_count + 1))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for mask in range(1 << c):
-        for i in range(arc_count + 1):
-            parent[i] = i
-        for e in range(c):
-            pairs = joins_b[e] if (mask >> e) & 1 else joins_a[e]
-            for x, y in pairs:
-                rx, ry = find(x), find(y)
-                if rx != ry:
-                    parent[ry] = rx
-        circles = sum(1 for i in range(1, arc_count + 1) if find(i) == i)
-        profile[(mask.bit_count(), circles)] += 1
-
+    # (#B, circles) -> number of states
+    profile = Counter((mask.bit_count(), circles) for mask, circles, _ in cube_states(d))
     result = LaurentPoly.zero()
     for (b_count, circles), n in profile.items():
         term = LaurentPoly.term(n, c - 2 * b_count) * _delta_power(
@@ -323,14 +292,14 @@ def _delta_power(n: int) -> LaurentPoly:
     return delta**n
 
 
-def jones_V(d: Diagram, *, cap: int = 20) -> LaurentPoly:
+def jones_V(d: Diagram) -> LaurentPoly:
     """Jones polynomial V in t, normalized so the unknot maps to 1.
 
     Computed as (-A)^(-3w) <D> followed by A^-4 -> t.  Exponents are
     integers exactly when the component count is odd, half-odd-integers
     otherwise.
     """
-    bracket = kauffman_bracket(d, cap=cap)
+    bracket = kauffman_bracket(d)
     w = crossing_signs(d).writhe
     out: dict[int, int] = {}
     sign = -1 if w % 2 else 1

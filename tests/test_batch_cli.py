@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import json
 
 import pytest
@@ -14,7 +15,10 @@ from poslink import (
     ingest_csv,
     parse_braid,
     parse_poly,
+    positive_braid_words,
+    survey_corpus,
 )
+from poslink.batch import records_from_lines
 from poslink.cli import main
 from poslink.errors import ColumnMissing, FileUnreadable
 
@@ -155,10 +159,26 @@ class TestSurvey:
         # nonzero p1; without a Conway polynomial the Kh^1 test must stand down
         batch = cmd_survey(3, 8)
         assert batch.all_ok, [r.error for r in batch if r.error]
+        assert len(batch) == 59  # one word per conjugacy key
         result = batch.results[[r.name for r in batch].index("closure(strands=3; 1 1)")]
         kh1_report = result.reports[2]
         assert kh1_report.verdict is Verdict.NOT_APPLICABLE
         assert "may be split" in kh1_report.note
+
+    @staticmethod
+    def conjugates(word):
+        """Rotations of the letters and of their images under i -> n - i."""
+        n, letters = word.strand_count, word.letters
+        flipped = tuple(n - k for k in letters)
+        return {(n, w[i:] + w[:i]) for w in (letters, flipped) for i in range(len(w))}
+
+    def test_corpus_keeps_one_word_per_conjugacy_key(self):
+        kept = [word for word, _ in survey_corpus(3, 6)]
+        for a, b in itertools.combinations(kept, 2):
+            assert (b.strand_count, b.letters) not in self.conjugates(a), (a, b)
+        kept_keys = {(w.strand_count, w.letters) for w in kept}
+        for word in positive_braid_words(3, 6):
+            assert self.conjugates(word) & kept_keys, word
 
     def test_empty_bounds(self):
         assert len(cmd_survey(1, 0)) == 0
@@ -180,6 +200,42 @@ class TestPerRecordIsolation:
         assert good[0]["error"] is None
         assert good[1]["error"] is not None
         assert good[2]["error"] is None
+
+    def test_malformed_line_is_an_error_record(self):
+        records = records_from_lines(
+            ["strands=2; 1 1 1", "this is not a diagram", "strands=2; 1 1"]
+        )
+        assert len(records) == 3
+        bad = records[1]
+        assert bad.error.startswith("input parse error: ")
+        assert "expected 'strands=<n>; <letters>'" in bad.error
+        batch = cmd_compute(records, want=frozenset({"jones"}))
+        assert [r.error for r in batch] == [None, bad.error, None]
+        assert batch.results[0].invariants["jones"] == "t + t^3 - t^4"
+        assert batch.results[1].invariants == {}
+        assert batch.results[2].invariants["jones"] == "-t^(1/2) - t^(5/2)"
+
+    def test_csv_row_with_no_parsable_cell_is_an_error_record(self, tmp_path):
+        path = tmp_path / "rows.csv"
+        path.write_text(
+            "Name,Jones,Conway\n"
+            "bad,wibble wobble,\n"
+            "good,t + t^3 - t^4,1 + z^2\n"
+        )
+        records = ingest_csv(str(path), {"name": "Name", "jones": "Jones", "conway": "Conway"})
+        assert [r.name for r in records] == ["bad", "good"]
+        bad = records[0]
+        assert bad.jones is None and bad.conway is None and bad.flags == []
+        assert bad.error.startswith("row unusable: jones: cell parse error: ")
+        batch = cmd_test(records)
+        assert batch.results[0].error == bad.error
+        assert batch.results[0].reports == []
+        assert batch.results[1].error is None
+        assert len(batch.results[1].reports) == 2
+
+    def test_record_without_input_or_error_is_rejected(self):
+        with pytest.raises(ValueError):
+            LinkRecord(name="empty")
 
     def test_unexpected_exception_does_not_abort(self, monkeypatch):
         import poslink.batch

@@ -22,6 +22,7 @@ from poslink import (
     state_circles,
     writhe,
 )
+from poslink.diagram import cube_states, smoothing_pairs
 from poslink.errors import (
     ArcMultiplicity,
     ArityError,
@@ -31,6 +32,9 @@ from poslink.errors import (
     OrientationInconsistent,
     ZeroLetter,
 )
+
+from conftest import SEVEN4_PD, TREFOIL_PD
+
 
 class TestParsePD:
     def test_trefoil(self, trefoil):
@@ -175,6 +179,50 @@ class TestStates:
             for state in itertools.product("AB", repeat=d.crossing_count):
                 n = state_circles(d, state)
                 assert 1 <= n <= d.crossing_count + 1
+
+
+CUBE_DIAGRAMS = {
+    "unknot": "PD[O[]]",
+    "hopf": "strands=2; 1 1",
+    "trefoil": TREFOIL_PD,
+    "seven4": SEVEN4_PD,
+    "mixed 4-braid": "strands=4; 1 -2 3 -1 2 -3 1 2 -3 -2",
+    "split closure": "strands=3; 1 1",
+}
+
+
+class TestCubeStates:
+    @pytest.fixture(params=sorted(CUBE_DIAGRAMS))
+    def diagram(self, request):
+        text = CUBE_DIAGRAMS[request.param]
+        return parse_pd(text) if text.startswith("PD[") else braid_closure(parse_braid(text))
+
+    @staticmethod
+    def state_of(d, mask):
+        return tuple("B" if mask >> e & 1 else "A" for e in range(d.crossing_count))
+
+    def test_masks_ascend_over_the_whole_cube(self, diagram):
+        masks = [mask for mask, _, _ in cube_states(diagram)]
+        assert masks == list(range(2 ** diagram.crossing_count))
+
+    def test_circles_match_state_circles(self, diagram):
+        for mask, circles, _ in cube_states(diagram):
+            state = self.state_of(diagram, mask)
+            assert circles + diagram.free_circles == state_circles(diagram, state), mask
+
+    def test_labels_are_least_arcs_of_circles(self, diagram):
+        arcs = range(1, diagram.arc_count + 1)
+        for mask, circles, labels in cube_states(diagram):
+            assert len(labels) == diagram.arc_count + 1
+            # arcs joined by a smoothing share a label ...
+            for t, label in zip(diagram.crossings, self.state_of(diagram, mask)):
+                for x, y in smoothing_pairs(t, label):
+                    assert labels[x] == labels[y], mask
+            # ... there is one label per circle, so each label class is a circle ...
+            assert len({labels[a] for a in arcs}) == circles
+            # ... and each label is the least arc of its class
+            for a in arcs:
+                assert labels[labels[a]] == labels[a] <= a, mask
 
 
 class TestPositivity:

@@ -123,11 +123,6 @@ class TestBracket:
         d = parse_pd("PD[O[],O[]]")
         assert kauffman_bracket(d) == LaurentPoly({2: -1, -2: -1})
 
-    def test_cap_warns_but_computes(self, trefoil):
-        with pytest.warns(RuntimeWarning):
-            p = kauffman_bracket(trefoil, cap=2)
-        assert p == kauffman_bracket(trefoil)
-
 
 class TestJones:
     def test_trefoil(self, trefoil):
