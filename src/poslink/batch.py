@@ -56,6 +56,8 @@ from .obstruction import (
 SCHEMA_VERSION = "poslink.record/1"
 
 COLUMN_ROLES = ("name", "pd", "braid", "jones", "conway", "kh", "components")
+# the roles a record needs at least one of; ``components`` alone is not input
+INPUT_ROLES = ("pd", "braid", "jones", "conway", "kh")
 
 
 @dataclass(frozen=True)
@@ -85,14 +87,7 @@ class LinkRecord:
     error: str | None = None
 
     def __post_init__(self) -> None:
-        if (
-            self.error is None
-            and self.pd is None
-            and self.braid is None
-            and self.jones is None
-            and self.conway is None
-            and self.kh is None
-        ):
+        if self.error is None and all(getattr(self, role) is None for role in INPUT_ROLES):
             raise ValueError(f"record {self.name!r} carries no diagram and no invariants")
 
     def diagram(self) -> Diagram | None:
@@ -156,9 +151,9 @@ def ingest_csv(path: str, column_map: dict[str, str]) -> list[LinkRecord]:
 
     column_map sends logical roles (name, pd, braid, jones, conway, kh,
     components) to header names.  Cell parse failures are flagged on the
-    record, never fatal to the batch; a row whose every filled cell fails
-    becomes a record carrying those messages as its error, and a row with
-    no filled cell is dropped.
+    record, never fatal to the batch.  A row with filled cells but no
+    diagram or invariant that parsed becomes a record carrying the parse
+    messages as its error, and a row with no filled cell is dropped.
     """
     for role in column_map:
         if role not in COLUMN_ROLES:
@@ -200,12 +195,13 @@ def ingest_csv(path: str, column_map: dict[str, str]) -> list[LinkRecord]:
                 fields[role] = parsers[role](cell)
             except (PoslinkError, ValueError) as exc:
                 flags.append(f"{role}: cell parse error: {exc}")
-        if fields:
+        if any(role in fields for role in INPUT_ROLES):
             records.append(LinkRecord(name=name, flags=flags, **fields))
-        elif flags:
-            # every filled cell failed to parse: keep the row as an error
-            # record so the batch still reports one result per input row
-            records.append(LinkRecord(name=name, error="row unusable: " + "; ".join(flags)))
+        elif fields or flags:
+            # nothing usable parsed: keep the row as an error record so the
+            # batch still reports one result per input row
+            why = "; ".join(flags) or "no diagram and no invariants"
+            records.append(LinkRecord(name=name, error="row unusable: " + why))
     return records
 
 

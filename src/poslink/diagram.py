@@ -22,7 +22,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .errors import (
     ArcMultiplicity,
@@ -560,12 +560,14 @@ def state_circles(d: Diagram, state: Sequence[str]) -> int:
     return len(roots) + d.free_circles
 
 
-def cube_states(d: Diagram) -> Iterator[tuple[int, int, tuple[int, ...]]]:
+def cube_states(d: Diagram) -> Iterator[tuple[int, int, Callable[[], tuple[int, ...]]]]:
     """Every vertex of the cube of resolutions, as ``(mask, circles, labels)``.
 
     Bit e of ``mask`` set means crossing e is B-smoothed; masks ascend.
-    ``circles`` excludes free circles.  ``labels`` is a fresh tuple with
-    ``labels[a]`` the least arc on arc a's circle (index 0 unused).
+    ``circles`` excludes free circles.  ``labels()`` returns a fresh tuple
+    with entry a the least arc on arc a's circle (index 0 unused); it reads
+    the current vertex, so call it before the generator moves on.  A caller
+    that needs only the circle counts copies nothing.
 
     The walk smooths crossings c-1 .. 0 depth-first.  A join relabels the
     smaller of the two arc classes it merges, and the next mask undoes and
@@ -596,6 +598,9 @@ def cube_states(d: Diagram) -> Iterator[tuple[int, int, tuple[int, ...]]]:
                 if least[gone] < least[keep]:
                     least[keep] = least[gone]
 
+    def labels() -> tuple[int, ...]:
+        return tuple(map(least.__getitem__, owner))
+
     for e in reversed(range(len(joins))):
         smooth(joins[e][0])
     for mask in range(1 << len(joins)):
@@ -614,7 +619,7 @@ def cube_states(d: Diagram) -> Iterator[tuple[int, int, tuple[int, ...]]]:
             smooth(joins[k][1])
             for e in reversed(range(k)):
                 smooth(joins[e][0])
-        yield mask, n - len(merges), tuple(map(least.__getitem__, owner))
+        yield mask, n - len(merges), labels
 
 
 def a_state_circles(d: Diagram) -> int:

@@ -169,7 +169,8 @@ def chain_slices(d: Diagram, *, cap: int = DEFAULT_CROSSING_CAP) -> dict[int, Ch
     offsets: list[list[int]] = []
     counts: dict[tuple[int, int], int] = {}
     free_keys = [-(f + 1) for f in range(d.free_circles)]
-    for mask, _, labels in cube_states(d):
+    for mask, _, read_labels in cube_states(d):
+        labels = read_labels()
         keys = sorted(set(labels[1:])) + free_keys
         states.append((keys, {key: pos for pos, key in enumerate(keys)}, labels))
         n = len(keys)

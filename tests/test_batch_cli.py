@@ -233,6 +233,27 @@ class TestPerRecordIsolation:
         assert batch.results[1].error is None
         assert len(batch.results[1].reports) == 2
 
+    def test_csv_row_with_only_components_is_an_error_record(self, tmp_path, capsys):
+        path = tmp_path / "rows.csv"
+        path.write_text(
+            "Name,Jones,Components\n"
+            "count only,,2\n"
+            "count and bad jones,wibble wobble,2\n"
+            "good,t + t^3 - t^4,1\n"
+        )
+        records = ingest_csv(str(path), {"name": "Name", "jones": "Jones", "components": "Components"})
+        assert [r.name for r in records] == ["count only", "count and bad jones", "good"]
+        assert records[0].error == "row unusable: no diagram and no invariants"
+        assert records[1].error.startswith("row unusable: jones: cell parse error: ")
+        assert records[2].error is None and records[2].components == 1
+        batch = cmd_test(records)
+        assert [r.error for r in batch.results[:2]] == [records[0].error, records[1].error]
+        assert batch.results[2].error is None
+        # the command reports the bad rows instead of aborting the run
+        code = main(["test", "--file", str(path), "--columns", "name=Name,jones=Jones,components=Components"])
+        assert code == 1
+        assert "row unusable: no diagram and no invariants" in capsys.readouterr().out
+
     def test_record_without_input_or_error_is_rejected(self):
         with pytest.raises(ValueError):
             LinkRecord(name="empty")

@@ -212,7 +212,8 @@ class TestCubeStates:
 
     def test_labels_are_least_arcs_of_circles(self, diagram):
         arcs = range(1, diagram.arc_count + 1)
-        for mask, circles, labels in cube_states(diagram):
+        for mask, circles, read_labels in cube_states(diagram):
+            labels = read_labels()
             assert len(labels) == diagram.arc_count + 1
             # arcs joined by a smoothing share a label ...
             for t, label in zip(diagram.crossings, self.state_of(diagram, mask)):
