@@ -6,11 +6,10 @@ from __future__ import annotations
 import csv
 import itertools
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
-from .conway import DEFAULT_NODE_BUDGET, conway
+from .conway import conway
 from .diagram import (
     BraidWord,
     Diagram,
@@ -25,11 +24,11 @@ from .errors import (
     CrossingCapExceeded,
     FileUnreadable,
     PoslinkError,
-    RecursionBudgetExceeded,
 )
 from .khovanov import (
     DEFAULT_CROSSING_CAP,
     BigradedGroups,
+    euler_characteristic,
     extreme_gradings,
     khovanov_homology,
     parse_kh_polynomial,
@@ -65,7 +64,6 @@ class Caps:
     """Cost knobs with desk-scale defaults."""
 
     khovanov: int = DEFAULT_CROSSING_CAP
-    skein_nodes: int = DEFAULT_NODE_BUDGET
 
 
 @dataclass
@@ -254,6 +252,41 @@ def _reconcile(name, computed, ingested, mirror_fn, mode, flags):
     return computed, f"{name}: computed and ingested values disagree"
 
 
+_I_POWERS = ((1, 0), (0, 1), (-1, 0), (0, -1))
+
+
+def _gaussian(terms: Iterable[tuple[int, int]]) -> tuple[int, int]:
+    """Sum of w * i^k over (k, w) pairs, as an exact (real, imaginary) pair."""
+    re = im = 0
+    for k, w in terms:
+        x, y = _I_POWERS[k % 4]
+        re += x * w
+        im += y * w
+    return re, im
+
+
+def _self_check(computed: dict[str, object]) -> str | None:
+    """Compare invariants computed from one diagram by independent routes.
+
+    At t^(1/2) = i the Jones skein relation becomes Conway's with
+    z = -2i, so V(t^(1/2) = i) = nabla(-2i); and the graded Euler
+    characteristic of Kh is (q + q^-1) V.
+    """
+    jones, nabla, kh = (computed.get(k) for k in ("jones", "conway", "kh"))
+    if jones is not None and nabla is not None:
+        v_at_i = _gaussian((int(2 * e), c) for e, c in jones.terms())
+        nabla_at = _gaussian((int(e), c * (-2) ** int(e)) for e, c in nabla.terms())
+        if v_at_i != nabla_at:
+            return (
+                f"self-check: V(t^(1/2) = i) = {v_at_i} but "
+                f"nabla(-2i) = {nabla_at} (real, imaginary)"
+            )
+    if jones is not None and kh is not None:
+        if euler_characteristic(kh) != v_to_unnormalized(jones):
+            return "self-check: the Euler characteristic of Kh is not (q + q^-1) V"
+    return None
+
+
 def process_record(
     record: LinkRecord,
     *,
@@ -298,10 +331,7 @@ def process_record(
             if "jones" in need:
                 computed["jones"] = jones_V(d)
             if "conway" in need:
-                try:
-                    computed["conway"] = conway(d, node_budget=caps.skein_nodes)
-                except RecursionBudgetExceeded as exc:
-                    flags.append(f"conway: skipped: {exc}")
+                computed["conway"] = conway(d)
             if "kh" in need:
                 try:
                     computed["kh"] = khovanov_homology(d, cap=caps.khovanov)
@@ -320,7 +350,8 @@ def process_record(
             "kh", computed.get("kh"), record.kh,
             lambda g: g.mirror(), mirror, flags,
         )
-        error = err1 or err2 or err3
+        inconsistent = _self_check(computed)
+        error = inconsistent or err1 or err2 or err3
 
         if jones is not None:
             invariants["jones"] = format_poly(jones, "t")
@@ -333,7 +364,7 @@ def process_record(
         n = record.components
         if n is None and d is not None:
             n = components(d)
-        if kh is not None:
+        if kh is not None and inconsistent is None:
             if d is not None:
                 summary = extreme_gradings(kh, d)
                 gradings = {
@@ -406,6 +437,9 @@ def run_batch(
     if jobs <= 1:
         results = [fn(r) for r in records]
     else:
+        # loaded only here: it adds milliseconds to every serial start-up
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(fn, records))
     return BatchResult(results)

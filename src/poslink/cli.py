@@ -38,9 +38,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", metavar="PATH", help="write output here instead of stdout")
     common.add_argument("--cap", type=int, default=caps.khovanov, metavar="N",
                         help="crossing cap for homology (default %(default)s)")
-    common.add_argument("--skein-budget", type=int, default=caps.skein_nodes,
-                        metavar="N",
-                        help="node budget for the Conway recursion (default %(default)s)")
     common.add_argument("--jobs", type=int, default=1, metavar="N",
                         help="worker threads for batch processing")
     common.add_argument("--mirror", choices=("auto", "never", "always"), default="auto",
@@ -150,7 +147,7 @@ def render_text(batch: BatchResult) -> str:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    caps = Caps(khovanov=args.cap, skein_nodes=args.skein_budget)
+    caps = Caps(khovanov=args.cap)
     try:
         if args.command == "survey":
             batch = cmd_survey(args.strands, args.max_length, caps=caps, jobs=args.jobs)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import random
 
 import pytest
 
@@ -12,17 +13,23 @@ from poslink import (
     cmd_compute,
     cmd_survey,
     cmd_test,
+    braid_closure,
+    conway,
     ingest_csv,
+    jones_V,
+    khovanov_homology,
     parse_braid,
+    parse_pd,
     parse_poly,
     positive_braid_words,
     survey_corpus,
 )
-from poslink.batch import records_from_lines
+from poslink.batch import _self_check, records_from_lines
 from poslink.cli import main
 from poslink.errors import ColumnMissing, FileUnreadable
 
 from conftest import DATA_DIR, TREFOIL_PD
+from polygon_diagrams import polygon_diagram
 
 COLUMNS = {
     "name": "Name",
@@ -280,7 +287,57 @@ class TestPerRecordIsolation:
         assert not batch.all_ok
 
 
+class TestSelfChecks:
+    """Invariants computed from one diagram are cross-checked before any
+    verdict: V(t^(1/2) = i) = nabla(-2i), and chi(Kh) = (q + q^-1) V."""
+
+    def records(self):
+        return [
+            LinkRecord(name="trefoil", pd=parse_pd(TREFOIL_PD)),
+            LinkRecord(name="hopf", braid=parse_braid("strands=2; 1 1")),
+            LinkRecord(name="mixed", braid=parse_braid("strands=3; 1 -2 1 -2 -2")),
+        ]
+
+    def test_consistent_invariants_pass(self):
+        assert cmd_test(self.records()).all_ok
+
+    def test_identities_hold_on_random_diagrams(self):
+        rng = random.Random(3)
+        for _ in range(30):
+            d = polygon_diagram(rng, max_crossings=8)
+            computed = {"jones": jones_V(d), "conway": conway(d), "kh": khovanov_homology(d)}
+            assert _self_check(computed) is None, d
+
+    def test_wrong_conway_is_the_record_error(self, monkeypatch):
+        import poslink.batch
+
+        # 1 + 4z^2 is the Conway polynomial of 7_4, not of the trefoil
+        monkeypatch.setattr(poslink.batch, "conway", lambda d: parse_poly("1 + 4z^2", "z"))
+        result = cmd_test(self.records()[:1]).results[0]
+        assert result.error == (
+            "self-check: V(t^(1/2) = i) = (-3, 0) but nabla(-2i) = (-15, 0) (real, imaginary)"
+        )
+        assert result.reports == [] and result.comparison is None
+        # nothing to compare against without the Jones polynomial
+        assert cmd_compute(self.records()[:1], want=frozenset({"conway"})).all_ok
+
+    def test_wrong_khovanov_homology_is_the_record_error(self, monkeypatch):
+        import poslink.batch
+
+        hopf_kh = poslink.batch.khovanov_homology(braid_closure(parse_braid("strands=2; 1 1")))
+        monkeypatch.setattr(poslink.batch, "khovanov_homology", lambda d, **kw: hopf_kh)
+        results = cmd_test(self.records()).results
+        expected = "self-check: the Euler characteristic of Kh is not (q + q^-1) V"
+        assert [r.error for r in results] == [expected, None, expected]
+        assert results[0].reports == [] and results[1].reports
+
+
 class TestCli:
+    def test_skein_budget_option_is_gone(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["compute", "--braid", "strands=2; 1 1", "--skein-budget", "5"])
+        assert exc.value.code == 2
+
     def test_compute_text(self, capsys):
         code = main(["compute", "--pd", TREFOIL_PD, "--all"])
         out = capsys.readouterr().out
