@@ -59,13 +59,6 @@ COLUMN_ROLES = ("name", "pd", "braid", "jones", "conway", "kh", "components")
 INPUT_ROLES = ("pd", "braid", "jones", "conway", "kh")
 
 
-@dataclass(frozen=True)
-class Caps:
-    """Cost knobs with desk-scale defaults."""
-
-    khovanov: int = DEFAULT_CROSSING_CAP
-
-
 @dataclass
 class LinkRecord:
     """One link worth of input: a diagram, ingested invariants, or both.
@@ -292,7 +285,7 @@ def process_record(
     *,
     want: frozenset[str] = frozenset({"jones", "conway", "kh"}),
     run_tests: bool = False,
-    caps: Caps = Caps(),
+    cap: int = DEFAULT_CROSSING_CAP,
     mirror: str = "auto",
 ) -> RecordResult:
     t0 = time.perf_counter()
@@ -334,7 +327,7 @@ def process_record(
                 computed["conway"] = conway(d)
             if "kh" in need:
                 try:
-                    computed["kh"] = khovanov_homology(d, cap=caps.khovanov)
+                    computed["kh"] = khovanov_homology(d, cap=cap)
                 except CrossingCapExceeded as exc:
                     flags.append(f"kh: skipped: {exc}")
 
@@ -449,13 +442,13 @@ def cmd_compute(
     records: Iterable[LinkRecord],
     *,
     want: frozenset[str] = frozenset({"jones", "conway", "kh"}),
-    caps: Caps = Caps(),
+    cap: int = DEFAULT_CROSSING_CAP,
     mirror: str = "auto",
     jobs: int = 1,
 ) -> BatchResult:
     return run_batch(
         records,
-        lambda r: process_record(r, want=want, caps=caps, mirror=mirror),
+        lambda r: process_record(r, want=want, cap=cap, mirror=mirror),
         jobs=jobs,
     )
 
@@ -463,13 +456,13 @@ def cmd_compute(
 def cmd_test(
     records: Iterable[LinkRecord],
     *,
-    caps: Caps = Caps(),
+    cap: int = DEFAULT_CROSSING_CAP,
     mirror: str = "auto",
     jobs: int = 1,
 ) -> BatchResult:
     return run_batch(
         records,
-        lambda r: process_record(r, run_tests=True, caps=caps, mirror=mirror),
+        lambda r: process_record(r, run_tests=True, cap=cap, mirror=mirror),
         jobs=jobs,
     )
 
@@ -513,7 +506,7 @@ def cmd_survey(
     max_strands: int,
     max_length: int,
     *,
-    caps: Caps = Caps(),
+    cap: int = DEFAULT_CROSSING_CAP,
     jobs: int = 1,
 ) -> BatchResult:
     """Enumerate positive braid closures, dedupe, test, and assert that no
@@ -525,7 +518,7 @@ def cmd_survey(
         records.append(LinkRecord(name=name, braid=word))
     result = run_batch(
         records,
-        lambda r: process_record(r, run_tests=True, caps=caps),
+        lambda r: process_record(r, run_tests=True, cap=cap),
         jobs=jobs,
     )
     for res, rec in zip(result.results, records):

@@ -12,7 +12,6 @@ import sys
 
 from .batch import (
     BatchResult,
-    Caps,
     LinkRecord,
     cmd_compute,
     cmd_survey,
@@ -22,6 +21,7 @@ from .batch import (
 )
 from .diagram import parse_braid, parse_pd
 from .errors import ColumnMissing, FileUnreadable, PoslinkError
+from .khovanov import DEFAULT_CROSSING_CAP
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -30,13 +30,12 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Link invariants and positivity obstruction tests",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    caps = Caps()
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "record"), default="text",
                         help="text report or machine-readable JSON records")
     common.add_argument("--out", metavar="PATH", help="write output here instead of stdout")
-    common.add_argument("--cap", type=int, default=caps.khovanov, metavar="N",
+    common.add_argument("--cap", type=int, default=DEFAULT_CROSSING_CAP, metavar="N",
                         help="crossing cap for homology (default %(default)s)")
     common.add_argument("--jobs", type=int, default=1, metavar="N",
                         help="worker threads for batch processing")
@@ -147,16 +146,15 @@ def render_text(batch: BatchResult) -> str:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    caps = Caps(khovanov=args.cap)
     try:
         if args.command == "survey":
-            batch = cmd_survey(args.strands, args.max_length, caps=caps, jobs=args.jobs)
+            batch = cmd_survey(args.strands, args.max_length, cap=args.cap, jobs=args.jobs)
             return _emit(batch, args)
         if getattr(args, "require_columns", False) and not (args.file and args.columns):
             parser.error("ingest needs --file and --columns")
         records = _gather_records(args, parser)
         if args.command == "test":
-            batch = cmd_test(records, caps=caps, mirror=args.mirror, jobs=args.jobs)
+            batch = cmd_test(records, cap=args.cap, mirror=args.mirror, jobs=args.jobs)
         else:  # compute or ingest
             want = {"jones", "conway", "kh"}
             if args.command == "compute" and not args.all:
@@ -164,7 +162,7 @@ def main(argv: list[str] | None = None) -> int:
                 if chosen:
                     want = chosen
             batch = cmd_compute(
-                records, want=frozenset(want), caps=caps,
+                records, want=frozenset(want), cap=args.cap,
                 mirror=args.mirror, jobs=args.jobs,
             )
         return _emit(batch, args)

@@ -52,7 +52,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .diagram import Diagram, _Oriented, _shadow_components
-from .errors import MalformedPD, RecursionBudgetExceeded
+from .errors import RecursionBudgetExceeded
 from .laurent import LaurentPoly
 
 _Z = LaurentPoly.term(1, 1)
@@ -119,9 +119,6 @@ def seifert_matrix(d: Diagram, outer: int = 0) -> list[list[int]]:
     """
     if not d.crossings or d.free_circles or _shadow_components(d.crossings) > 1:
         raise ValueError("the Seifert matrix is built for connected diagrams only")
-    if _face_count(d.crossings) != d.crossing_count + 2:
-        # V - E + F = 2 on the sphere, with c vertices and 2c edges
-        raise MalformedPD("PD code is not planar")
     surface = _surface(d, outer)
     cycles = _fundamental_cycles(surface)
     n = len(cycles)
@@ -135,28 +132,6 @@ def seifert_matrix(d: Diagram, outer: int = 0) -> list[list[int]]:
             matrix[i][j] = (s + cut) // 2
             matrix[j][i] = (s - cut) // 2
     return matrix
-
-
-def _face_count(crossings) -> int:
-    """Faces of the shadow drawn with the PD code's cyclic orders: orbits of
-    "run along the arc to its other end, then turn to the next slot"."""
-    ends: dict[int, list[tuple[int, int]]] = {}
-    for k, t in enumerate(crossings):
-        for place, arc in enumerate(t):
-            ends.setdefault(arc, []).append((k, place))
-    seen: set[tuple[int, int]] = set()
-    faces = 0
-    for positions in ends.values():
-        for pos in positions:
-            if pos in seen:
-                continue
-            faces += 1
-            while pos not in seen:
-                seen.add(pos)
-                p, q = ends[crossings[pos[0]][pos[1]]]
-                k, place = q if p == pos else p
-                pos = (k, (place + 1) % 4)
-    return faces
 
 
 def _surface(d: Diagram, outer: int) -> _Surface:

@@ -99,6 +99,11 @@ class Diagram:
             raise ArcMultiplicity(
                 "arc labels must be 1..2c with each label used exactly twice"
             )
+        # V - E + F = 2 on the sphere for each connected piece of the
+        # shadow, which has c vertices and 2c edges in all
+        pieces = _shadow_components(self.crossings)
+        if _face_count(self.crossings) - len(self.crossings) != 2 * pieces:
+            raise MalformedPD("PD code is not planar")
 
     @property
     def crossing_count(self) -> int:
@@ -647,6 +652,34 @@ def _shadow_components(crossings: Sequence[Crossing], smoothed: tuple[int, tuple
             dj.union(t[0], t[3])
     labels = {v for t in crossings for v in t}
     return len({dj.find(v) for v in labels})
+
+
+def _face_count(crossings: Sequence[Crossing]) -> int:
+    """Faces of the shadow drawn with the PD code's cyclic orders: orbits of
+    "run along the arc to its other end, then turn to the next slot".
+
+    Slot ``place`` of crossing ``k`` is position ``4 * k + place``;
+    ``other[pos]`` is the far end of the arc at ``pos``.
+    """
+    other = [0] * (4 * len(crossings))
+    near: dict[int, int] = {}
+    for pos, arc in enumerate(arc for t in crossings for arc in t):
+        if arc in near:
+            other[pos], other[near[arc]] = near[arc], pos
+        else:
+            near[arc] = pos
+    seen = [False] * len(other)
+    faces = 0
+    for start in range(len(other)):
+        if seen[start]:
+            continue
+        faces += 1
+        pos = start
+        while not seen[pos]:
+            seen[pos] = True
+            end = other[pos]
+            pos = end - end % 4 + (end + 1) % 4
+    return faces
 
 
 def _find_nugatory(crossings: Sequence[Crossing]) -> int | None:

@@ -1,10 +1,10 @@
 """Positivity obstruction tests.
 
-Every positive link whose second Jones coefficient has absolute value
-p1 in {0, 1, 2} satisfies two diagram-independent inequalities, one on the
-Jones degree spread and one on the extreme quantum gradings of Khovanov
-homology.  A link that violates one of them therefore cannot be positive;
-passing proves nothing.  Both right-hand sides share the case correction
+Every non-split positive link whose second Jones coefficient has absolute
+value p1 in {0, 1, 2} satisfies two diagram-independent inequalities, one
+on the Jones degree spread and one on the extreme quantum gradings of
+Khovanov homology.  A link that violates one of them therefore cannot be
+positive; passing proves nothing.  Both right-hand sides share the case correction
 
     gamma = 0                           p1 = 0
     gamma = 2*lead_conway - 2           p1 = 1
@@ -16,7 +16,9 @@ with lead_conway the leading Conway coefficient, giving
     j_upper    <=  4 j_lower   + n + 4   + 2*gamma
 
 for an n-component link.  Arithmetic is exact: the Jones side compares
-half-integers when n is even.
+half-integers when n is even.  A link of two or more components counts as
+non-split only when its Conway polynomial is known and nonzero; otherwise
+every test reports NotApplicable.
 """
 
 from __future__ import annotations
@@ -151,7 +153,20 @@ def _not_applicable(kind: TestKind, note: str) -> ObstructionReport:
     return ObstructionReport(kind, False, None, None, None, Verdict.NOT_APPLICABLE, note)
 
 
-def _gamma_or_none(p1: int, lead_conway: int | None) -> tuple[int | None, str]:
+SPLIT_CAVEAT = "Conway polynomial zero or unknown; the link may be split"
+
+
+def _gate(p1: int, n: int, lead_conway: int | None) -> tuple[int | None, str]:
+    """The correction gamma, or None and the reason the test stands down.
+
+    The inequalities hold for non-split links only: the Jones polynomial of
+    a split union is -(t^(1/2) + t^(-1/2)) V1 V2, whose second coefficient
+    can cancel.  A knot is never split, and a split link has Conway
+    polynomial 0, so a link needs a known nonzero one (lead_conway is None
+    when it is zero or was not computed).
+    """
+    if n != 1 and lead_conway is None:
+        return None, SPLIT_CAVEAT
     if p1 not in APPLICABLE_P1:
         return None, f"p1 = {p1} is outside the supported cases 0, 1, 2"
     if p1 == 0:
@@ -164,7 +179,7 @@ def _gamma_or_none(p1: int, lead_conway: int | None) -> tuple[int | None, str]:
 def jones_test(inp: ObstructionInput, *, kind: TestKind = TestKind.JONES) -> ObstructionReport:
     """max deg V <= 4 min deg V + (n-1)/2 + gamma; Fail certifies
     'not a positive link'."""
-    g, why = _gamma_or_none(inp.p1, inp.lead_conway)
+    g, why = _gate(inp.p1, inp.n, inp.lead_conway)
     if g is None:
         return _not_applicable(kind, why)
     if inp.jones_min is None or inp.jones_max is None:
@@ -178,7 +193,7 @@ def jones_test(inp: ObstructionInput, *, kind: TestKind = TestKind.JONES) -> Obs
 
 def khovanov_test(inp: ObstructionInput, *, kind: TestKind = TestKind.KHOVANOV) -> ObstructionReport:
     """j_upper <= 4 j_lower + n + 4 + 2 gamma on Khovanov quantum gradings."""
-    g, why = _gamma_or_none(inp.p1, inp.lead_conway)
+    g, why = _gate(inp.p1, inp.n, inp.lead_conway)
     if g is None:
         return _not_applicable(kind, why)
     if inp.j_lower is None or inp.j_upper is None:
@@ -195,8 +210,6 @@ KH1_CAVEAT = (
     "positive links; the contrapositive use stays sound"
 )
 
-SPLIT_CAVEAT = "Conway polynomial zero or unknown; the link may be split"
-
 
 def khovanov_test_from_kh1(
     kh: BigradedGroups, n: int, lead_conway: int | None
@@ -206,23 +219,15 @@ def khovanov_test_from_kh1(
     For a positive link that rank equals the second-coefficient magnitude,
     so a Fail still certifies non-positivity even though the identification
     is only hypothesized for arbitrary input.  Split positive links break
-    the identity (rank Kh^1 is 0 on the closure of sigma_1^k in B_3), so
-    the test needs a known nonzero Conway polynomial; lead_conway is None
-    when the Conway polynomial is zero or was not computed.
+    the identity (rank Kh^1 is 0 on the closure of sigma_1^k in B_3); the
+    split gate shared with the other two tests covers them.
     """
     kind = TestKind.KHOVANOV_FROM_KH1
-    if lead_conway is None:
-        return _not_applicable(kind, SPLIT_CAVEAT)
-    p1 = kh1_rank(kh)
-    if p1 not in APPLICABLE_P1:
-        return _not_applicable(kind, f"rank Kh^1 = {p1} is outside the supported cases")
     j_lower, j_upper = kh.j_range()
-    report = khovanov_test(
-        ObstructionInput(
-            p1=p1, n=n, lead_conway=lead_conway, j_lower=j_lower, j_upper=j_upper
-        ),
-        kind=kind,
+    inp = ObstructionInput(
+        p1=kh1_rank(kh), n=n, lead_conway=lead_conway, j_lower=j_lower, j_upper=j_upper
     )
+    report = khovanov_test(inp, kind=kind)
     note = KH1_CAVEAT if not report.note else f"{report.note}; {KH1_CAVEAT}"
     return ObstructionReport(
         kind, report.applicable, report.lhs, report.rhs, report.gamma,

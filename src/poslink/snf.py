@@ -3,7 +3,8 @@
 Input is sparse: a list of rows, each a dict sending a column index to its
 coefficient (absent columns and zero values are zero).  Boundary maps of
 resolution cubes come in this form, are mostly zero, and are dominated by
-+-1 entries, so the work happens in two phases.
++-1 entries.  Both phases below work on the same sparse rows, with a map
+from each column to the live rows holding it kept in step.
 
 1. Unit elimination.  Sweep the live rows in order; at each row holding a
    +-1, pivot on the unit whose column has the fewest live entries, clear
@@ -12,14 +13,25 @@ resolution cubes come in this form, are mostly zero, and are dominated by
    complement), and go on to the next row.  Sweeps repeat until one finds
    no unit.  Choosing the sparsest column of a row keeps fill-in down
    without a global search over all rows.
-2. Dense remainder.  Whatever survives holds no unit; it is packed into a
-   dense matrix and reduced classically.
+2. Euclidean elimination.  Whatever survives holds no unit.  Pivot on an
+   entry of least magnitude and reduce its column by row operations with
+   floor quotients; once the column holds only the pivot, reduce the pivot
+   row modulo the pivot (the column is zero elsewhere, so these column
+   operations touch that row only).  A nonzero remainder is smaller than
+   the pivot and becomes the next one.  A pivot alone in its row and
+   column is a diagonal entry, and its row and column are dropped.
+
+The diagonal is then put in divisor-chain form by the exchange
+Z/a + Z/b = Z/gcd(a, b) + Z/lcm(a, b).
 """
 
 from __future__ import annotations
 
-IntMatrix = list[list[int]]
+from math import gcd
+
 SparseRows = list[dict[int, int]]
+_Rows = dict[int, dict[int, int]]
+_Cols = dict[int, set[int]]
 
 
 def snf_divisors(matrix: SparseRows) -> list[int]:
@@ -28,8 +40,8 @@ def snf_divisors(matrix: SparseRows) -> list[int]:
     The length of the result is the rank; entries greater than 1 are the
     torsion orders of the cokernel.  The input rows are not modified.
     """
-    rows: dict[int, dict[int, int]] = {}
-    cols: dict[int, set[int]] = {}
+    rows: _Rows = {}
+    cols: _Cols = {}
     for r, row in enumerate(matrix):
         data = {c: v for c, v in row.items() if v}
         if data:
@@ -51,130 +63,80 @@ def snf_divisors(matrix: SparseRows) -> list[int]:
                     c = c2
             if c is None:
                 continue
-            v = prow[c]
-            for r2 in list(cols[c]):
-                if r2 == r:
-                    continue
-                row2 = rows[r2]
-                m = row2[c] * v  # 1/v == v for units
-                for c2, pv in prow.items():
-                    nv = row2.get(c2, 0) - m * pv
-                    if nv:
-                        if c2 not in row2:
-                            cols.setdefault(c2, set()).add(r2)
-                        row2[c2] = nv
-                    elif c2 in row2:
-                        del row2[c2]
-                        cols[c2].discard(r2)
-                if not row2:
-                    del rows[r2]
-            for c2 in prow:
-                live = cols.get(c2)
-                if live is not None:
-                    live.discard(r)
-                    if not live:
-                        del cols[c2]
-            del rows[r]
+            _reduce_column(rows, cols, r, c)  # a unit divides exactly: c clears
+            _drop(rows, cols, r)
             units += 1
             pivoted = True
 
-    if not rows:
-        return [1] * units
-
-    live_cols = sorted({c for data in rows.values() for c in data})
-    index = {c: i for i, c in enumerate(live_cols)}
-    dense = []
-    for r in sorted(rows):
-        row = [0] * len(live_cols)
-        for c, v in rows[r].items():
-            row[index[c]] = v
-        dense.append(row)
-    return [1] * units + _dense_snf_divisors(dense)
-
-
-def _dense_snf_divisors(m: IntMatrix) -> list[int]:
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    divisors: list[int] = []
-    t = 0
-    while True:
-        pivot = _smallest_pivot(m, t, rows, cols)
-        if pivot is None:
-            break
-        r, c = pivot
-        m[t], m[r] = m[r], m[t]
-        for row in m:
-            row[t], row[c] = row[c], row[t]
-        _clear(m, t, rows, cols)
-        if m[t][t] < 0:
-            m[t] = [-v for v in m[t]]
-        # pivot must divide the rest of the submatrix for the divisor chain
+    diagonal = []
+    while rows:
+        r, c = min(
+            ((r, c) for r, row in rows.items() for c in row),
+            key=lambda rc: abs(rows[rc[0]][rc[1]]),
+        )
         while True:
-            bad = _nondivisible(m, t, rows, cols)
-            if bad is None:
-                break
-            for j in range(cols):
-                m[t][j] += m[bad][j]
-            _clear(m, t, rows, cols)
-            if m[t][t] < 0:
-                m[t] = [-v for v in m[t]]
-        divisors.append(m[t][t])
-        t += 1
-    return divisors
+            _reduce_column(rows, cols, r, c)
+            prow = rows[r]
+            p = prow[c]
+            rest = cols[c] - {r}
+            if rest:
+                r = min(rest, key=lambda r2: abs(rows[r2][c]))
+                continue
+            for c2 in list(prow):
+                if c2 != c:
+                    v = prow[c2] % p
+                    if v:
+                        prow[c2] = v
+                    else:
+                        del prow[c2]
+                        cols[c2].discard(r)
+                        if not cols[c2]:
+                            del cols[c2]
+            if len(prow) > 1:
+                c = min((c2 for c2 in prow if c2 != c), key=lambda c2: abs(prow[c2]))
+                continue
+            diagonal.append(abs(p))
+            _drop(rows, cols, r)
+            break
+
+    for i in range(len(diagonal)):
+        for j in range(i + 1, len(diagonal)):
+            a, b = diagonal[i], diagonal[j]
+            g = gcd(a, b)
+            diagonal[i], diagonal[j] = g, a // g * b
+    return [1] * units + diagonal
 
 
-def _smallest_pivot(m: IntMatrix, t: int, rows: int, cols: int) -> tuple[int, int] | None:
-    best = None
-    best_mag = None
-    for i in range(t, rows):
-        for j in range(t, cols):
-            v = m[i][j]
-            if v:
-                mag = abs(v)
-                if best_mag is None or mag < best_mag:
-                    best, best_mag = (i, j), mag
-                    if mag == 1:
-                        return best
-    return best
+def _reduce_column(rows: _Rows, cols: _Cols, r: int, c: int) -> None:
+    """Subtract from every other row holding column c the multiple of row r
+    that leaves its entry there a remainder modulo the pivot (floor
+    quotient), keeping cols in step; a row left empty is dropped."""
+    prow = rows[r]
+    p = prow[c]
+    for r2 in list(cols[c]):
+        if r2 == r:
+            continue
+        row2 = rows[r2]
+        m = row2[c] // p
+        if not m:
+            continue
+        for c2, pv in prow.items():
+            nv = row2.get(c2, 0) - m * pv
+            if nv:
+                if c2 not in row2:
+                    cols.setdefault(c2, set()).add(r2)
+                row2[c2] = nv
+            elif c2 in row2:
+                del row2[c2]
+                cols[c2].discard(r2)  # still holds row r, so never empty
+        if not row2:
+            del rows[r2]
 
 
-def _clear(m: IntMatrix, t: int, rows: int, cols: int) -> None:
-    """Zero out row and column t below/right of the pivot by gcd steps."""
-    while True:
-        again = False
-        for i in range(t + 1, rows):
-            while m[i][t]:
-                q = m[i][t] // m[t][t]
-                for j in range(cols):
-                    m[i][j] -= q * m[t][j]
-                if m[i][t]:
-                    m[t], m[i] = m[i], m[t]
-        for j in range(t + 1, cols):
-            while m[t][j]:
-                q = m[t][j] // m[t][t]
-                for i in range(rows):
-                    m[i][j] -= q * m[i][t]
-                if m[t][j]:
-                    for i in range(rows):
-                        m[i][t], m[i][j] = m[i][j], m[i][t]
-                    again = True  # column swaps may refill the pivot column
-        if not again:
-            for i in range(t + 1, rows):
-                if m[i][t]:
-                    again = True
-                    break
-        if not again:
-            return
-
-
-def _nondivisible(m: IntMatrix, t: int, rows: int, cols: int) -> int | None:
-    p = m[t][t]
-    for i in range(t + 1, rows):
-        for j in range(t + 1, cols):
-            if m[i][j] % p:
-                return i
-    return None
-
-
-def rank(matrix: SparseRows) -> int:
-    return len(snf_divisors(matrix))
+def _drop(rows: _Rows, cols: _Cols, r: int) -> None:
+    """Remove a finished row and every column left without live rows."""
+    for c2 in rows.pop(r):
+        live = cols[c2]
+        live.discard(r)
+        if not live:
+            del cols[c2]

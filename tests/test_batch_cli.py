@@ -15,7 +15,10 @@ from poslink import (
     cmd_test,
     braid_closure,
     conway,
+    format_kh_polynomial,
+    format_poly,
     ingest_csv,
+    is_positive,
     jones_V,
     khovanov_homology,
     parse_braid,
@@ -138,6 +141,40 @@ class TestCmdTest:
         result = batch.results[0]
         assert result.comparison is Strength.NEITHER_FAILS
         assert all(r.equality_attained for r in result.reports)
+
+    # the mirror of the Knot Atlas 5_2 code, plus the positive trefoil with
+    # its arcs shifted by 10: a positive split diagram with p1 = 0
+    SPLIT_5_2_3_1 = (
+        "PD[X[5,2,4,1],X[9,4,8,3],X[1,6,10,5],X[3,8,2,7],X[7,10,6,9],"
+        "X[11,14,12,15],X[13,16,14,11],X[15,12,16,13]]"
+    )
+
+    def test_split_positive_link_not_applicable(self):
+        # V of a split union is -(t^(1/2) + t^(-1/2)) V1 V2, so p(5_2) = 1
+        # and p(3_1) = 0 cancel; ungated, both inequalities would print Fail
+        d = parse_pd(self.SPLIT_5_2_3_1)
+        assert is_positive(d) and conway(d).is_zero
+        result = cmd_test([LinkRecord(name="5_2+3_1", pd=d)]).results[0]
+        assert result.error is None
+        assert len(result.reports) == 3
+        for report in result.reports:
+            assert report.verdict is Verdict.NOT_APPLICABLE
+            assert "may be split" in report.note
+        assert result.comparison is None
+
+    def test_ingested_link_without_conway_not_applicable(self, tmp_path):
+        d = parse_pd(self.SPLIT_5_2_3_1)
+        jones = format_poly(jones_V(d), "t")
+        kh = format_kh_polynomial(khovanov_homology(d))
+        path = tmp_path / "split.csv"
+        path.write_text(f"Name,Components,Jones,Kh\nsplit,2,{jones},{kh}\n")
+        columns = {"name": "Name", "components": "Components", "jones": "Jones", "kh": "Kh"}
+        result = cmd_test(ingest_csv(str(path), columns)).results[0]
+        assert result.error is None
+        assert len(result.reports) == 3
+        for report in result.reports:
+            assert report.verdict is Verdict.NOT_APPLICABLE
+            assert "may be split" in report.note
 
     def test_p1_three_not_applicable(self):
         # second coefficient -3: outside every obstruction family
@@ -372,6 +409,13 @@ class TestCli:
         out = capsys.readouterr().out
         assert code == 0
         assert "closure(strands=2; 1 1 1)" in out
+
+    def test_non_planar_code_exits_1(self, capsys):
+        code = main(["compute", "--pd", "PD[X[1,2,3,4],X[2,3,4,1]]", "--jones", "--kh"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "MalformedPD: PD code is not planar" in captured.err
+        assert "jones:" not in captured.out
 
     def test_usage_error_exit_2(self):
         with pytest.raises(SystemExit) as exc:

@@ -1,0 +1,44 @@
+"""The benchmark traces poslink from outside: it wraps functions by module
+and attribute name.  A rename on the poslink side would silently turn the
+benchmark's per-layer metrics into "missing", so the names it hooks are
+pinned here.  The bench modules are imported read-only: no bytecode is
+written next to them."""
+
+from __future__ import annotations
+
+import importlib
+import sys
+from pathlib import Path
+
+import pytest
+
+from poslink import batch
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+BENCH_MODULES = ("tracer", "worker", "workloads", "oracle")
+
+
+@pytest.fixture(scope="module")
+def bench():
+    saved = {name: sys.modules.pop(name) for name in BENCH_MODULES if name in sys.modules}
+    dont_write = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    sys.path.insert(0, str(BENCH))
+    try:
+        yield importlib.import_module("tracer"), importlib.import_module("worker")
+    finally:
+        sys.path.remove(str(BENCH))
+        sys.dont_write_bytecode = dont_write
+        for name in BENCH_MODULES:
+            sys.modules.pop(name, None)
+        sys.modules.update(saved)
+
+
+def test_hook_targets_are_callable(bench):
+    tracer, worker = bench
+    targets = [(module, attr) for module, attr, *_ in tracer.HOOKS + tracer.YIELD_HOOKS]
+    assert targets
+    for module, attr in targets:
+        assert callable(getattr(importlib.import_module(module), attr, None)), f"{module}.{attr}"
+    for name in worker.FIRST_RECORD_HOOKS:
+        assert callable(getattr(batch, name, None)), f"poslink.batch.{name}"

@@ -23,7 +23,7 @@ from poslink import (
 from poslink.batch import _conway_mirror
 from poslink.conway import _conway_from_seifert, _surface, conway_skein, seifert_matrix
 from poslink.diagram import _Oriented, _shadow_components
-from poslink.errors import MalformedPD, RecursionBudgetExceeded
+from poslink.errors import RecursionBudgetExceeded
 
 from conftest import DATA_DIR
 from polygon_diagrams import polygon_diagram
@@ -157,12 +157,6 @@ class TestSeifertMatrix:
             size = len(seifert_matrix(d))
             assert size == d.crossing_count - circles + 1
             assert conway(d).max_deg() == size
-
-    def test_rejects_non_planar_codes(self):
-        # both codes draw their shadow on a torus, not on a sphere
-        for crossings in (((1, 2, 3, 4), (2, 3, 4, 1)), ((1, 1, 2, 3), (2, 4, 3, 4))):
-            with pytest.raises(MalformedPD):
-                conway(Diagram(crossings))
 
     def test_disconnected_and_crossing_free_diagrams(self, hopf):
         with pytest.raises(ValueError):

@@ -74,6 +74,25 @@ class TestParsePD:
         with pytest.raises(MalformedPD):
             parse_pd(text)
 
+    def test_rejects_non_planar_codes(self):
+        # the first two draw their shadow on a torus, not on a sphere; the
+        # third adds a planar trefoil beside the first, so the Euler
+        # characteristic must be checked per piece of the shadow
+        torus = ((1, 2, 3, 4), (2, 3, 4, 1))
+        trefoil = ((1, 4, 2, 5), (3, 6, 4, 1), (5, 2, 6, 3))
+
+        def shifted(crossings, by):
+            return tuple(tuple(a + by for a in t) for t in crossings)
+
+        for crossings in (torus, ((1, 1, 2, 3), (2, 4, 3, 4)), torus + shifted(trefoil, 4)):
+            text = "PD[" + ",".join("X[%d,%d,%d,%d]" % t for t in crossings) + "]"
+            with pytest.raises(MalformedPD, match="not planar"):
+                parse_pd(text)
+            with pytest.raises(MalformedPD, match="not planar"):
+                Diagram(crossings)
+        # two planar pieces side by side are fine
+        assert components(Diagram(trefoil + shifted(trefoil, 6))) == 2
+
     def test_direct_construction_validates(self):
         with pytest.raises(ArcMultiplicity):
             Diagram(((1, 2, 3, 5),))

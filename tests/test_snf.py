@@ -1,12 +1,13 @@
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
-from math import prod
+from math import gcd, prod
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poslink.snf import rank, snf_divisors as _snf_divisors
+from poslink.snf import snf_divisors as _snf_divisors
 
 
 def sparse(matrix):
@@ -37,6 +38,18 @@ def rational_rank(matrix):
     return r
 
 
+def minor_gcd(matrix, k):
+    """gcd of the k x k minors, for k in (1, 2)."""
+    if k == 1:
+        return gcd(*(v for row in matrix for v in row))
+    cols = range(len(matrix[0]))
+    return gcd(*(
+        r[a] * s[b] - r[b] * s[a]
+        for r, s in itertools.combinations(matrix, 2)
+        for a, b in itertools.combinations(cols, 2)
+    ))
+
+
 class TestKnownForms:
     def test_empty(self):
         assert snf_divisors([]) == []
@@ -58,37 +71,38 @@ class TestKnownForms:
 
     def test_torsion(self):
         assert snf_divisors([[6, 4], [4, 4]]) == [2, 4]
+        # no unit anywhere: the Euclidean phase does all the work
+        assert snf_divisors([[2, 4, 4], [-6, 6, 12], [10, -4, -16]]) == [2, 6, 12]
 
     def test_rectangular(self):
         assert snf_divisors([[1, 2, 3]]) == [1]
         assert snf_divisors([[2], [4], [6]]) == [2]
+        # the pivot row reduced modulo the pivot leaves the unit 1
+        assert snf_divisors([[2, 3]]) == [1]
 
 
-matrices = st.integers(1, 5).flatmap(
-    lambda n: st.integers(1, 5).flatmap(
-        lambda m: st.lists(
-            st.lists(st.integers(-9, 9), min_size=m, max_size=m),
-            min_size=n,
-            max_size=n,
-        )
+def grids(entries, lo, hi, *, square=False):
+    """Matrices of lo..hi rows and columns, entries drawn from ``entries``."""
+
+    def shaped(n, m):
+        return st.lists(st.lists(entries, min_size=m, max_size=m), min_size=n, max_size=n)
+
+    if square:
+        return st.integers(lo, hi).flatmap(lambda n: shaped(n, n))
+    return st.integers(lo, hi).flatmap(
+        lambda n: st.integers(lo, hi).flatmap(lambda m: shaped(n, m))
     )
-)
 
-unit_heavy = st.integers(2, 12).flatmap(
-    lambda n: st.integers(2, 12).flatmap(
-        lambda m: st.lists(
-            st.lists(
-                st.sampled_from([0, 0, 0, 0, 1, -1, 2]), min_size=m, max_size=m
-            ),
-            min_size=n,
-            max_size=n,
-        )
-    )
-)
+
+matrices = grids(st.integers(-9, 9), 1, 5)
+unit_heavy = grids(st.sampled_from([0, 0, 0, 0, 1, -1, 2]), 2, 12)
+# no +-1 entries, so the Euclidean phase does all the work
+UNIT_FREE = st.sampled_from([0, 0, 0, 2, -2, 3, -3, 4, 6, -9])
+unit_free = grids(UNIT_FREE, 2, 14)
 
 
 class TestProperties:
-    @given(matrix=matrices)
+    @given(matrix=st.one_of(matrices, unit_free))
     @settings(max_examples=150, deadline=None)
     def test_divisor_chain_and_rank(self, matrix):
         divisors = snf_divisors(matrix)
@@ -96,8 +110,11 @@ class TestProperties:
         for a, b in zip(divisors, divisors[1:]):
             assert b % a == 0
         assert len(divisors) == rational_rank(matrix)
+        # d1 * ... * dk is the gcd of the k x k minors
+        for k in range(1, min(2, len(divisors)) + 1):
+            assert prod(divisors[:k]) == minor_gcd(matrix, k)
 
-    @given(matrix=matrices)
+    @given(matrix=st.one_of(matrices, grids(UNIT_FREE, 2, 14, square=True)))
     @settings(max_examples=100, deadline=None)
     def test_square_determinant(self, matrix):
         n = len(matrix)
@@ -114,7 +131,8 @@ class TestProperties:
     @settings(max_examples=100, deadline=None)
     def test_sparse_unit_heavy(self, matrix):
         # larger, mostly zero matrices of +-1 with a few 2s: several unit
-        # sweeps, fill-in, and sometimes a dense remainder
+        # sweeps, fill-in, and sometimes a unit-free rest for the Euclidean
+        # phase
         divisors = snf_divisors(matrix)
         for a, b in zip(divisors, divisors[1:]):
             assert b % a == 0
@@ -126,16 +144,21 @@ class TestProperties:
         assert _snf_divisors(rows) == [1, 2]
         assert rows == snapshot
 
-    def test_rank_helper(self):
-        assert rank(sparse([[1, 2], [2, 4]])) == 1
-
 
 def _det(matrix):
-    n = len(matrix)
-    if n == 1:
-        return matrix[0][0]
-    total = 0
-    for j in range(n):
-        minor = [row[:j] + row[j + 1 :] for row in matrix[1:]]
-        total += (-1) ** j * matrix[0][j] * _det(minor)
-    return total
+    """Fraction-exact determinant by Gaussian elimination."""
+    m = [[Fraction(v) for v in row] for row in matrix]
+    n = len(m)
+    det = Fraction(1)
+    for c in range(n):
+        pivot = next((i for i in range(c, n) if m[i][c]), None)
+        if pivot is None:
+            return 0
+        if pivot != c:
+            m[c], m[pivot] = m[pivot], m[c]
+            det = -det
+        det *= m[c][c]
+        for i in range(c + 1, n):
+            f = m[i][c] / m[c][c]
+            m[i] = [a - f * b for a, b in zip(m[i], m[c])]
+    return int(det)
