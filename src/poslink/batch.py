@@ -76,6 +76,8 @@ class LinkRecord:
     components: int | None = None
     flags: list[str] = field(default_factory=list)
     error: str | None = None
+    # the braid's closure, built on first use or handed over by the survey
+    closure: Diagram | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         if self.error is None and all(getattr(self, role) is None for role in INPUT_ROLES):
@@ -84,9 +86,9 @@ class LinkRecord:
     def diagram(self) -> Diagram | None:
         if self.pd is not None:
             return self.pd
-        if self.braid is not None:
-            return braid_closure(self.braid)
-        return None
+        if self.braid is not None and self.closure is None:
+            self.closure = braid_closure(self.braid)
+        return self.closure
 
 
 @dataclass
@@ -512,10 +514,10 @@ def cmd_survey(
     """Enumerate positive braid closures, dedupe, test, and assert that no
     positive diagram ever fails an applicable obstruction test."""
     records = []
-    for word, _ in survey_corpus(max_strands, max_length):
+    for word, diagram in survey_corpus(max_strands, max_length):
         letters = " ".join(str(k) for k in word.letters)
         name = f"closure(strands={word.strand_count}; {letters})"
-        records.append(LinkRecord(name=name, braid=word))
+        records.append(LinkRecord(name=name, braid=word, closure=diagram))
     result = run_batch(
         records,
         lambda r: process_record(r, run_tests=True, cap=cap),
@@ -524,8 +526,7 @@ def cmd_survey(
     for res, rec in zip(result.results, records):
         if res.error is not None:
             continue
-        diagram = rec.diagram()
-        if not is_positive(diagram):
+        if not is_positive(rec.diagram()):
             res.error = "survey generated a non-positive diagram"
             continue
         for report in res.reports:

@@ -6,6 +6,7 @@ from types import SimpleNamespace
 import pytest
 
 from poslink import (
+    Diagram,
     braid_closure,
     conway,
     jones_V,
@@ -14,6 +15,7 @@ from poslink import (
     parse_pd,
     survey_corpus,
 )
+from poslink.diagram import _Oriented
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -28,6 +30,21 @@ SEVEN4_PD = (
 PERTURBED_TREFOIL_BRAID = "strands=2; 1 1 1 1 -1"
 # trefoil after two stabilizations (R1 kinks)
 STABILIZED_TREFOIL_BRAID = "strands=4; 1 1 1 2 3"
+
+
+def mirror(d: Diagram) -> Diagram:
+    """The same diagram with every crossing switched."""
+    od = _Oriented.of(d)
+    for k in range(d.crossing_count):
+        od = od.switch(k)
+    return od.to_diagram()
+
+
+def lucas(n: int) -> int:
+    a, b = 2, 1
+    for _ in range(n):
+        a, b = b, a + b
+    return a
 
 
 @pytest.fixture(scope="session")

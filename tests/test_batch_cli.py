@@ -7,6 +7,7 @@ import random
 import pytest
 
 from poslink import (
+    Diagram,
     LinkRecord,
     Strength,
     Verdict,
@@ -228,6 +229,20 @@ class TestSurvey:
         assert len(cmd_survey(1, 0)) == 0
         assert len(cmd_survey(0, 5)) == 0
 
+    def test_each_closure_is_built_once(self, monkeypatch):
+        built = []
+        check = Diagram.__post_init__
+
+        def counted(d):
+            built.append(d)
+            check(d)
+
+        monkeypatch.setattr(Diagram, "__post_init__", counted)
+        batch = cmd_survey(3, 5)
+        assert batch.all_ok
+        assert len(built) == len(batch) == len(survey_corpus(3, 5))
+        assert {r.source for r in batch} == {"braid"}
+
 
 class TestPerRecordIsolation:
     def test_malformed_rows_do_not_abort(self, tmp_path):
@@ -403,6 +418,16 @@ class TestCli:
     def test_ingest_subcommand(self, capsys):
         code = main(["ingest", "--file", KNOTS_CSV, "--columns", COLUMNS_FLAG])
         assert code == 0
+
+    def test_test_on_20_crossings(self, capsys):
+        # T(3,10): Jones comes from the linear-time bracket, while Khovanov
+        # homology is over the default cap and is flagged, not computed
+        code = main(["test", "--braid", "strands=3; " + " ".join(["1 2"] * 10)])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "jones: t^9 + t^11 - t^20" in out
+        assert "test: JonesTest\n  applicable: true" in out
+        assert "flag: kh: skipped: 20 crossings exceed the homology cap" in out
 
     def test_survey_subcommand(self, capsys):
         code = main(["survey", "--strands", "2", "--max-length", "3"])

@@ -25,17 +25,10 @@ from poslink.conway import _conway_from_seifert, _surface, conway_skein, seifert
 from poslink.diagram import _Oriented, _shadow_components
 from poslink.errors import RecursionBudgetExceeded
 
-from conftest import DATA_DIR
+from conftest import DATA_DIR, lucas, mirror
 from polygon_diagrams import polygon_diagram
 
 Z = parse_poly("z", "z")
-
-
-def mirror(d: Diagram) -> Diagram:
-    od = _Oriented.of(d)
-    for k in range(d.crossing_count):
-        od = od.switch(k)
-    return od.to_diagram()
 
 
 def agrees_with_skein_at_every_outer_region(d: Diagram) -> None:
@@ -47,13 +40,6 @@ def agrees_with_skein_at_every_outer_region(d: Diagram) -> None:
         regions = len(_surface(d, 0).length) + 1
         for outer in range(regions):
             assert _conway_from_seifert(seifert_matrix(d, outer)) == expected, outer
-
-
-def lucas(n: int) -> int:
-    a, b = 2, 1
-    for _ in range(n):
-        a, b = b, a + b
-    return a
 
 
 class TestValues:

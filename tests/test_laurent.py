@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from poslink import (
+    BraidWord,
     LaurentPoly,
     braid_closure,
     components,
@@ -16,6 +19,7 @@ from poslink import (
     kauffman_bracket,
     lickorish_bounds,
     parse_braid,
+    parse_pd,
     parse_poly,
     reduce_nugatory,
     unnormalized_to_v,
@@ -28,6 +32,10 @@ from poslink.errors import (
     NotPositiveDiagram,
     ZeroPolynomial,
 )
+from poslink.laurent import _contraction_order, kauffman_bracket_states
+
+from conftest import TREFOIL_PD, lucas, mirror
+from polygon_diagrams import polygon_diagram
 
 TREFOIL_V = parse_poly("t + t^3 - t^4")
 SEVEN4_V = parse_poly("t - 2t^2 + 3t^3 - 2t^4 + 3t^5 - 2t^6 + t^7 - t^8")
@@ -118,10 +126,124 @@ class TestBracket:
         assert kauffman_bracket(unknot) == LaurentPoly.one()
 
     def test_two_circle_unlink(self):
-        from poslink import parse_pd
-
         d = parse_pd("PD[O[],O[]]")
         assert kauffman_bracket(d) == LaurentPoly({2: -1, -2: -1})
+
+
+def agrees_with_state_sum(d) -> None:
+    assert kauffman_bracket(d) == kauffman_bracket_states(d), d
+
+
+class TestBracketAgainstStateSum:
+    def test_fixtures_and_mirrors(
+        self, unknot, hopf, trefoil, mirror_trefoil, seven4, perturbed_trefoil, stabilized_trefoil
+    ):
+        for d in (unknot, hopf, trefoil, mirror_trefoil, seven4, perturbed_trefoil, stabilized_trefoil):
+            agrees_with_state_sum(d)
+            agrees_with_state_sum(mirror(d))
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "PD[O[]]",
+            "PD[O[],O[],O[]]",
+            TREFOIL_PD[:-1] + ",O[],O[]]",
+            "strands=5; 1 1 1",
+        ],
+    )
+    def test_free_circles(self, text):
+        d = parse_pd(text) if text.startswith("PD") else braid_closure(parse_braid(text))
+        assert d.free_circles
+        agrees_with_state_sum(d)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["PD[X[1,1,2,2]]", "PD[X[2,1,1,2]]", "strands=3; 1 1 1 2", "strands=3; 1 -1 -1 -2"],
+    )
+    def test_kinked_crossing(self, text):
+        d = parse_pd(text) if text.startswith("PD") else braid_closure(parse_braid(text))
+        assert any(len(set(t)) < 4 for t in d.crossings)
+        agrees_with_state_sum(d)
+
+    def test_split_diagram(self, trefoil):
+        shifted = ",".join(
+            "X[" + ",".join(str(a + 6) for a in t) + "]" for t in trefoil.crossings
+        )
+        d = parse_pd(TREFOIL_PD[:-1] + "," + shifted + "]")
+        agrees_with_state_sum(d)
+        # <D1 u D2> = delta <D1><D2>
+        delta = LaurentPoly({2: -1, -2: -1})
+        assert kauffman_bracket(d) == delta * kauffman_bracket(trefoil) ** 2
+
+    @given(
+        strands=st.integers(2, 5),
+        letters=st.lists(st.tuples(st.integers(1, 4), st.booleans()), max_size=10),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_mixed_sign_braids(self, strands, letters):
+        word = tuple(min(g, strands - 1) * (1 if up else -1) for g, up in letters)
+        agrees_with_state_sum(braid_closure(BraidWord(strands, word)))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_polygon_diagrams(self, seed):
+        rng = random.Random(seed)
+        for _ in range(40):
+            agrees_with_state_sum(polygon_diagram(rng, max_crossings=14))
+
+
+def torus_knot_jones(p: int, q: int) -> LaurentPoly:
+    """t^((p-1)(q-1)/2) (1 - t^(p+1) - t^(q+1) + t^(p+q)) / (1 - t^2)."""
+    numerator = Counter({0: 1, p + 1: -1, q + 1: -1, p + q: 1})
+    quotient: dict[int, int] = {}
+    for k in range(p + q - 1):
+        # the quotient has degree p + q - 2; (1 - t^2) Q = N term by term
+        quotient[k] = numerator[k] + quotient.get(k - 2, 0)
+    return LaurentPoly({k + (p - 1) * (q - 1) // 2: c for k, c in quotient.items()})
+
+
+class TestLargeDiagrams:
+    """Inputs the 2^c state sum cannot reach in test time."""
+
+    def test_alternating_40_crossing_3_braid(self):
+        v = jones_V(braid_closure(BraidWord(3, (1, -2) * 20)))
+        # reduced alternating and amphichiral: span c, symmetric, and
+        # |V(-1)| is the determinant L_40 - 2
+        assert (v.min_deg(), v.max_deg()) == (-20, 20)
+        assert v == v.substitute_inverse()
+        assert abs(sum(c * (-1) ** int(e) for e, c in v.terms())) == lucas(40) - 2
+
+    @pytest.mark.parametrize("p, q", [(2, 3), (3, 4), (3, 11), (4, 5), (5, 6)])
+    def test_torus_knots(self, p, q):
+        d = braid_closure(BraidWord(p, tuple(range(1, p)) * q))
+        assert jones_V(d) == torus_knot_jones(p, q)
+
+
+class TestContractionOrder:
+    def test_open_boundary_at_most_two_arcs_per_strand(self):
+        # 2n open arcs leave at most Catalan(n) planar matchings live, so the
+        # bracket of an n-strand closure costs linear time in its length
+        rng = random.Random(0)
+        words = [
+            (3, (1, 2) * 20), (3, (1, -2) * 20), (4, (1, 2, 3) * 13),
+            (5, (1, -2, 3, -4) * 10), (6, (1, 2, 3, 4, 5) * 8), (6, (5, 4, 3, 2, 1) * 8),
+            # breaking ties by index alone opens 12 ends here
+            (5, (-1, 4, 3, -1, -4, -3, -4, 1, -1, 4, -3, 4, -2, 3, 4, 1, -4, -1, -3,
+                 -2, 2, -3, 1, 1, -2, -3, -2, -1, -4, -4, 2, -4, -3, 4, 4, 3, 3, 2)),
+        ]
+        for _ in range(300):
+            n = rng.randint(2, 6)
+            length = rng.randint(1, 40)
+            words.append((n, tuple(rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(length))))
+        for n, word in words:
+            d = braid_closure(BraidWord(n, word))
+            order = _contraction_order(d)
+            assert sorted(order) == list(range(d.crossing_count))
+            open_arcs: set[int] = set()
+            for k in order:
+                for arc in d.crossings[k]:
+                    open_arcs ^= {arc}
+                assert len(open_arcs) <= 2 * n, (n, word)
+            assert not open_arcs
 
 
 class TestJones:
