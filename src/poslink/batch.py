@@ -282,6 +282,28 @@ def _self_check(computed: dict[str, object]) -> str | None:
     return None
 
 
+def _component_count(
+    jones: LaurentPoly | None, cell: int | None, d: Diagram | None
+) -> tuple[int | None, str | None]:
+    """The component count n, read from V(1) = (-2)^(n-1) when V is known,
+    checked against the diagram and the ``components`` cell.  Returns
+    (n or None, the disagreement or None)."""
+    found: list[tuple[str, int]] = []
+    if jones is not None:
+        v = sum(c for _, c in jones.terms())
+        n = abs(v).bit_length()
+        if n == 0 or v != (-2) ** (n - 1):
+            return None, f"components: V(1) = {v} is not a power of -2"
+        found.append(("V(1)", n))
+    if d is not None:
+        found.append(("the diagram", components(d)))
+    if cell is not None:
+        found.append(("the components cell", cell))
+    if len({n for _, n in found}) > 1:
+        return None, "components: " + ", ".join(f"{src} gives {n}" for src, n in found)
+    return (found[0][1] if found else None), None
+
+
 def process_record(
     record: LinkRecord,
     *,
@@ -346,7 +368,8 @@ def process_record(
             lambda g: g.mirror(), mirror, flags,
         )
         inconsistent = _self_check(computed)
-        error = inconsistent or err1 or err2 or err3
+        n, err4 = _component_count(jones, record.components, d)
+        error = inconsistent or err1 or err2 or err3 or err4
 
         if jones is not None:
             invariants["jones"] = format_poly(jones, "t")
@@ -356,9 +379,6 @@ def process_record(
         if kh is not None:
             invariants["kh"] = format_kh_polynomial(kh)
 
-        n = record.components
-        if n is None and d is not None:
-            n = components(d)
         if kh is not None and inconsistent is None:
             if d is not None:
                 summary = extreme_gradings(kh, d)
@@ -378,9 +398,6 @@ def process_record(
                 }
 
         if run_tests and error is None:
-            if n is None:
-                n = 1
-                flags.append("components: not provided, assuming a knot (n=1)")
             if jones is None:
                 flags.append("tests: skipped, no Jones polynomial available")
             else:

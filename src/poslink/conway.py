@@ -51,7 +51,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .diagram import Diagram, _Oriented, _shadow_components
+from .diagram import Diagram, _DisjointLabels, _Oriented, _shadow_components
 from .errors import RecursionBudgetExceeded
 from .laurent import LaurentPoly
 
@@ -175,21 +175,12 @@ def _surface(d: Diagram, outer: int) -> _Surface:
     # under-arc when the crossing is positive, and on the right otherwise;
     # it lies on the other side of the other circle.
     sides = [(0, 1) if s > 0 else (1, 0) for s in sign]
-    parent = list(range(2 * m))  # union-find over (circle, side) = 2 * circle + side
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    joined = _DisjointLabels()  # over (circle, side) = 2 * circle + side
     for k, (s1, s2) in enumerate(sides):
-        r1, r2 = find(2 * first[k] + s1), find(2 * second[k] + s2)
-        if r1 != r2:
-            parent[max(r1, r2)] = min(r1, r2)
-    roots = sorted({find(x) for x in range(2 * m)})
+        joined.union(2 * first[k] + s1, 2 * second[k] + s2)
+    roots = sorted({joined.find(x) for x in range(2 * m)})
     number = {r: i for i, r in enumerate(roots)}
-    region = [number[find(x)] for x in range(2 * m)]
+    region = [number[joined.find(x)] for x in range(2 * m)]
     circles_at: list[list[int]] = [[] for _ in roots]
     for x, r in enumerate(region):
         circles_at[r].append(x >> 1)

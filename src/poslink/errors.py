@@ -95,7 +95,3 @@ class FileUnreadable(PoslinkError, OSError):
 
 class ColumnMissing(PoslinkError, ValueError):
     """A declared CSV column is absent from the header."""
-
-
-class CellParseError(PoslinkError, ValueError):
-    """A CSV cell failed to parse; recorded per row, never fatal to the batch."""

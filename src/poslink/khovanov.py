@@ -2,9 +2,15 @@
 
 The circles of each cube vertex come from :func:`poslink.diagram.cube_states`.
 Generators at a cube vertex are labelings of the smoothed circles by the
-two-dimensional Frobenius algebra basis {1, x}; edges merge or split
-circles and carry the usual sign rule (parity of B-smoothings at lower
-coordinates).  Gradings are fixed so the crossing-free unknot has homology
+two-dimensional Frobenius algebra basis {1, x}, stored as bit sets of the
+x-labelled circles.  Each cube edge has one rule: ``image[s]`` is the bit
+of the target circle of source circle s, and a labeling's untouched
+circles map to ``mapped[bits] = mapped[bits ^ low] | image[low]`` (low the
+lowest set bit), built up over the labelings in order.  The two circles
+the edge merges share one image, and 1.1 -> 1, 1.x -> x, x.x -> 0; the
+circle it splits has image 0, and x -> x.x, 1 -> 1.x + x.1.  Edges carry
+the usual sign rule (parity of B-smoothings at lower coordinates).
+Gradings are fixed so the crossing-free unknot has homology
 Z at (0, -1) and (0, 1), which makes the graded Euler characteristic equal
 the unnormalized Jones polynomial:
 
@@ -157,126 +163,71 @@ def chain_slices(d: Diagram, *, cap: int = DEFAULT_CROSSING_CAP) -> dict[int, Ch
             f"{c} crossings exceed the homology cap of {cap}; raise the cap "
             "explicitly to accept the 2^c cost"
         )
-    signs = crossing_signs(d).signs
-    p = sum(1 for s in signs if s > 0)
-    qn = c - p
-    shift = p - 2 * qn
+    signs = crossing_signs(d)
+    qn = signs.negative_count
+    shift = signs.positive_count - 2 * qn
 
-    # per mask: circle keys (sorted least arcs, then free-circle sentinels),
-    # key -> circle index, the arc labels, and the index of each labeling
-    # of the circles within its (i, j) slot
-    states: list[tuple[list[int], dict[int, int], tuple[int, ...]]] = []
+    # per vertex: circle[a], the bit of arc a's circle (entry 0 is 0, the
+    # free circles follow the arcs), and the index of each labeling within
+    # its (i, j) slot
+    circle: list[list[int]] = []
     offsets: list[list[int]] = []
     counts: dict[tuple[int, int], int] = {}
-    free_keys = [-(f + 1) for f in range(d.free_circles)]
-    for mask, _, read_labels in cube_states(d):
-        labels = read_labels()
-        keys = sorted(set(labels[1:])) + free_keys
-        states.append((keys, {key: pos for pos, key in enumerate(keys)}, labels))
-        n = len(keys)
+    for mask, crossed, labels in cube_states(d):
+        bit = {least: 1 << k for k, least in enumerate(sorted(set(labels[1:])))}
+        bit[0] = 0
+        n = crossed + d.free_circles
+        circle.append([bit[a] for a in labels] + [1 << k for k in range(crossed, n)])
         i = mask.bit_count() - qn
-        base = mask.bit_count() + shift
+        top = n + mask.bit_count() + shift
         local = []
         for bits in range(1 << n):
-            j = (n - 2 * bits.bit_count()) + base
-            pos = counts.get((i, j), 0)
-            counts[(i, j)] = pos + 1
+            key = (i, top - 2 * bits.bit_count())
+            pos = counts.get(key, 0)
+            counts[key] = pos + 1
             local.append(pos)
         offsets.append(local)
-
-    matrices: dict[tuple[int, int], SparseRows] = {}
-
-    def rows_for(i: int, j: int) -> SparseRows:
-        m = matrices.get((i, j))
-        if m is None:
-            m = [{} for _ in range(counts.get((i + 1, j), 0))]
-            matrices[(i, j)] = m
-        return m
-
-    # then the differentials along each cube edge
-    for mask in range(1 << c):
-        keys1, index1, labels1 = states[mask]
-        n1 = len(keys1)
-        i = mask.bit_count() - qn
-        base1 = mask.bit_count() + shift
-        for e in range(c):
-            bit = 1 << e
-            if mask & bit:
-                continue
-            mask2 = mask | bit
-            _, index2, labels2 = states[mask2]
-            sign = -1 if (mask & (bit - 1)).bit_count() & 1 else 1
-            a, b, c_arc, _ = d.crossings[e]
-            s1, s2 = index1[labels1[a]], index1[labels1[b]]
-            if s1 != s2:
-                merged = index2[labels2[a]]
-                rest = [
-                    (src, index2[key])
-                    for src, key in enumerate(keys1)
-                    if src not in (s1, s2)
-                ]
-                _emit_merge(
-                    rows_for, offsets, mask, mask2, i,
-                    base1, n1, s1, s2, merged, rest, sign,
-                )
-            else:
-                t1, t2 = index2[labels2[a]], index2[labels2[c_arc]]
-                rest = [
-                    (src, index2[key])
-                    for src, key in enumerate(keys1)
-                    if src != s1
-                ]
-                _emit_split(
-                    rows_for, offsets, mask, mask2, i,
-                    base1, n1, s1, t1, t2, rest, sign,
-                )
 
     slices: dict[int, ChainSlice] = {}
     for (i, j), n in sorted(counts.items()):
         sl = slices.setdefault(j, ChainSlice(j, {}, {}))
         sl.generator_counts[i] = n
-    for j, sl in slices.items():
-        for i in sl.generator_counts:
-            sl.boundaries[i] = rows_for(i, j)
+        sl.boundaries[i] = [{} for _ in range(counts.get((i + 1, j), 0))]
+
+    for mask, src in enumerate(circle):
+        cols = offsets[mask]
+        n = len(cols).bit_length() - 1
+        i = mask.bit_count() - qn
+        top = n + mask.bit_count() + shift
+        # the boundary rows by the number of x-labels of the source
+        rows_at = [slices[top - 2 * w].boundaries[i] for w in range(n + 1)]
+        for e, (a, b, c_arc, _) in enumerate(d.crossings):
+            edge = 1 << e
+            if mask & edge:
+                continue
+            dst = circle[mask | edge]
+            targets = offsets[mask | edge]
+            sign = -1 if (mask & (edge - 1)).bit_count() & 1 else 1
+            image = dict(zip(src, dst))  # source circle bit -> target circle bit
+            s1, s2 = src[a], src[b]
+            merge = s1 != s2
+            if not merge:
+                t1, t2 = dst[a], dst[c_arc]
+                image[s1] = 0
+            mapped = [0] * len(cols)
+            for bits, col in enumerate(cols):
+                low = bits & -bits
+                out = mapped[bits] = mapped[bits ^ low] | image[low]
+                rows = rows_at[bits.bit_count()]
+                if merge:
+                    if not (bits & s1 and bits & s2):  # x . x = 0
+                        rows[targets[out]][col] = sign
+                elif bits & s1:  # x -> x.x
+                    rows[targets[out | t1 | t2]][col] = sign
+                else:  # 1 -> 1.x + x.1
+                    rows[targets[out | t2]][col] = sign
+                    rows[targets[out | t1]][col] = sign
     return slices
-
-
-def _emit_merge(rows_for, offsets, mask, mask2, i, base1, n1,
-                s1, s2, merged, rest, sign):
-    bs1, bs2 = 1 << s1, 1 << s2
-    for bits in range(1 << n1):
-        la, lb = bits & bs1, bits & bs2
-        if la and lb:
-            continue  # x . x = 0
-        out = 1 << merged if (la or lb) else 0
-        for src, dst in rest:
-            if bits & (1 << src):
-                out |= 1 << dst
-        j = (n1 - 2 * bits.bit_count()) + base1
-        row = rows_for(i, j)[offsets[mask2][out]]
-        col = offsets[mask][bits]
-        row[col] = row.get(col, 0) + sign
-
-
-def _emit_split(rows_for, offsets, mask, mask2, i, base1, n1,
-                s1, t1, t2, rest, sign):
-    b1, b2 = 1 << t1, 1 << t2
-    for bits in range(1 << n1):
-        out = 0
-        for src, dst in rest:
-            if bits & (1 << src):
-                out |= 1 << dst
-        j = (n1 - 2 * bits.bit_count()) + base1
-        m = rows_for(i, j)
-        targets = offsets[mask2]
-        col = offsets[mask][bits]
-        if bits & (1 << s1):
-            outs = (out | b1 | b2,)  # x -> x.x
-        else:
-            outs = (out | b2, out | b1)  # 1 -> 1.x + x.1
-        for target in outs:
-            row = m[targets[target]]
-            row[col] = row.get(col, 0) + sign
 
 
 def khovanov_homology(d: Diagram, *, cap: int = DEFAULT_CROSSING_CAP) -> BigradedGroups:
@@ -318,15 +269,13 @@ def extreme_gradings(kh: BigradedGroups, d: Diagram) -> GradingSummary:
     if not kh:
         raise EmptyHomology("no nonzero homology groups; nonempty links always have some")
     j_lower, j_upper = kh.j_range()
-    signs = crossing_signs(d).signs
+    signs = crossing_signs(d)
     c = d.crossing_count
-    p = sum(1 for s in signs if s > 0)
-    qn = c - p
     return GradingSummary(
         j_lower=j_lower,
         j_upper=j_upper,
-        j_min_potential=c - 3 * qn - a_state_circles(d),
-        j_max_potential=-c + 3 * p + b_state_circles(d),
+        j_min_potential=c - 3 * signs.negative_count - a_state_circles(d),
+        j_max_potential=-c + 3 * signs.positive_count + b_state_circles(d),
     )
 
 

@@ -176,9 +176,10 @@ def _gate(p1: int, n: int, lead_conway: int | None) -> tuple[int | None, str]:
     return gamma(p1, lead_conway), ""
 
 
-def jones_test(inp: ObstructionInput, *, kind: TestKind = TestKind.JONES) -> ObstructionReport:
+def jones_test(inp: ObstructionInput) -> ObstructionReport:
     """max deg V <= 4 min deg V + (n-1)/2 + gamma; Fail certifies
     'not a positive link'."""
+    kind = TestKind.JONES
     g, why = _gate(inp.p1, inp.n, inp.lead_conway)
     if g is None:
         return _not_applicable(kind, why)

@@ -177,9 +177,53 @@ class TestCmdTest:
             assert report.verdict is Verdict.NOT_APPLICABLE
             assert "may be split" in report.note
 
-    def test_p1_three_not_applicable(self):
-        # second coefficient -3: outside every obstruction family
+    def test_component_count_comes_from_jones(self, tmp_path, capsys):
+        # V(1) = (-2)^(n-1) = 4 gives n = 3 for this positive 3-component
+        # closure; taken for a knot (n = 1) it printed JonesTest Fail, 5 > 4
+        d = braid_closure(parse_braid("strands=3; 1 1 2 2"))
+        jones, nabla = format_poly(jones_V(d), "t"), format_poly(conway(d), "z")
+        path = tmp_path / "three.csv"
+        path.write_text(f"Name,Jones,Conway\nthree,{jones},{nabla}\n")
+        records = ingest_csv(str(path), {"name": "Name", "jones": "Jones", "conway": "Conway"})
+        assert records[0].components is None
+        result = cmd_test(records).results[0]
+        assert result.error is None
+        jones_report = result.reports[0]
+        assert jones_report.applicable and (jones_report.lhs, jones_report.rhs) == (5, 5)
+        assert not any(r.failed for r in result.reports)
+        code = main(["test", "--file", str(path), "--columns", "name=Name,jones=Jones,conway=Conway"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "Fail" not in out and "assuming a knot" not in out
+
+    def test_components_cell_disagreeing_is_the_record_error(self, tmp_path, capsys):
+        # the split 5_2 + 3_1 labelled as a knot printed JonesTest Fail and
+        # KhovanovTest Fail, and the run exited 0
+        path = tmp_path / "split.csv"
+        path.write_text(f'Name,Components,PD\nsplit,1,"{self.SPLIT_5_2_3_1}"\n')
+        columns = {"name": "Name", "components": "Components", "pd": "PD"}
+        result = cmd_test(ingest_csv(str(path), columns)).results[0]
+        assert result.error == (
+            "components: V(1) gives 2, the diagram gives 2, the components cell gives 1"
+        )
+        assert result.reports == []
+        code = main(["test", "--file", str(path), "--columns", "name=Name,components=Components,pd=PD"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "Fail" not in out and result.error in out
+
+    def test_jones_that_is_no_link_polynomial_is_the_record_error(self):
+        # V(1) = (-2)^(n-1) for every link, so V(1) = -1 names no component count
         record = LinkRecord(name="odd", jones=parse_poly("t - 3t^2 + t^3"))
+        result = cmd_test([record]).results[0]
+        assert result.error == "components: V(1) = -1 is not a power of -2"
+        assert result.reports == []
+
+    def test_p1_three_not_applicable(self):
+        # second coefficient 3: outside every obstruction family.  This is
+        # V of the knot closing the 3-braid 1 1 -2 1 1 -2 1 -2, so V(1) = 1.
+        jones = parse_poly("-t^-2 + 3t^-1 - 4 + 6t - 6t^2 + 6t^3 - 5t^4 + 3t^5 - t^6")
+        record = LinkRecord(name="odd", jones=jones)
         batch = cmd_test([record])
         result = batch.results[0]
         assert result.error is None

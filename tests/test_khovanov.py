@@ -4,6 +4,8 @@ import pytest
 
 from poslink import (
     BigradedGroups,
+    Diagram,
+    braid_closure,
     chain_slices,
     components,
     euler_characteristic,
@@ -12,6 +14,7 @@ from poslink import (
     jones_V,
     kh1_rank,
     khovanov_homology,
+    parse_braid,
     parse_kh_polynomial,
     parse_poly,
     v_to_unnormalized,
@@ -132,7 +135,14 @@ class TestChainComplex:
     def test_boundary_squares_to_zero(
         self, trefoil, hopf, seven4, mirror_trefoil, perturbed_trefoil
     ):
-        for d in (trefoil, hopf, seven4, mirror_trefoil, perturbed_trefoil):
+        # free circles: a split closure and a trefoil beside an O[]
+        extra = [
+            braid_closure(parse_braid("strands=3; 1 1")),
+            Diagram(trefoil.crossings, 1),
+            braid_closure(parse_braid("strands=4; 1 -2 3 -1 2 -3 1 2 -3 -2")),
+        ]
+        assert [d.free_circles for d in extra] == [1, 1, 0]
+        for d in (trefoil, hopf, seven4, mirror_trefoil, perturbed_trefoil, *extra):
             for j, sl in chain_slices(d).items():
                 for i, m in sl.boundaries.items():
                     nxt = sl.boundaries.get(i + 1)
