@@ -148,6 +148,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "survey":
+            # a braid needs two strands and one letter to cross anything
+            if args.strands < 2:
+                parser.error("survey needs --strands of at least 2")
+            if args.max_length < 1:
+                parser.error("survey needs --max-length of at least 1")
             batch = cmd_survey(args.strands, args.max_length, cap=args.cap, jobs=args.jobs)
             return _emit(batch, args)
         if getattr(args, "require_columns", False) and not (args.file and args.columns):

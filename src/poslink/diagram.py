@@ -101,8 +101,8 @@ class Diagram:
             )
         # V - E + F = 2 on the sphere for each connected piece of the
         # shadow, which has c vertices and 2c edges in all
-        pieces = _shadow_components(self.crossings)
-        if _face_count(self.crossings) - len(self.crossings) != 2 * pieces:
+        faces = len(set(_corner_faces(self.crossings)))
+        if faces - len(self.crossings) != 2 * _shadow_components(self.crossings):
             raise MalformedPD("PD code is not planar")
 
     @property
@@ -123,93 +123,72 @@ class Diagram:
         return self._orientation[1]
 
 
+def _far_ends(crossings: Sequence[Crossing]) -> list[int]:
+    """Slot s of crossing k is position ``4 * k + s``; entry ``pos`` is the
+    position at the far end of the arc at ``pos``."""
+    other = [0] * (4 * len(crossings))
+    near: dict[int, int] = {}
+    for pos, arc in enumerate(arc for t in crossings for arc in t):
+        if arc in near:
+            other[pos], other[near[arc]] = near[arc], pos
+        else:
+            near[arc] = pos
+    return other
+
+
 def _orient(crossings: Sequence[Crossing]) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
     """Infer over-strand entry slots and oriented component cycles.
 
-    Positions are (crossing, slot) pairs.  Walking the link alternates a
-    through-crossing move (slot 0<->2 under, 1<->3 over) with a jump to the
-    other occurrence of the exit arc.  Orbits of that walk traverse one
-    component in one of its two directions; the under-strand constraint
-    (entries at slot 0, never slot 2) picks the real direction.  Components
-    that never pass under are oriented by the label convention instead:
-    prefer the direction where exit = entry + 1, wrapping max -> min.
+    Walking the link alternates a pass through a crossing (position
+    ``pos ^ 2``: slot 0<->2 under, 1<->3 over) with a jump to the far end of
+    the exit arc, so it steps ``pos -> other[pos ^ 2]`` over entry positions.
+    Each orbit traverses one component in one direction; the orbit of the
+    ``pos ^ 2`` positions is the same component the other way.  The
+    under-strand constraint (entries at slot 0, never slot 2) picks the real
+    direction.  Components that never pass under are oriented by the label
+    convention instead: prefer the direction where exit = entry + 1,
+    wrapping max -> min, then the one holding the least position.
     """
-    occurrences: dict[int, list[tuple[int, int]]] = {}
-    for ci, t in enumerate(crossings):
-        for si, lab in enumerate(t):
-            occurrences.setdefault(lab, []).append((ci, si))
-
-    def arc_partner(pos: tuple[int, int]) -> tuple[int, int]:
-        ci, si = pos
-        first, second = occurrences[crossings[ci][si]]
-        return second if first == pos else first
-
-    seen: set[tuple[int, int]] = set()
-    orbits: list[list[tuple[int, int]]] = []
-    for ci in range(len(crossings)):
-        for si in range(4):
-            start = (ci, si)
-            if start in seen:
-                continue
-            orbit = []
-            pos = start
-            while True:
-                orbit.append(pos)
-                seen.add(pos)
-                pos = arc_partner((pos[0], pos[1] ^ 2))
-                if pos == start:
-                    break
-            orbits.append(orbit)
-
-    groups: dict[frozenset[int], list[list[tuple[int, int]]]] = {}
-    for orbit in orbits:
-        labels = frozenset(crossings[ci][si] for ci, si in orbit)
-        groups.setdefault(labels, []).append(orbit)
-
+    other = _far_ends(crossings)
+    label = [arc for t in crossings for arc in t]
+    seen = [False] * len(other)
     over_in = [0] * len(crossings)
     cycles = []
-    for labels, pair in sorted(groups.items(), key=lambda kv: min(kv[0])):
-        if len(pair) != 2:
-            raise OrientationInconsistent(
-                "component traverses one of its own strands twice"
-            )
-        valid = [o for o in pair if all(si != 2 for _, si in o)]
-        if not valid:
-            raise OrientationInconsistent(
-                "no direction is compatible with the under-strand passages"
-            )
-        chosen = valid[0] if len(valid) == 1 else _prefer_consecutive(crossings, valid, labels)
-        arcs = [crossings[ci][si] for ci, si in chosen]
+    for start in range(len(other)):
+        if seen[start]:
+            continue
+        orbit = []
+        pos = start
+        while not seen[pos]:
+            seen[pos] = seen[pos ^ 2] = True
+            orbit.append(pos)
+            pos = other[pos ^ 2]
+        back = [p ^ 2 for p in reversed(orbit)]
+        slots = {p & 3 for p in orbit}
+        if 2 in slots:
+            if 0 in slots:
+                raise OrientationInconsistent(
+                    "no direction is compatible with the under-strand passages"
+                )
+            orbit = back
+        elif 0 not in slots:
+            lo = min(label[p] for p in orbit)
+            hi = max(label[p] for p in orbit)
+
+            def score(o: list[int]) -> int:
+                return sum(
+                    label[p ^ 2] == label[p] + 1 or (label[p] == hi and label[p ^ 2] == lo)
+                    for p in o
+                )
+
+            orbit = min(orbit, back, key=lambda o: (-score(o), min(o)))
+        arcs = [label[p] for p in orbit]
         shift = arcs.index(min(arcs))
         cycles.append(tuple(arcs[shift:] + arcs[:shift]))
-        for ci, si in chosen:
-            if si in (1, 3):
-                over_in[ci] = si
-    if any(v == 0 for v in over_in):
-        raise OrientationInconsistent("some over-strand was never traversed")
-    return tuple(over_in), tuple(cycles)
-
-
-def _prefer_consecutive(
-    crossings: Sequence[Crossing],
-    candidates: list[list[tuple[int, int]]],
-    labels: frozenset[int],
-) -> list[tuple[int, int]]:
-    # Both directions satisfy the under-strand constraints (an all-over
-    # component), so fall back to the labeling convention.  Two-arc
-    # components are symmetric at label level; the position tie-break
-    # keeps the choice deterministic.
-    lo, hi = min(labels), max(labels)
-
-    def score(orbit: list[tuple[int, int]]) -> int:
-        s = 0
-        for ci, si in orbit:
-            entry, exit_ = crossings[ci][si], crossings[ci][si ^ 2]
-            if exit_ == entry + 1 or (entry == hi and exit_ == lo):
-                s += 1
-        return s
-
-    return min(candidates, key=lambda o: (-score(o), sorted(o)))
+        for p in orbit:
+            if p & 1:
+                over_in[p >> 2] = p & 3
+    return tuple(over_in), tuple(sorted(cycles))
 
 
 # --------------------------------------------------------------------------
@@ -353,58 +332,41 @@ class _Oriented:
             self.free_circles,
         )
 
-    def successor_map(self) -> dict[int, int]:
-        succ: dict[int, int] = {}
-        for t, oi in zip(self.crossings, self.over_in):
-            a, b, c, d = t
-            transits = ((a, c), (b, d)) if oi == 1 else ((a, c), (d, b))
-            for entry, exit_ in transits:
-                if entry in succ:
-                    raise OrientationInconsistent(f"arc {entry} enters two crossings")
-                succ[entry] = exit_
-        return succ
-
-    def component_cycles(self) -> list[list[int]]:
-        succ = self.successor_map()
-        remaining = set(succ)
-        cycles = []
-        while remaining:
-            start = min(remaining)
-            cycle = [start]
-            remaining.discard(start)
-            x = succ.get(start)
-            while x != start:
-                if x is None or x not in succ:
-                    raise OrientationInconsistent("arc traversal left the diagram")
-                cycle.append(x)
-                remaining.discard(x)
-                x = succ[x]
-            cycles.append(cycle)
-        cycles.sort(key=lambda c: c[0])
-        return cycles
+    def entry_walk(self) -> list[list[int]]:
+        """Entry positions ``4 * k + s`` (slot 0 or ``over_in[k]``) of each
+        crossed component in traversal order, components ordered by and
+        starting at their least arc."""
+        other = _far_ends(self.crossings)
+        label = [arc for t in self.crossings for arc in t]
+        todo = {4 * k + s for k, oi in enumerate(self.over_in) for s in (0, oi)}
+        walks = []
+        for start in sorted(todo, key=label.__getitem__):
+            if start not in todo:
+                continue
+            walk = []
+            pos = start
+            while pos in todo:
+                todo.remove(pos)
+                walk.append(pos)
+                pos = other[pos ^ 2]
+            if pos != start:
+                raise OrientationInconsistent(f"arc {label[pos]} leaves crossings at both ends")
+            walks.append(walk)
+        return walks
 
     def component_count(self) -> int:
-        return len(self.component_cycles()) + self.free_circles
-
-    def entry_walk(self) -> Iterator[tuple[int, int]]:
-        """Crossing entries in traversal order, components by minimal arc."""
-        entry_at: dict[int, tuple[int, int]] = {}
-        for ci, (t, oi) in enumerate(zip(self.crossings, self.over_in)):
-            entry_at[t[0]] = (ci, 0)
-            entry_at[t[oi]] = (ci, oi)
-        for cycle in self.component_cycles():
-            for arc in cycle:
-                yield entry_at[arc]
+        return len(self.entry_walk()) + self.free_circles
 
     def first_defect(self) -> int | None:
         """First crossing reached on its under-strand before its over-strand."""
         visited: set[int] = set()
-        for ci, si in self.entry_walk():
-            if ci in visited:
-                continue
-            visited.add(ci)
-            if si == 0:
-                return ci
+        for walk in self.entry_walk():
+            for pos in walk:
+                k = pos >> 2
+                if k not in visited:
+                    visited.add(k)
+                    if pos & 3 == 0:
+                        return k
         return None
 
     def switch(self, k: int) -> "_Oriented":
@@ -453,11 +415,9 @@ class _Oriented:
     def to_diagram(self) -> Diagram:
         """Relabel arcs consecutively along each oriented component."""
         ren: dict[int, int] = {}
-        nxt = 1
-        for cycle in self.component_cycles():
-            for arc in cycle:
-                ren[arc] = nxt
-                nxt += 1
+        for walk in self.entry_walk():
+            for pos in walk:
+                ren[self.crossings[pos >> 2][pos & 3]] = len(ren) + 1
         return Diagram(
             tuple(tuple(ren[v] for v in t) for t in self.crossings),
             self.free_circles,
@@ -630,64 +590,56 @@ def b_state_circles(d: Diagram) -> int:
     return state_circles(d, all_b_state(d))
 
 
-def _shadow_components(crossings: Sequence[Crossing], smoothed: tuple[int, tuple] | None = None) -> int:
+def _shadow_components(crossings: Sequence[Crossing]) -> int:
     """Connected pieces of the underlying curve arrangement (free circles
-    excluded).  ``smoothed=(k, pairs)`` counts with crossing k replaced by
-    the given arc joins instead of a 4-valent vertex."""
-    if not crossings:
-        return 0
-    dj = _DisjointLabels()
-    for i, t in enumerate(crossings):
-        if smoothed is not None and i == smoothed[0]:
-            for x, y in smoothed[1]:
-                dj.union(x, y)
-        else:
-            dj.union(t[0], t[1])
-            dj.union(t[0], t[2])
-            dj.union(t[0], t[3])
-    labels = {v for t in crossings for v in t}
-    return len({dj.find(v) for v in labels})
+    excluded): a search from crossing to crossing along their arcs."""
+    other = _far_ends(crossings)
+    seen = [False] * len(crossings)
+    pieces = 0
+    for k in range(len(crossings)):
+        if seen[k]:
+            continue
+        pieces += 1
+        seen[k] = True
+        stack = [k]
+        while stack:
+            j = stack.pop()
+            for end in other[4 * j:4 * j + 4]:
+                if not seen[end >> 2]:
+                    seen[end >> 2] = True
+                    stack.append(end >> 2)
+    return pieces
 
 
-def _face_count(crossings: Sequence[Crossing]) -> int:
-    """Faces of the shadow drawn with the PD code's cyclic orders: orbits of
-    "run along the arc to its other end, then turn to the next slot".
-
-    Slot ``place`` of crossing ``k`` is position ``4 * k + place``;
-    ``other[pos]`` is the far end of the arc at ``pos``.
-    """
-    other = [0] * (4 * len(crossings))
-    near: dict[int, int] = {}
-    for pos, arc in enumerate(arc for t in crossings for arc in t):
-        if arc in near:
-            other[pos], other[near[arc]] = near[arc], pos
-        else:
-            near[arc] = pos
-    seen = [False] * len(other)
+def _corner_faces(crossings: Sequence[Crossing]) -> list[int]:
+    """Face of every corner of the shadow drawn with the PD code's cyclic
+    orders.  Faces are the orbits of "run along the arc to its far end, then
+    turn to the next slot"; entry ``4 * k + s`` is the face at the corner
+    of crossing k between slots s - 1 and s (mod 4)."""
+    other = _far_ends(crossings)
+    face = [-1] * len(other)
     faces = 0
     for start in range(len(other)):
-        if seen[start]:
+        if face[start] >= 0:
             continue
-        faces += 1
         pos = start
-        while not seen[pos]:
-            seen[pos] = True
+        while face[pos] < 0:
+            face[pos] = faces
             end = other[pos]
             pos = end - end % 4 + (end + 1) % 4
-    return faces
+        faces += 1
+    return face
 
 
 def _find_nugatory(crossings: Sequence[Crossing]) -> int | None:
-    """Index of the first crossing whose removal disconnects the shadow.
-
-    A crossing is nugatory exactly when one of its two smoothings splits
-    the underlying curve arrangement into more pieces.
-    """
-    base = _shadow_components(crossings)
-    for k, t in enumerate(crossings):
-        for label in (A_SMOOTHING, B_SMOOTHING):
-            if _shadow_components(crossings, (k, smoothing_pairs(t, label))) > base:
-                return k
+    """Index of the first nugatory crossing: one with two opposite corners
+    in one face.  A loop through that face and the crossing meets the
+    diagram nowhere else, so one of the crossing's smoothings splits its
+    piece of the shadow in two."""
+    face = _corner_faces(crossings)
+    for k in range(len(crossings)):
+        if face[4 * k] == face[4 * k + 2] or face[4 * k + 1] == face[4 * k + 3]:
+            return k
     return None
 
 

@@ -41,7 +41,7 @@ from .errors import (
     MalformedKhPolynomial,
     UnsupportedTorsionExponent,
 )
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, parse_poly
 from .snf import SparseRows, snf_divisors
 
 DEFAULT_CROSSING_CAP = 16
@@ -326,8 +326,6 @@ _KH_TERM_RE = re.compile(
 
 
 def _parse_kh_term(body: str) -> tuple[LaurentPoly, int, bool]:
-    from .laurent import parse_poly  # local import keeps module load cheap
-
     m = _KH_TERM_RE.match(body.strip())
     if not m:
         raise MalformedKhPolynomial(f"cannot parse term {body!r}")

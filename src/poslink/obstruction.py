@@ -24,7 +24,7 @@ every test reports NotApplicable.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import NotApplicableError
@@ -192,8 +192,9 @@ def jones_test(inp: ObstructionInput) -> ObstructionReport:
     return ObstructionReport(kind, True, lhs, rhs, g, verdict, note)
 
 
-def khovanov_test(inp: ObstructionInput, *, kind: TestKind = TestKind.KHOVANOV) -> ObstructionReport:
+def khovanov_test(inp: ObstructionInput) -> ObstructionReport:
     """j_upper <= 4 j_lower + n + 4 + 2 gamma on Khovanov quantum gradings."""
+    kind = TestKind.KHOVANOV
     g, why = _gate(inp.p1, inp.n, inp.lead_conway)
     if g is None:
         return _not_applicable(kind, why)
@@ -223,17 +224,13 @@ def khovanov_test_from_kh1(
     the identity (rank Kh^1 is 0 on the closure of sigma_1^k in B_3); the
     split gate shared with the other two tests covers them.
     """
-    kind = TestKind.KHOVANOV_FROM_KH1
     j_lower, j_upper = kh.j_range()
     inp = ObstructionInput(
         p1=kh1_rank(kh), n=n, lead_conway=lead_conway, j_lower=j_lower, j_upper=j_upper
     )
-    report = khovanov_test(inp, kind=kind)
+    report = khovanov_test(inp)
     note = KH1_CAVEAT if not report.note else f"{report.note}; {KH1_CAVEAT}"
-    return ObstructionReport(
-        kind, report.applicable, report.lhs, report.rhs, report.gamma,
-        report.verdict, note,
-    )
+    return replace(report, test=TestKind.KHOVANOV_FROM_KH1, note=note)
 
 
 def strength_comparison(jr: ObstructionReport, kr: ObstructionReport) -> Strength:

@@ -479,6 +479,19 @@ class TestCli:
         assert code == 0
         assert "closure(strands=2; 1 1 1)" in out
 
+    @pytest.mark.parametrize(
+        "args",
+        [["--strands", "1"], ["--strands", "-2"], ["--max-length", "0"]],
+    )
+    def test_survey_that_enumerates_nothing_is_a_usage_error(self, args, capsys):
+        # these ranges hold no braid word, so a run would print nothing and pass
+        with pytest.raises(SystemExit) as exc:
+            main(["survey", *args])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "survey needs" in captured.err
+
     def test_non_planar_code_exits_1(self, capsys):
         code = main(["compute", "--pd", "PD[X[1,2,3,4],X[2,3,4,1]]", "--jones", "--kh"])
         captured = capsys.readouterr()

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +23,15 @@ from poslink import (
     state_circles,
     writhe,
 )
-from poslink.diagram import cube_states, smoothing_pairs
+from poslink.diagram import (
+    A_SMOOTHING,
+    B_SMOOTHING,
+    _find_nugatory,
+    _Oriented,
+    _shadow_components,
+    cube_states,
+    smoothing_pairs,
+)
 from poslink.errors import (
     ArcMultiplicity,
     ArityError,
@@ -34,6 +43,15 @@ from poslink.errors import (
 )
 
 from conftest import SEVEN4_PD, TREFOIL_PD
+from polygon_diagrams import polygon_diagram
+
+
+def seeded_polygon_diagrams():
+    """160 seeded random diagrams with 1-3 components and up to 14 crossings."""
+    for seed in range(4):
+        rng = random.Random(seed)
+        for _ in range(40):
+            yield polygon_diagram(rng, max_crossings=14)
 
 
 class TestParsePD:
@@ -146,6 +164,15 @@ class TestOrientation:
         # arc 1 would have to enter both crossings as the under-strand
         with pytest.raises(OrientationInconsistent):
             crossing_signs(parse_pd("PD[X[1,2,3,4],X[1,4,3,2]]"))
+
+    def test_polygon_components_run_along_their_labels(self):
+        # the polygon drawings number arcs consecutively along each drawn
+        # component in its direction, independently of the orientation walk
+        for d in seeded_polygon_diagrams():
+            cycles = d.component_cycles
+            for cycle in cycles:
+                assert cycle == tuple(range(cycle[0], cycle[0] + len(cycle))), d
+            assert sorted(a for cycle in cycles for a in cycle) == list(range(1, d.arc_count + 1))
 
 
 class TestComponents:
@@ -307,7 +334,70 @@ class TestBraidClosure:
         assert components(d) == cycles
 
 
+def shadow_pieces(crossings, smoothed=None):
+    """Pieces of the shadow by union-find; ``smoothed=(k, pairs)`` replaces
+    crossing k by the arc joins ``pairs``."""
+    parent = {}
+
+    def find(x):
+        while parent.get(x, x) != x:
+            x = parent[x]
+        return x
+
+    for k, t in enumerate(crossings):
+        if smoothed and smoothed[0] == k:
+            pairs = smoothed[1]
+        else:
+            pairs = ((t[0], t[1]), (t[0], t[2]), (t[0], t[3]))
+        for x, y in pairs:
+            rx, ry = find(x), find(y)
+            if rx != ry:
+                parent[rx] = ry
+    return len({find(v) for t in crossings for v in t})
+
+
+def first_splitting_crossing(crossings):
+    """First crossing with a smoothing that raises the shadow's piece count."""
+    base = shadow_pieces(crossings)
+    for k, t in enumerate(crossings):
+        for label in (A_SMOOTHING, B_SMOOTHING):
+            if shadow_pieces(crossings, (k, smoothing_pairs(t, label))) > base:
+                return k
+    return None
+
+
+def check_nugatory_at_every_step(d):
+    work = _Oriented.of(d)
+    while True:
+        assert _shadow_components(work.crossings) == shadow_pieces(work.crossings), d
+        k = _find_nugatory(work.crossings)
+        assert k == first_splitting_crossing(work.crossings), d
+        if k is None:
+            return
+        work = work.pass_through(k)
+
+
 class TestReduceNugatory:
+    @pytest.mark.parametrize(
+        "text",
+        ["PD[X[1,1,2,2]]", "PD[X[2,1,1,2]]", TREFOIL_PD[:-1] + ",O[]]", SEVEN4_PD],
+    )
+    def test_nugatory_matches_splitting_smoothing(self, text):
+        check_nugatory_at_every_step(parse_pd(text))
+
+    def test_nugatory_matches_splitting_smoothing_on_polygon_diagrams(self):
+        for d in seeded_polygon_diagrams():
+            check_nugatory_at_every_step(d)
+
+    @given(
+        strands=st.integers(2, 5),
+        letters=st.lists(st.tuples(st.integers(1, 4), st.booleans()), max_size=12),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_nugatory_matches_splitting_smoothing_on_braids(self, strands, letters):
+        word = tuple(min(g, strands - 1) * (1 if up else -1) for g, up in letters)
+        check_nugatory_at_every_step(braid_closure(BraidWord(strands, word)))
+
     def test_single_kink(self):
         d = braid_closure(parse_braid("strands=2; 1"))
         assert reduce_nugatory(d) == Diagram((), 1)
