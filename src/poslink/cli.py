@@ -146,6 +146,10 @@ def render_text(batch: BatchResult) -> str:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if args.cap < 0:
+        parser.error("--cap must be at least 0")
+    if args.jobs < 1:
+        parser.error("--jobs must be at least 1")
     try:
         if args.command == "survey":
             # a braid needs two strands and one letter to cross anything

@@ -12,7 +12,11 @@ from each column to the live rows holding it kept in step.
    factor 1 and drops one row and one column, leaving the Schur
    complement), and go on to the next row.  Sweeps repeat until one finds
    no unit.  Choosing the sparsest column of a row keeps fill-in down
-   without a global search over all rows.
+   without a global search over all rows.  A caller may ask for the
+   columns of these pivots: each is a change of basis that splits off a
+   Z --(+-1)--> Z summand of a chain complex, so a column reported for
+   the map leaving degree k names a generator of degree k that cancels
+   (see :func:`poslink.khovanov.khovanov_homology`).
 2. Euclidean elimination.  Whatever survives holds no unit.  Pivot on an
    entry of least magnitude and reduce its column by row operations with
    floor quotients; once the column holds only the pivot, reduce the pivot
@@ -34,11 +38,13 @@ _Rows = dict[int, dict[int, int]]
 _Cols = dict[int, set[int]]
 
 
-def snf_divisors(matrix: SparseRows) -> list[int]:
+def snf_divisors(matrix: SparseRows, units: set[int] | None = None) -> list[int]:
     """Nonzero diagonal of the Smith normal form, each dividing the next.
 
     The length of the result is the rank; entries greater than 1 are the
-    torsion orders of the cokernel.  The input rows are not modified.
+    torsion orders of the cokernel.  The input rows are not modified.  If
+    ``units`` is given, the column of every pivot of the unit phase is
+    added to it.
     """
     rows: _Rows = {}
     cols: _Cols = {}
@@ -49,7 +55,7 @@ def snf_divisors(matrix: SparseRows) -> list[int]:
             for c in data:
                 cols.setdefault(c, set()).add(r)
 
-    units = 0
+    unit_count = 0
     pivoted = True
     while pivoted:
         pivoted = False
@@ -65,7 +71,9 @@ def snf_divisors(matrix: SparseRows) -> list[int]:
                 continue
             _reduce_column(rows, cols, r, c)  # a unit divides exactly: c clears
             _drop(rows, cols, r)
-            units += 1
+            unit_count += 1
+            if units is not None:
+                units.add(c)
             pivoted = True
 
     diagonal = []
@@ -104,7 +112,7 @@ def snf_divisors(matrix: SparseRows) -> list[int]:
             a, b = diagonal[i], diagonal[j]
             g = gcd(a, b)
             diagonal[i], diagonal[j] = g, a // g * b
-    return [1] * units + diagonal
+    return [1] * unit_count + diagonal
 
 
 def _reduce_column(rows: _Rows, cols: _Cols, r: int, c: int) -> None:

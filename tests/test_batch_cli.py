@@ -492,6 +492,24 @@ class TestCli:
         assert captured.out == ""
         assert "survey needs" in captured.err
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["compute", "--braid", "strands=2; 1 1 1", "--kh", "--cap", "-1"], "--cap must"),
+            (["compute", "--braid", "strands=2; 1 1 1", "--jobs", "0"], "--jobs must"),
+            (["test", "--braid", "strands=2; 1 1 1", "--jobs", "-3"], "--jobs must"),
+            (["survey", "--max-length", "2", "--cap", "-1"], "--cap must"),
+        ],
+    )
+    def test_negative_cap_or_no_jobs_is_a_usage_error(self, args, message, capsys):
+        # a negative cap skips every homology and jobs < 1 ran serially, both silently
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
     def test_non_planar_code_exits_1(self, capsys):
         code = main(["compute", "--pd", "PD[X[1,2,3,4],X[2,3,4,1]]", "--jones", "--kh"])
         captured = capsys.readouterr()
