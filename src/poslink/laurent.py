@@ -1,8 +1,7 @@
 """Exact Laurent polynomials with half-integer exponents, and the
 Kauffman-bracket route to the Jones polynomial.  The bracket contracts the
 diagram one crossing at a time over planar matchings of the open ends
-(Kauffman, *State models and the Jones polynomial*, 1987); the 2^c state
-sum over :func:`poslink.diagram.cube_states` stays as its test reference.
+(Kauffman, *State models and the Jones polynomial*, 1987).
 
 Exponents are stored as integer counts of half-steps (stored key k means
 exponent k/2), so t^(1/2) is exact and no rational arithmetic is needed.
@@ -11,8 +10,8 @@ Coefficients are arbitrary-precision integers.
 
 from __future__ import annotations
 
+import heapq
 import re
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping
@@ -24,7 +23,6 @@ from .diagram import (
     crossing_signs,
     a_state_circles,
     b_state_circles,
-    cube_states,
     is_positive,
     smoothing_pairs,
 )
@@ -284,7 +282,6 @@ def kauffman_bracket(d: Diagram) -> LaurentPoly:
     delta^(circles - 1).  The cost is c times the live matchings.  On the
     n-strand braid closures the tests check, up to 40 crossings, the order
     keeps at most 2n ends open, so at most Catalan(n) matchings.
-    :func:`kauffman_bracket_states` is the 2^c reference.
     """
     order = _contraction_order(d)
     if not order:
@@ -329,44 +326,42 @@ def _contraction_order(d: Diagram) -> list[int]:
     Each next crossing shares the most arcs with the open boundary; ties go
     to the one with more of its incoming arcs open, so the sweep follows
     the orientation (down a braid closure, adding each crossing below the
-    boundary), and then to the lowest index.
+    boundary), and then to the lowest index.  The pair is kept as one
+    score per crossing, 3 * shared + incoming, updated through an
+    arc -> crossings index when an arc opens or closes.  A heap of
+    crossings per score value gives the lowest index; entries whose score
+    has changed since they were pushed are dropped when met.
     """
     signs = crossing_signs(d).signs
-    incoming = [(t[0], t[1] if s > 0 else t[3]) for t, s in zip(d.crossings, signs)]
-    open_arcs: set[int] = set()
-    left = list(range(d.crossing_count))
-    order = []
-    while left:
-        k = max(left, key=lambda i: (
-            sum(arc in open_arcs for arc in d.crossings[i]),
-            sum(arc in open_arcs for arc in incoming[i]),
-        ))
-        left.remove(k)
+    weights: dict[int, list[tuple[int, int]]] = {}  # arc -> (crossing, weight)
+    for k, (t, s) in enumerate(zip(d.crossings, signs)):
+        for arc in t:
+            weights.setdefault(arc, []).append((k, 3))
+        for arc in (t[0], t[1] if s > 0 else t[3]):
+            weights[arc].append((k, 1))
+    score = [0] * d.crossing_count  # -1 once added
+    top = 3 * 4 + 2
+    heaps: list[list[int]] = [list(range(d.crossing_count))] + [[] for _ in range(top)]
+    is_open: set[int] = set()
+    order: list[int] = []
+    for _ in range(d.crossing_count):
+        for value in range(top, -1, -1):
+            heap = heaps[value]
+            while heap and score[heap[0]] != value:
+                heapq.heappop(heap)
+            if heap:
+                k = heapq.heappop(heap)
+                break
         order.append(k)
+        score[k] = -1
         for arc in d.crossings[k]:
-            open_arcs ^= {arc}
+            step = -1 if arc in is_open else 1
+            is_open ^= {arc}
+            for i, weight in weights[arc]:
+                if score[i] >= 0:
+                    score[i] += step * weight
+                    heapq.heappush(heaps[score[i]], i)
     return order
-
-
-def kauffman_bracket_states(d: Diagram) -> LaurentPoly:
-    """State sum over all 2^c smoothings: the test reference for
-    :func:`kauffman_bracket`.
-
-    Sum of A^(#A - #B) * delta^(circles - 1) over the vertices of
-    :func:`~poslink.diagram.cube_states`.
-    """
-    if not d.crossings and not d.free_circles:
-        return LaurentPoly.one()
-    c = d.crossing_count
-    # (#B, circles) -> number of states
-    profile = Counter((mask.bit_count(), circles) for mask, circles, _ in cube_states(d))
-    result = LaurentPoly.zero()
-    for (b_count, circles), n in profile.items():
-        term = LaurentPoly.term(n, c - 2 * b_count) * _delta_power(
-            circles + d.free_circles - 1
-        )
-        result = result + term
-    return result
 
 
 def _delta_power(n: int) -> LaurentPoly:

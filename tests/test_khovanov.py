@@ -22,6 +22,7 @@ from poslink import (
     khovanov_homology,
     parse_braid,
     parse_kh_polynomial,
+    parse_pd,
     parse_poly,
     v_to_unnormalized,
 )
@@ -35,6 +36,7 @@ from poslink.errors import (
 from poslink.snf import snf_divisors
 
 from polygon_diagrams import polygon_diagram
+from reference import cube_slices, per_map_homology
 
 TREFOIL_KH = BigradedGroups(
     {
@@ -141,28 +143,13 @@ class TestLargeCubes:
         assert parse_kh_polynomial(LARGE_CUBE_KH[word]) == kh
 
 
-def per_map_homology(d: Diagram) -> BigradedGroups:
-    """Reference: each boundary map of each quantum grading reduced by its
-    own snf_divisors call, nothing cancelled between maps."""
-    entries = {}
-    for j, sl in chain_slices(d).items():
-        divisors = {i: snf_divisors(m) for i, m in sl.boundaries.items()}
-        for i, n in sl.generator_counts.items():
-            incoming = divisors.get(i - 1, [])
-            free = n - len(divisors.get(i, ())) - len(incoming)
-            torsion = tuple(t for t in incoming if t > 1)
-            if free or torsion:
-                entries[(i, j)] = (free, torsion)
-    return BigradedGroups(entries)
-
-
 def has_torsion(kh: BigradedGroups) -> bool:
     return any(torsion for _, (_, torsion) in kh.items())
 
 
 def live_rows_reaching_snf(d: Diagram) -> tuple[int, int]:
     """(nonempty rows khovanov_homology hands to snf_divisors, nonempty
-    rows of the cube's boundary maps)."""
+    rows of the full cube's boundary maps)."""
     fed = 0
 
     def counting(rows, *args, **kwargs):
@@ -173,14 +160,18 @@ def live_rows_reaching_snf(d: Diagram) -> tuple[int, int]:
     with mock.patch.object(khovanov, "snf_divisors", counting):
         khovanov_homology(d)
     cube = sum(
-        1 for sl in chain_slices(d).values() for m in sl.boundaries.values() for row in m if row
+        1 for sl in cube_slices(d).values() for m in sl.boundaries.values() for row in m if row
     )
     return fed, cube
 
 
+MIXED_4_BRAID = "strands=4; 1 -2 3 -1 2 -3 1 2 -3 -2"
+
+
 class TestCancellation:
-    """Unit pivots cancelled across each grading's maps give the homology of
-    reducing every map on its own."""
+    """The reduced complex, with unit pivots cancelled across each grading's
+    maps, gives the homology of the full cube with every map reduced on its
+    own."""
 
     def test_fixtures(
         self, unknot, hopf, trefoil, mirror_trefoil, seven4, perturbed_trefoil,
@@ -189,8 +180,9 @@ class TestCancellation:
         corpus = [
             unknot, hopf, trefoil, mirror_trefoil, seven4, perturbed_trefoil,
             stabilized_trefoil,
+            Diagram(trefoil.crossings, 1),
             braid_closure(parse_braid("strands=3; 1 1")),
-            braid_closure(parse_braid("strands=4; 1 -2 3 -1 2 -3 1 2 -3 -2")),
+            braid_closure(parse_braid(MIXED_4_BRAID)),
         ]
         for d in corpus:
             assert khovanov_homology(d) == per_map_homology(d)
@@ -221,13 +213,58 @@ class TestCancellation:
         assert khovanov_homology(d) == per_map_homology(d)
 
     def test_cancelled_rows_reach_the_snf_empty(self, trefoil, seven4):
-        # the saving itself: rows of d^i cancelled by d^(i+1) are not reduced again
+        # the saving itself: cancelled generators' rows are not reduced
         for d in (trefoil, seven4, braid_closure(parse_braid("strands=3; 1 2 1 2 1 2 1 2"))):
             fed, cube = live_rows_reaching_snf(d)
             assert fed < cube
 
 
+def generator_total(slices) -> int:
+    return sum(sum(sl.generator_counts.values()) for sl in slices.values())
+
+
+def euler_by_grading(slices) -> dict[int, int]:
+    return {
+        j: sum(-n if i & 1 else n for i, n in sl.generator_counts.items())
+        for j, sl in slices.items()
+    }
+
+
+@pytest.fixture
+def reduction_corpus(trefoil, hopf, seven4, mirror_trefoil, stabilized_trefoil):
+    """Diagrams with crossings: free circles, a split closure, kinks and a
+    mixed braid whose corrections cancel entries."""
+    return [
+        trefoil, hopf, seven4, mirror_trefoil, stabilized_trefoil,
+        Diagram(trefoil.crossings, 1),
+        braid_closure(parse_braid("strands=3; 1 1")),
+        braid_closure(parse_braid("strands=2; 1")),
+        braid_closure(parse_braid(MIXED_4_BRAID)),
+        parse_pd("PD[X[1,1,2,2]]"),
+    ]
+
+
+class TestReducedComplex:
+    """chain_slices returns the cube with crossing 0's unit pairs cancelled:
+    each pair (w, w + 1) keeps one third of its generators, and the
+    alternating sum of generator counts per quantum grading is unchanged."""
+
+    def test_one_third_of_the_cube(self, unknot, reduction_corpus):
+        # a crossing-free diagram has no crossing 0 and keeps every generator
+        for d in (unknot, parse_pd("PD[O[],O[]]"), *reduction_corpus):
+            share = 3 if d.crossing_count else 1
+            assert share * generator_total(chain_slices(d)) == generator_total(cube_slices(d))
+
+    def test_euler_characteristic_per_grading(self, unknot, reduction_corpus):
+        for d in (unknot, parse_pd("PD[O[],O[]]"), *reduction_corpus):
+            reduced = {j: n for j, n in euler_by_grading(chain_slices(d)).items() if n}
+            full = {j: n for j, n in euler_by_grading(cube_slices(d)).items() if n}
+            assert reduced == full
+
+
 class TestChainComplex:
+    """The reduced complex is a chain complex of the declared shapes."""
+
     def test_boundary_squares_to_zero(
         self, trefoil, hopf, seven4, mirror_trefoil, perturbed_trefoil
     ):
@@ -235,7 +272,7 @@ class TestChainComplex:
         extra = [
             braid_closure(parse_braid("strands=3; 1 1")),
             Diagram(trefoil.crossings, 1),
-            braid_closure(parse_braid("strands=4; 1 -2 3 -1 2 -3 1 2 -3 -2")),
+            braid_closure(parse_braid(MIXED_4_BRAID)),
         ]
         assert [d.free_circles for d in extra] == [1, 1, 0]
         for d in (trefoil, hopf, seven4, mirror_trefoil, perturbed_trefoil, *extra):
@@ -256,12 +293,14 @@ class TestChainComplex:
                             )
 
     def test_generator_counts_match_matrix_shapes(self, trefoil):
-        for sl in chain_slices(trefoil).values():
-            for i, m in sl.boundaries.items():
-                assert len(m) == sl.generator_counts.get(i + 1, 0)
-                for row in m:
-                    assert all(0 <= c < sl.generator_counts[i] for c in row)
-                    assert all(row.values())
+        # the mixed braid's corrections cancel entries: none may stay as 0
+        for d in (trefoil, braid_closure(parse_braid(MIXED_4_BRAID))):
+            for sl in chain_slices(d).values():
+                for i, m in sl.boundaries.items():
+                    assert len(m) == sl.generator_counts.get(i + 1, 0)
+                    for row in m:
+                        assert all(0 <= c < sl.generator_counts[i] for c in row)
+                        assert all(row.values())
 
 
 class TestEulerCharacteristic:

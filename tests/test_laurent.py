@@ -32,10 +32,11 @@ from poslink.errors import (
     NotPositiveDiagram,
     ZeroPolynomial,
 )
-from poslink.laurent import _contraction_order, kauffman_bracket_states
+from poslink.laurent import _contraction_order
 
 from conftest import TREFOIL_PD, lucas, mirror
 from polygon_diagrams import polygon_diagram
+from reference import contraction_order, kauffman_bracket_states
 
 TREFOIL_V = parse_poly("t + t^3 - t^4")
 SEVEN4_V = parse_poly("t - 2t^2 + 3t^3 - 2t^4 + 3t^5 - 2t^6 + t^7 - t^8")
@@ -219,6 +220,26 @@ class TestLargeDiagrams:
 
 
 class TestContractionOrder:
+    """The scored order equals the reference's rescan of every crossing
+    left at each step, tie-breaks included."""
+
+    def test_polygon_diagrams_match_the_rescan(self):
+        for seed in range(4):
+            rng = random.Random(seed)
+            for _ in range(40):
+                d = polygon_diagram(rng, max_crossings=14)
+                assert _contraction_order(d) == contraction_order(d), d
+
+    @given(
+        strands=st.integers(2, 6),
+        letters=st.lists(st.tuples(st.integers(1, 5), st.booleans()), max_size=40),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_mixed_braids_match_the_rescan(self, strands, letters):
+        word = tuple(min(g, strands - 1) * (1 if up else -1) for g, up in letters)
+        d = braid_closure(BraidWord(strands, word))
+        assert _contraction_order(d) == contraction_order(d)
+
     def test_open_boundary_at_most_two_arcs_per_strand(self):
         # 2n open arcs leave at most Catalan(n) planar matchings live, so the
         # bracket of an n-strand closure costs linear time in its length
