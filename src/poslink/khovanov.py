@@ -1,36 +1,21 @@
-"""Integral Khovanov homology from the cube of resolutions.
+"""Integral Khovanov homology by Bar-Natan's local algorithm.
 
-The circles of each cube vertex come from :func:`poslink.diagram.cube_states`.
-Generators at a cube vertex are labelings of the smoothed circles by the
-two-dimensional Frobenius algebra basis {1, x}, stored as bit sets of the
-x-labelled circles.  Each cube edge has one rule (:func:`_edge_images`): a
-labeling's untouched circles map to their images, a merge sends
-1.1 -> 1, 1.x -> x, x.x -> 0 and a split x -> x.x, 1 -> 1.x + x.1.  Edges
-carry the usual sign rule (parity of B-smoothings at lower coordinates).
-Gradings are fixed so the crossing-free unknot has homology
-Z at (0, -1) and (0, 1), which makes the graded Euler characteristic equal
-the unnormalized Jones polynomial:
+:func:`chain_slices` takes the complex that :mod:`poslink.tangle` builds
+and reduces crossing by crossing, with the homology of the cube of
+resolutions over Z and far fewer generators.  Gradings are fixed so the
+crossing-free unknot has homology Z at (0, -1) and (0, 1), which makes the
+graded Euler characteristic equal the unnormalized Jones polynomial:
 
     i = (#B-smoothings) - q(D)
     j = (#1-labels - #x-labels) + #B-smoothings + p(D) - 2 q(D)
-
-The full cube is never built.  :func:`chain_slices` pairs each vertex w
-that A-smooths crossing 0 with w + 1 and cancels the unit pairs of the
-crossing-0 map between them as it builds (Bar-Natan's Gaussian
-elimination; *Fast Khovanov homology computations*, JKTR 2007): a merge
-keeps the labelings of w with x on the circle s1 of arc a, a split keeps
-the labelings of w + 1 with 1 on the circle t1 of arc a.  One third of
-the cube's generators survive, joined by d' = epsilon - gamma phi^-1
-delta; the homology over Z is unchanged.
 
 The differential preserves j, so each quantum grading is an independent
 chain complex of free abelian groups; homology is read off the Smith
 normal form of its boundary maps, torsion included.  The maps of a grading
 are reduced from the top homological degree down, and each +-1 pivot of
-one map cancels a generator (Bar-Natan's Gaussian elimination), so the
-map below reaches the SNF without that generator's row: the row is an
-integer combination of the others, because the differential squares to
-zero.
+one map cancels a generator (Gaussian elimination), so the map below
+reaches the SNF without that generator's row: the row is an integer
+combination of the others, because the differential squares to zero.
 """
 
 from __future__ import annotations
@@ -39,13 +24,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
-from .diagram import (
-    Diagram,
-    a_state_circles,
-    b_state_circles,
-    crossing_signs,
-    cube_states,
-)
+from .diagram import Diagram, a_state_circles, b_state_circles, crossing_signs
 from .errors import (
     CrossingCapExceeded,
     EmptyHomology,
@@ -54,6 +33,7 @@ from .errors import (
 )
 from .laurent import LaurentPoly, parse_poly
 from .snf import SparseRows, snf_divisors
+from .tangle import reduced_complex
 
 DEFAULT_CROSSING_CAP = 16
 
@@ -167,201 +147,35 @@ class ChainSlice:
 
 
 def chain_slices(d: Diagram, *, cap: int = DEFAULT_CROSSING_CAP) -> dict[int, ChainSlice]:
-    """The cube of resolutions after cancelling crossing 0's unit pairs, as
-    independent per-quantum-grading complexes.
-
-    The result is the reduced complex, not the full cube: each vertex w
-    that A-smooths crossing 0 is paired with w + 1, and the crossing-0 map
-    between them (sign +1) is a merge or a split.  A merge cancels the
-    labelings of w with 1 on the circle s1 of arc a against all of
-    V(w + 1), by 1.y -> y, and keeps those with x on s1.  A split cancels
-    all of V(w) against the labelings of w + 1 with x on t1, the circle of
-    arc a, by 1 -> x.1 and x -> x.x, and keeps those with 1 on t1.  So one
-    third of the cube's generators survive.  The matched map phi is a
-    permutation with coefficient +1, and no matched source reaches a
-    matched target except through phi, so one step of Gaussian elimination
-    gives the reduced differential
-
-        d' = epsilon - gamma phi^-1 delta
-
-    (epsilon: survivor to survivor, delta: survivor to matched target,
-    gamma: matched source to survivor).  So a merge survivor with 1 on s2
-    also subtracts the out-edges of its partner bits ^ s1 ^ s2, and a split
-    survivor's entry on a cancelled labeling of w + f + 1 becomes minus the
-    survivor entries of that labeling's phi-preimage at w + f, including
-    the preimage's own crossing-0 term 1 -> 1.x.  Over Z it is an
-    isomorphism of homology, torsion included.
-    """
-    c = d.crossing_count
-    if c > cap:
+    """The Khovanov complex after Bar-Natan's local reduction
+    (:func:`poslink.tangle.reduced_complex`), as independent
+    per-quantum-grading complexes."""
+    if d.crossing_count > cap:
         raise CrossingCapExceeded(
-            f"{c} crossings exceed the homology cap of {cap}; raise the cap "
-            "explicitly to accept the 2^c cost"
+            f"{d.crossing_count} crossings exceed the homology cap of {cap}; "
+            "raise the cap explicitly to go above it"
         )
     signs = crossing_signs(d)
     qn = signs.negative_count
     shift = signs.positive_count - 2 * qn
-    arc = d.crossings[0][0] if c else 0
-
-    # per vertex: circle[a], the bit of arc a's circle (entry 0 is 0, the
-    # free circles take the low bits and arc a's circle the top one, so a
-    # merge keeps the upper half of V(w) and a split the lower half of
-    # V(w + 1)); the survivors as a range of labelings, None at a vertex
-    # with no survivors; and the index of each survivor within its (i, j)
-    # slot
-    circle: list[list[int]] = []
-    width: list[int] = []
-    kept: list[range | None] = []
-    offsets: list[list[int] | None] = []
+    generators, differential = reduced_complex(d)
     counts: dict[tuple[int, int], int] = {}
-    free = d.free_circles
-    for mask, crossed, labels in cube_states(d):
-        order = sorted(set(labels[1:]))
-        if c:
-            order.remove(labels[arc])
-            order.append(labels[arc])
-        bit = {least: 1 << k for k, least in enumerate(order, free)}
-        bit[0] = 0
-        circle.append([bit[a] for a in labels] + [1 << k for k in range(free)])
-        n = crossed + free
-        width.append(n)
-        half = 1 << n >> 1
-        if not c:
-            survivors = range(1 << n)
-        elif not mask & 1:  # a merge keeps x on s1; a split keeps nothing here
-            merge = circle[mask][arc] != circle[mask][d.crossings[0][1]]
-            survivors = range(half, 1 << n) if merge else None
-        else:  # a split keeps 1 on t1; a merge keeps nothing here
-            survivors = range(half) if kept[mask - 1] is None else None
-        kept.append(survivors)
-        if survivors is None:
-            offsets.append(None)
-            continue
-        i = mask.bit_count() - qn
-        top = n + mask.bit_count() + shift
-        local = [0] * (1 << n)
-        for bits in survivors:
-            key = (i, top - 2 * bits.bit_count())
-            local[bits] = counts.get(key, 0)
-            counts[key] = local[bits] + 1
-        offsets.append(local)
-
+    index: dict[int, int] = {}
+    for o, (h, q) in generators.items():
+        key = (h - qn, q + shift)
+        index[o] = counts.get(key, 0)
+        counts[key] = index[o] + 1
     slices: dict[int, ChainSlice] = {}
-    maps: dict[tuple[int, int], SparseRows] = {}
     for (i, j), n in sorted(counts.items()):
         sl = slices.setdefault(j, ChainSlice(j, {}, {}))
         sl.generator_counts[i] = n
-        maps[(i, j)] = sl.boundaries[i] = [{} for _ in range(counts.get((i + 1, j), 0))]
-
-    def rows_by_x_count(mask: int) -> list[SparseRows | None]:
-        n = width[mask]
-        top = n + mask.bit_count() + shift
-        i = mask.bit_count() - qn
-        return [maps.get((i, top - 2 * k)) for k in range(n + 1)]
-
-    def sign(mask: int, e: int) -> int:
-        return -1 if (mask & ((1 << e) - 1)).bit_count() & 1 else 1
-
-    for w in range(0, len(circle) - 1, 2):
-        up = w | 1
-        size = 1 << width[w]
-        # pulled[bits]: the (survivor column, coefficient) pairs whose
-        # reduced row takes coefficient * (survivor part of d(bits))
-        pulled: list[list[tuple[int, int]]] = [[] for _ in range(size)]
-        to_up = _edge_images(circle[w], circle[up], d.crossings[0], size)
-        # phi^-1 of each matched target of w + 1, as that source's pulled list
-        via_phi: list = [None] * (1 << width[up])
-        if kept[w] is not None:  # merge: x on s1 survives, 1.x pairs with x.1
-            s1, s2 = circle[w][arc], circle[w][d.crossings[0][1]]
-            cols = offsets[w]
-            for bits in range(size >> 1):
-                pulled[bits | s1].append((cols[bits | s1], 1))
-                via_phi[to_up[bits][0]] = pulled[bits]
-                if bits & s2:
-                    pulled[bits].append((cols[bits ^ s1 ^ s2], -1))
-        else:
-            for bits, ts in enumerate(to_up):
-                via_phi[ts[-1]] = pulled[bits]  # the target with x on t1
-        # split survivors one edge below w + 1: entries on survivors of w + 1
-        # are epsilon, entries on matched targets pull back through phi
-        for e in range(1, c):
-            if not w >> e & 1:
-                continue
-            v = up ^ (1 << e)
-            if kept[v] is None:
-                continue
-            k = sign(v, e)
-            rows_at = rows_by_x_count(v)
-            cols = offsets[v]
-            targets = offsets[up]
-            images = _edge_images(circle[v], circle[up], d.crossings[e], len(kept[v]))
-            for bits, ts in enumerate(images):
-                for t in ts:
-                    if via_phi[t] is None:  # a survivor, first written here
-                        rows_at[bits.bit_count()][targets[t]][cols[bits]] = k
-                    else:
-                        via_phi[t].append((cols[bits], -k))
-        # out of w: each pulled pair times the survivor part of the edge maps
-        rows_at = rows_by_x_count(w)
-        for e in range(c):
-            x = w | 1 << e
-            survivors = kept[x]
-            if x == w or survivors is None:
-                continue
-            k = sign(w, e)
-            targets = offsets[x]
-            images = to_up if e == 0 else _edge_images(
-                circle[w], circle[x], d.crossings[e], size
-            )
-            for bits, ts in enumerate(images):
-                pairs = pulled[bits]
-                if not pairs:
-                    continue
-                rows = rows_at[bits.bit_count()]
-                for t in ts:
-                    if t in survivors:
-                        row = rows[targets[t]]
-                        for col, coeff in pairs:
-                            row[col] = row.get(col, 0) + k * coeff
-    for rows in maps.values():  # drop the entries the corrections cancelled
-        for row in rows:
-            if 0 in row.values():
-                for col in [col for col, coeff in row.items() if not coeff]:
-                    del row[col]
+        sl.boundaries[i] = [{} for _ in range(counts.get((i + 1, j), 0))]
+    for o, row in differential.items():
+        h, q = generators[o]
+        rows = slices[q + shift].boundaries[h - qn]
+        for t, coeff in row.items():
+            rows[index[t]][index[o]] = coeff
     return slices
-
-
-def _edge_images(src: list[int], dst: list[int], crossing, size: int) -> list[tuple[int, ...]]:
-    """The labelings each of the first ``size`` labelings maps to along one
-    cube edge, all with coefficient 1 before the edge sign.
-
-    ``image[s]`` is the bit of the target circle of source circle s, and a
-    labeling's untouched circles map to ``mapped[bits] = mapped[bits ^
-    low] | image[low]`` (low the lowest set bit).  The two circles a merge
-    joins share one image, and 1.1 -> 1, 1.x -> x, x.x -> 0; the circle a
-    split cuts has image 0, and x -> x.x, 1 -> 1.x + x.1 (x on t2, then
-    x on t1, with t1 the target circle of arc a).
-    """
-    a, b, c_arc, _ = crossing
-    image = dict(zip(src, dst))
-    s1, s2 = src[a], src[b]
-    merge = s1 != s2
-    if not merge:
-        t1, t2 = dst[a], dst[c_arc]
-        image[s1] = 0
-    mapped = [0] * size
-    out: list[tuple[int, ...]] = [()] * size
-    for bits in range(size):
-        low = bits & -bits
-        m = mapped[bits] = mapped[bits ^ low] | image[low]
-        if merge:
-            if not (bits & s1 and bits & s2):
-                out[bits] = (m,)
-        elif bits & s1:
-            out[bits] = (m | t1 | t2,)
-        else:
-            out[bits] = (m | t2, m | t1)
-    return out
 
 
 def khovanov_homology(d: Diagram, *, cap: int = DEFAULT_CROSSING_CAP) -> BigradedGroups:

@@ -287,37 +287,47 @@ def kauffman_bracket(d: Diagram) -> LaurentPoly:
     if not order:
         return _delta_power(d.free_circles - 1) if d.free_circles else LaurentPoly.one()
     deltas = [_delta_power(m)._coeffs for m in range(3)]
-    # the crossing's own four ends are -1..-4, so no arc label can clash
-    smoothings = [
-        (smoothing_pairs((-1, -2, -3, -4), label), shift)
-        for label, shift in ((A_SMOOTHING, 2), (B_SMOOTHING, -2))
-    ]
     states: dict[tuple, dict[int, int]] = {(): {0: 1}}
     for step, k in enumerate(order):
         last = step == len(order) - 1
         joined: dict[tuple, dict[int, int]] = {}
         for matching, poly in states.items():
-            ends = dict(matching)
-            for slot, arc in enumerate(d.crossings[k]):
-                far = ends.pop(arc, arc)  # a new arc stays open at its label
-                ends[-1 - slot] = far
-                ends[far] = -1 - slot
-            for pairs, shift in smoothings:
-                partner = dict(ends)
-                loops = -last
-                for x, y in pairs:
-                    u, v = partner.pop(x), partner.pop(y)
-                    if u == y:
-                        loops += 1
-                    else:
-                        partner[u], partner[v] = v, u
-                acc = joined.setdefault(tuple(sorted(partner.items())), {})
-                for f, g in deltas[loops].items():
+            for (partner, loops), shift in zip(_smoothings(matching, d.crossings[k]), (2, -2)):
+                acc = joined.setdefault(partner, {})
+                for f, g in deltas[len(loops) - last].items():
                     f += shift
                     for e, c in poly.items():
                         acc[e + f] = acc.get(e + f, 0) + c * g
         states = joined
     return LaurentPoly._raw(states[()]) * _delta_power(d.free_circles)
+
+
+# the crossing's own four ends are -1..-4, so no arc label can clash
+_SLOT_PAIRS = [smoothing_pairs((-1, -2, -3, -4), label) for label in (A_SMOOTHING, B_SMOOTHING)]
+
+
+def _smoothings(matching: tuple, crossing) -> list[tuple[tuple, list[int]]]:
+    """The matchings (sorted (end, partner) items) left when one crossing
+    joins a tangle's open ends, for its A- and its B-smoothing, each with
+    one slot (-1..-4) on every loop that closes.  An open crossing arc
+    joins the tangle there; a new arc stays open at its label."""
+    ends = dict(matching)
+    for slot, arc in enumerate(crossing):
+        far = ends.pop(arc, arc)
+        ends[-1 - slot] = far
+        ends[far] = -1 - slot
+    out = []
+    for pairs in _SLOT_PAIRS:
+        partner = dict(ends)
+        loops = []
+        for x, y in pairs:
+            u, v = partner.pop(x), partner.pop(y)
+            if u == y:
+                loops.append(x)
+            else:
+                partner[u], partner[v] = v, u
+        out.append((tuple(sorted(partner.items())), loops))
+    return out
 
 
 def _contraction_order(d: Diagram) -> list[int]:

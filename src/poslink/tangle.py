@@ -1,0 +1,233 @@
+"""Bar-Natan's local algorithm (*Khovanov's homology for tangles and
+cobordisms*, Geom. Topol. 2005; *Fast Khovanov homology computations*,
+JKTR 2007): the crossings join a tangle in the bracket's order, and the
+tangle's complex has one object per (planar matching of its open ends, h,
+q), h the B-smoothings so far and q the 1-labels minus the x-labels, plus
+h.  An entry of the differential is a combination of dotted cobordisms,
+one disk per cycle of the two matchings, keyed by the mask of dotted
+disks (:func:`_neck_cut`).  After each crossing every entry that is +-1
+times the identity of a matching is cancelled (Gaussian elimination).
+"""
+
+from __future__ import annotations
+
+from .diagram import Diagram
+from .laurent import _SLOT_PAIRS, _contraction_order, _smoothings
+
+
+def reduced_complex(d: Diagram) -> tuple[dict[int, tuple[int, int]], dict[int, dict]]:
+    """The complex of the closed diagram, with the homology of its cube of
+    resolutions over Z: (h, q) per generator, and per generator its
+    nonzero coefficients on the generators one degree up."""
+    memo: dict[tuple, object] = {}  # cycles and compositions, by their arguments
+
+    def cycles(m1: tuple, m2: tuple) -> tuple[dict[int, int], list[int]]:
+        # the cycle of each end in m1 and m2 together, numbered by least end,
+        # and that least end of each cycle
+        key = (m1, m2)
+        if key not in memo:
+            p1, p2 = dict(m1), dict(m2)
+            cycle, least = {}, []
+            for e, _ in m1:
+                if e not in cycle:
+                    least.append(e)
+                    while e not in cycle:
+                        cycle[e] = cycle[p1[e]] = len(least) - 1
+                        e = p2[p1[e]]
+            memo[key] = cycle, least
+        return memo[key]
+
+    def compose(m1: tuple, m2: tuple, m3: tuple, f: dict, g: dict) -> dict[int, int]:
+        # g o f for f: m1 -> m2 and g: m2 -> m3, glued along the arcs of m2
+        out: dict[int, int] = {}
+        for a, x in f.items():
+            for b, y in g.items():
+                key = (m1, m2, m3, a, b)
+                if key not in memo:
+                    first, arcs = cycles(m1, m2)
+                    second, more = cycles(m2, m3)
+                    n = len(arcs)
+                    gluings = [(first[e], n + second[e]) for e, p in m2 if e < p]
+                    circles = [first[e] for e in cycles(m1, m3)[1]]
+                    memo[key] = _neck_cut(n + len(more), a | b << n, gluings, circles)
+                for mask, z in memo[key]:
+                    out[mask] = out.get(mask, 0) + x * y * z
+        return out
+
+    free = d.free_circles
+    objects = {lab: ((), 0, free - 2 * lab.bit_count()) for lab in range(1 << free)}
+    out: dict[int, dict[int, dict[int, int]]] = {o: {} for o in objects}
+    for k in _contraction_order(d):
+        objects, out = _add_crossing(objects, out, d.crossings[k], cycles)
+        _cancel_isomorphisms(objects, out, compose)
+    return (
+        {o: (h, q) for o, (_, h, q) in objects.items()},
+        {o: {t: f[0] for t, f in row.items()} for o, row in out.items()},
+    )
+
+
+def _neck_cut(
+    disks: int, dots: int, gluings: list[tuple[int, int]], circles: list[int]
+) -> list[tuple[int, int]]:
+    """A surface glued from disks, in the basis of one disk per boundary
+    circle with or without a dot, as (mask of dotted circles, coefficient)
+    terms.
+
+    ``dots`` is the mask of dotted disks, each gluing joins two disks
+    along an interval, and ``circles[i]`` is a disk on boundary circle i.
+    A component with m circles has chi = disks - gluings and genus
+    g = (2 - chi - m) / 2.  Cutting its necks (a neck is the sum of its two
+    one-sided dottings, a dot squares to 0, a dotted sphere is 1 and a
+    sphere 0) leaves, with k its dots: 0 if g + k >= 2; all its circles
+    dotted, times 2^g, if g + k = 1; and the sum over its circles i of all
+    but circle i dotted if g + k = 0.
+    """
+    root = list(range(disks))
+
+    def find(x: int) -> int:
+        while root[x] != x:
+            root[x] = x = root[root[x]]
+        return x
+
+    for u, v in gluings:
+        root[find(u)] = find(v)
+    parts: dict[int, list[int]] = {}  # root -> [chi, dots, mask of its circles]
+    for x in range(disks):
+        part = parts.setdefault(find(x), [0, 0, 0])
+        part[0] += 1
+        part[1] += dots >> x & 1
+    for u, _ in gluings:
+        parts[find(u)][0] -= 1
+    for i, x in enumerate(circles):
+        parts[find(x)][2] |= 1 << i
+    terms = [(0, 1)]
+    for chi, k, full in parts.values():
+        genus = (2 - chi - full.bit_count()) // 2
+        if genus + k > 1:
+            return []
+        if genus + k:
+            options = [(full, 2 if genus else 1)]
+        else:
+            options = [(full ^ 1 << i, 1) for i in range(full.bit_length()) if full >> i & 1]
+        terms = [(a | b, x * y) for a, x in terms for b, y in options]
+    return terms
+
+
+def _add_crossing(objects: dict, out: dict, crossing, cycles) -> tuple[dict, dict]:
+    """The complex with one more crossing, before reduction: each object
+    splits into its A- and B-smoothing, one object per labelling of the
+    loops that close, each entry f is glued to the identity on either, and
+    the saddle joins the two copies of each object, with sign (-1)^h.
+    Gluing joins, along an interval, the disk of each open end the crossing
+    closes to the disk of its slot, and the two slots of a kink's arc."""
+    slot = {arc: -1 - s for s, arc in enumerate(crossing)}
+    kinks = [(-1 - s, slot[arc]) for s, arc in enumerate(crossing) if slot[arc] != -1 - s]
+    joined = {m: _smoothings(m, crossing) for m in {m for m, _, _ in objects.values()}}
+    objs: dict[int, tuple] = {}
+    ids: dict[tuple[int, int, int], int] = {}
+    for o, (m, h, q) in objects.items():
+        for b, (m2, loops) in enumerate(joined[m]):
+            for lab in range(1 << len(loops)):
+                ids[o, b, lab] = len(objs)
+                objs[len(objs)] = (m2, h + b, q + b + len(loops) - 2 * lab.bit_count())
+    glued: dict[tuple, dict] = {}
+
+    def glue(m1: tuple, m2: tuple, mask: int, b1: int, b2: int) -> dict:
+        # the cobordism glued to the piece b1 -> b2, split by loop labels
+        key = (m1, m2, mask, b1, b2)
+        if key not in glued:
+            cycle, least = cycles(m1, m2)
+            n = len(least)
+            # the disk of each slot: one strip per smoothing arc of the
+            # identity, one disk for the saddle
+            pairs = _SLOT_PAIRS[b1] if b1 == b2 else [range(-4, 0)]
+            disk = {x: n + i for i, pair in enumerate(pairs) for x in pair}
+            (n1, loops1), (n2, loops2) = joined[m1][b1], joined[m2][b2]
+            ends = cycles(n1, n2)[1]
+            gluings = [(cycle[arc], disk[slot[arc]]) for arc in crossing if arc in cycle]
+            gluings += [(disk[x], disk[y]) for x, y in kinks]
+            circles = [cycle[e] if e in cycle else disk[slot[e]] for e in ends]
+            circles += [disk[x] for x in loops1 + loops2]
+            terms = _neck_cut(n + len(pairs), mask, gluings, circles)
+            glued[key] = _deloop(terms, len(ends), len(loops1))
+        return glued[key]
+
+    new: dict[int, dict[int, dict[int, int]]] = {o: {} for o in objs}
+
+    def add(o1: int, b1: int, o2: int, b2: int, f: dict, sign: int) -> None:
+        for mask, x in f.items():
+            for (l1, l2), g in glue(objects[o1][0], objects[o2][0], mask, b1, b2).items():
+                _add_to(new[ids[o1, b1, l1]], ids[o2, b2, l2], g, sign * x)
+
+    for o1, row in out.items():
+        for o2, f in row.items():
+            add(o1, 0, o2, 0, f, 1)
+            add(o1, 1, o2, 1, f, 1)
+    for o, (_, h, _) in objects.items():
+        add(o, 0, o, 1, {0: 1}, -1 if h & 1 else 1)
+    return objs, new
+
+
+def _deloop(terms: list[tuple[int, int]], width: int, inputs: int) -> dict[tuple, dict]:
+    """Neck-cut terms over ``width`` circles, then ``inputs`` source loops,
+    then target loops, split by the labels of the loops (bit set: x).  A
+    source loop labelled 1 (a cup) keeps the terms where it is dotted, one
+    labelled x (a dotted cup) those where it is not, and a dotted target
+    loop is labelled x (the cap picks it out)."""
+    ones = (1 << inputs) - 1
+    out: dict[tuple[int, int], dict[int, int]] = {}
+    for term, z in terms:
+        labels = (term >> width & ones ^ ones, term >> width >> inputs)
+        out.setdefault(labels, {})[term & (1 << width) - 1] = z
+    return out
+
+
+def _add_to(row: dict, t: int, terms: dict[int, int], factor: int) -> bool:
+    """row[t] += factor * terms, dropping zero terms and an empty row[t];
+    whether row[t] is left."""
+    acc = row.pop(t, {})
+    for a, z in terms.items():
+        z = acc.get(a, 0) + factor * z
+        if z:
+            acc[a] = z
+        else:
+            acc.pop(a, None)
+    if acc:
+        row[t] = acc
+    return bool(acc)
+
+
+def _cancel_isomorphisms(objects: dict, out: dict, compose) -> None:
+    """Gaussian elimination of every entry that is +-1 times the identity
+    of one matching, in place, until none is left."""
+    into: dict[int, set[int]] = {o: set() for o in objects}
+    for o, row in out.items():
+        for t in row:
+            into[t].add(o)
+    work = list(objects)
+    while work:
+        b1 = work.pop()
+        if b1 not in objects:
+            continue
+        m = objects[b1][0]
+        isos = [t for t, phi in out[b1].items() if phi in ({0: 1}, {0: -1}) and objects[t][0] == m]
+        if not isos:
+            continue
+        b2 = isos[0]
+        sign = out[b1][b2][0]  # phi^-1 = phi
+        gammas = [(e, g) for e, g in out[b1].items() if e != b2]
+        for o in into[b2] - {b1}:
+            row = out[o]
+            for e, gamma in gammas:
+                correction = compose(objects[o][0], m, objects[e][0], row[b2], gamma)
+                if _add_to(row, e, correction, -sign):
+                    into[e].add(o)
+                else:
+                    into[e].discard(o)
+            work.append(o)
+        for x in (b1, b2):
+            for t in out.pop(x):
+                into[t].discard(x)
+            for o in into.pop(x):
+                del out[o][x]
+            del objects[x]

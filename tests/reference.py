@@ -1,5 +1,7 @@
 """Slow, direct implementations that the tests compare poslink against.
 
+* :func:`cube_states`: every vertex of the cube of resolutions, with its
+  circles.
 * :func:`cube_slices`: the full cube of resolutions, every generator and
   every edge, with no cancellation.
 * :func:`per_map_homology`: homology of that cube with each boundary map
@@ -12,11 +14,69 @@
 from __future__ import annotations
 
 from collections import Counter
+from typing import Iterator
 
 from poslink import BigradedGroups, Diagram, LaurentPoly
-from poslink.diagram import crossing_signs, cube_states
+from poslink.diagram import A_SMOOTHING, B_SMOOTHING, crossing_signs, smoothing_pairs
 from poslink.khovanov import ChainSlice
 from poslink.snf import snf_divisors
+
+
+def cube_states(d: Diagram) -> Iterator[tuple[int, int, tuple[int, ...]]]:
+    """Every vertex of the cube of resolutions, as ``(mask, circles, labels)``.
+
+    Bit e of ``mask`` set means crossing e is B-smoothed; masks ascend.
+    ``circles`` excludes free circles.  ``labels`` has entry a the least arc
+    on arc a's circle (entry 0 is 0 and unused).
+
+    The walk smooths crossings c-1 .. 0 depth-first.  A join relabels the
+    smaller of the two arc classes it merges, and the next mask undoes and
+    redoes only the crossings whose bits change: two on average.
+    """
+    joins = [
+        (smoothing_pairs(t, A_SMOOTHING), smoothing_pairs(t, B_SMOOTHING))
+        for t in d.crossings
+    ]
+    n = d.arc_count
+    owner = list(range(n + 1))  # arc -> id of its class
+    members = [[a] for a in range(n + 1)]  # class id -> its arcs
+    least = list(range(n + 1))  # class id -> least arc of the class
+    merges: list[tuple[int, int, int]] = []  # (kept id, merged id, old least)
+    marks: list[int] = []  # len(merges) before each smoothed crossing
+
+    def smooth(pairs) -> None:
+        marks.append(len(merges))
+        for x, y in pairs:
+            keep, gone = owner[x], owner[y]
+            if keep != gone:
+                if len(members[keep]) < len(members[gone]):
+                    keep, gone = gone, keep
+                merges.append((keep, gone, least[keep]))
+                for a in members[gone]:
+                    owner[a] = keep
+                members[keep] += members[gone]
+                if least[gone] < least[keep]:
+                    least[keep] = least[gone]
+
+    for e in reversed(range(len(joins))):
+        smooth(joins[e][0])
+    for mask in range(1 << len(joins)):
+        if mask:
+            # bit k turns on and the bits below it turn off
+            k = (mask & -mask).bit_length() - 1
+            mark = marks[-k - 1]
+            del marks[-k - 1:]
+            while len(merges) > mark:
+                keep, gone, low = merges.pop()
+                moved = members[gone]
+                del members[keep][-len(moved):]
+                for a in moved:
+                    owner[a] = gone
+                least[keep] = low
+            smooth(joins[k][1])
+            for e in reversed(range(k)):
+                smooth(joins[e][0])
+        yield mask, n - len(merges), tuple(map(least.__getitem__, owner))
 
 
 def cube_slices(d: Diagram) -> dict[int, ChainSlice]:

@@ -29,7 +29,6 @@ from poslink.diagram import (
     _find_nugatory,
     _Oriented,
     _shadow_components,
-    cube_states,
     smoothing_pairs,
 )
 from poslink.errors import (
@@ -44,6 +43,7 @@ from poslink.errors import (
 
 from conftest import SEVEN4_PD, TREFOIL_PD
 from polygon_diagrams import polygon_diagram
+from reference import cube_states
 
 
 def seeded_polygon_diagrams():
@@ -238,6 +238,9 @@ CUBE_DIAGRAMS = {
 
 
 class TestCubeStates:
+    """The reference's walk over the cube of resolutions, against
+    ``state_circles`` and the smoothing rule."""
+
     @pytest.fixture(params=sorted(CUBE_DIAGRAMS))
     def diagram(self, request):
         text = CUBE_DIAGRAMS[request.param]

@@ -34,6 +34,7 @@ from poslink.errors import (
     UnsupportedTorsionExponent,
 )
 from poslink.snf import snf_divisors
+from poslink.tangle import _deloop, _neck_cut
 
 from polygon_diagrams import polygon_diagram
 from reference import cube_slices, per_map_homology
@@ -118,8 +119,9 @@ class TestHomology:
 
 # Homology of larger cubes, where pivot order, fill-in and the dense
 # torsion remainder all matter: the T^2 classes below survive unit
-# elimination.  Captured with the dense-matrix implementation this
-# sparse one replaced.
+# elimination.  T(3,5) and (1 2)^5 1 were captured with a dense-matrix
+# SNF of the full cube, T(3,7) with the cube built with only crossing 0's
+# unit pairs cancelled.
 LARGE_CUBE_KH = {
     "strands=3; 1 2 1 2 1 2 1 2 1 2": (  # T(3,5), 10 crossings
         "q^7 + q^9 + t^2 q^11 + t^4 q^13 + (t^3 + t^4)q^15 + (t^5 + t^6)q^17"
@@ -128,6 +130,11 @@ LARGE_CUBE_KH = {
     "strands=3; 1 2 1 2 1 2 1 2 1 2 1": (  # (1 2)^5 1, 11 crossings
         "q^8 + q^10 + t^2 q^12 + t^4 q^14 + (t^3 + t^4)q^16 + (t^5 + t^6)q^18"
         " + t^5 q^20 + (t^7 + t^8)q^22 + t^8 q^24 + t^3 q^14 T^2 + t^7 q^20 T^2"
+    ),
+    "strands=3; 1 2 1 2 1 2 1 2 1 2 1 2 1 2": (  # T(3,7), 14 crossings
+        "q^11 + q^13 + t^2 q^15 + t^4 q^17 + (t^3 + t^4)q^19 + (t^5 + t^6)q^21"
+        " + (t^5 + t^8)q^23 + (t^7 + t^8)q^25 + t^9 q^27 + t^9 q^29"
+        " + t^3 q^17 T^2 + t^7 q^23 T^2"
     ),
 }
 
@@ -141,6 +148,19 @@ class TestLargeCubes:
         assert format_kh_polynomial(kh) == LARGE_CUBE_KH[word]
         # the text form writes every torsion class as T^2: check the orders
         assert parse_kh_polynomial(LARGE_CUBE_KH[word]) == kh
+
+    @pytest.mark.parametrize("word", [
+        "strands=3; " + "1 2 " * 8,  # T(3,8), 16 crossings
+        "strands=3; " + "1 2 " * 9,  # T(3,9), 18 crossings
+    ])
+    def test_positive_braids_beyond_the_cube(self, word):
+        # past the reach of a full cube: chi(Kh) = (q + 1/q) V, and j_lower
+        # is the potential, as on every positive diagram
+        d = braid_closure(parse_braid(word))
+        kh = khovanov_homology(d, cap=18)
+        assert euler_characteristic(kh) == v_to_unnormalized(jones_V(d))
+        g = extreme_gradings(kh, d)
+        assert g.j_lower == g.j_min_potential
 
 
 def has_torsion(kh: BigradedGroups) -> bool:
@@ -219,10 +239,6 @@ class TestCancellation:
             assert fed < cube
 
 
-def generator_total(slices) -> int:
-    return sum(sum(sl.generator_counts.values()) for sl in slices.values())
-
-
 def euler_by_grading(slices) -> dict[int, int]:
     return {
         j: sum(-n if i & 1 else n for i, n in sl.generator_counts.items())
@@ -244,16 +260,78 @@ def reduction_corpus(trefoil, hopf, seven4, mirror_trefoil, stabilized_trefoil):
     ]
 
 
-class TestReducedComplex:
-    """chain_slices returns the cube with crossing 0's unit pairs cancelled:
-    each pair (w, w + 1) keeps one third of its generators, and the
-    alternating sum of generator counts per quantum grading is unchanged."""
+# two disks glued along two intervals: an annulus with circles 0 and 1,
+# or a torus when no boundary circle is listed
+ANNULUS = [(0, 1), (1, 0)]
+# one disk glued to itself twice: a pair of pants, its three circles on
+# disk 0
+PANTS = [(0, 0), (0, 0)]
 
-    def test_one_third_of_the_cube(self, unknot, reduction_corpus):
-        # a crossing-free diagram has no crossing 0 and keeps every generator
-        for d in (unknot, parse_pd("PD[O[],O[]]"), *reduction_corpus):
-            share = 3 if d.crossing_count else 1
-            assert share * generator_total(chain_slices(d)) == generator_total(cube_slices(d))
+
+class TestCobordisms:
+    """The dotted cobordism rules chain_slices works by: _neck_cut writes a
+    glued surface as one disk per boundary circle, dotted or not, and
+    _deloop reads each loop's label (bit set: x) off its disk's dot."""
+
+    def test_sphere_and_dotted_sphere(self):
+        # a cap on a source loop: labelled 1 the loop is a cup, which the
+        # cap closes into a sphere (0); labelled x it is a dotted cup, which
+        # closes into a dotted sphere (1)
+        assert _deloop(_neck_cut(1, 0, [], [0]), 0, 1) == {(1, 0): {0: 1}}
+        # a dotted cap: a dotted sphere on the cup, two dots on the dotted cup
+        assert _deloop(_neck_cut(1, 1, [], [0]), 0, 1) == {(0, 0): {0: 1}}
+
+    def test_closed_surfaces(self):
+        assert _neck_cut(2, 0, ANNULUS, []) == [(0, 2)]  # torus = 2
+        assert _neck_cut(2, 0b10, ANNULUS, []) == []  # dotted torus
+        assert _neck_cut(1, 0, PANTS + [(0, 0)], []) == []  # genus 2
+        # a handle on a disk is twice the dotted disk
+        assert _neck_cut(1, 0, PANTS, [0]) == [(1, 2)]
+
+    def test_neck_cutting(self):
+        # a cylinder is the sum of its two one-sided dottings; a dotted one
+        # has both sides dotted
+        assert sorted(_neck_cut(2, 0, ANNULUS, [0, 1])) == [(0b01, 1), (0b10, 1)]
+        assert _neck_cut(2, 0b01, ANNULUS, [0, 1]) == [(0b11, 1)]
+        assert sorted(_neck_cut(1, 0, PANTS, [0, 0, 0])) == [(0b011, 1), (0b101, 1), (0b110, 1)]
+
+    def test_cylinder_is_the_identity_on_a_delooped_loop(self):
+        assert _deloop(_neck_cut(2, 0, ANNULUS, [0, 1]), 0, 1) == {
+            (0, 0): {0: 1},
+            (1, 1): {0: 1},
+        }
+        # a dotted cylinder multiplies by x: 1 -> x, x -> 0
+        assert _deloop(_neck_cut(2, 1, ANNULUS, [0, 1]), 0, 1) == {(0, 1): {0: 1}}
+
+    def test_pants_are_the_frobenius_algebra(self):
+        # merge: 1.1 -> 1, 1.x -> x, x.1 -> x, x.x -> 0
+        assert _deloop(_neck_cut(1, 0, PANTS, [0, 0, 0]), 0, 2) == {
+            (0b00, 0): {0: 1},
+            (0b01, 1): {0: 1},
+            (0b10, 1): {0: 1},
+        }
+        # split: 1 -> 1.x + x.1, x -> x.x
+        assert _deloop(_neck_cut(1, 0, PANTS, [0, 0, 0]), 0, 1) == {
+            (0, 0b10): {0: 1},
+            (0, 0b01): {0: 1},
+            (1, 0b11): {0: 1},
+        }
+
+    def test_open_ends_keep_their_masks(self):
+        # a strip between two matchings is the identity, and the bits below
+        # the loops are the mask over the cycles of the open ends
+        assert _deloop(_neck_cut(1, 0, [], [0]), 1, 0) == {(0, 0): {0: 1}}
+        # a strip with a cup on it is the strip, with a dotted cup the
+        # dotted strip
+        assert _deloop(_neck_cut(2, 0, ANNULUS, [0, 1]), 1, 1) == {
+            (0, 0): {0: 1},
+            (1, 0): {1: 1},
+        }
+
+
+class TestReducedComplex:
+    """chain_slices returns a complex with the cube's alternating sum of
+    generator counts per quantum grading."""
 
     def test_euler_characteristic_per_grading(self, unknot, reduction_corpus):
         for d in (unknot, parse_pd("PD[O[],O[]]"), *reduction_corpus):
