@@ -296,9 +296,9 @@ def parse_braid(text: str) -> BraidWord:
 class _Oriented:
     """PD data with the over-strand entry slot carried explicitly.
 
-    Skein surgeries (switches, resolutions, nugatory pass-throughs) relabel
-    arcs freely, which would defeat re-inference of orientation from the
-    labeling convention; carrying entry slots sidesteps that entirely.
+    Skein surgeries (switches and resolutions) relabel arcs freely, which
+    would defeat re-inference of orientation from the labeling convention;
+    carrying entry slots sidesteps that entirely.
     ``over_in[k]`` is 1 when the over-strand of crossing k runs b -> d
     (positive) and 3 when it runs d -> b (negative).
     """
@@ -386,18 +386,6 @@ class _Oriented:
         """Oriented resolution: both strands continue, the crossing is gone."""
         a, b, c, d = self.crossings[k]
         pairs = ((a, d), (b, c)) if self.over_in[k] == 1 else ((a, b), (c, d))
-        return self._merge_arcs(k, pairs)
-
-    def pass_through(self, k: int) -> "_Oriented":
-        """Remove crossing k letting each strand run straight through.
-
-        Preserves the link type only at a nugatory crossing, where pushing
-        one side through the other realizes the untwist.
-        """
-        a, b, c, d = self.crossings[k]
-        return self._merge_arcs(k, ((a, c), (b, d)))
-
-    def _merge_arcs(self, k: int, pairs) -> "_Oriented":
         dj = _DisjointLabels()
         for x, y in pairs:
             dj.union(x, y)
@@ -572,25 +560,3 @@ def _corner_faces(crossings: Sequence[Crossing]) -> list[int]:
             pos = end - end % 4 + (end + 1) % 4
         faces += 1
     return face
-
-
-def _find_nugatory(crossings: Sequence[Crossing]) -> int | None:
-    """Index of the first nugatory crossing: one with two opposite corners
-    in one face.  A loop through that face and the crossing meets the
-    diagram nowhere else, so one of the crossing's smoothings splits its
-    piece of the shadow in two."""
-    face = _corner_faces(crossings)
-    for k in range(len(crossings)):
-        if face[4 * k] == face[4 * k + 2] or face[4 * k + 1] == face[4 * k + 3]:
-            return k
-    return None
-
-
-def reduce_nugatory(d: Diagram) -> Diagram:
-    """Untwist nugatory crossings until none remain; link type preserved."""
-    work = _Oriented.of(d)
-    while True:
-        k = _find_nugatory(work.crossings)
-        if k is None:
-            return work.to_diagram()
-        work = work.pass_through(k)

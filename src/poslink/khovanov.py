@@ -11,11 +11,7 @@ graded Euler characteristic equal the unnormalized Jones polynomial:
 
 The differential preserves j, so each quantum grading is an independent
 chain complex of free abelian groups; homology is read off the Smith
-normal form of its boundary maps, torsion included.  The maps of a grading
-are reduced from the top homological degree down, and each +-1 pivot of
-one map cancels a generator (Gaussian elimination), so the map below
-reaches the SNF without that generator's row: the row is an integer
-combination of the others, because the differential squares to zero.
+normal form of its boundary maps, torsion included.
 """
 
 from __future__ import annotations
@@ -179,28 +175,11 @@ def chain_slices(d: Diagram, *, cap: int = DEFAULT_CROSSING_CAP) -> dict[int, Ch
 
 
 def khovanov_homology(d: Diagram, *, cap: int = DEFAULT_CROSSING_CAP) -> BigradedGroups:
-    """Homology groups over Z per (i, j), via Smith normal form per slice.
-
-    Each slice's boundary maps are reduced from the top homological degree
-    down.  A unit pivot of d^(i+1) at column x cancels the generator x of
-    C^(i+1) against its partner in C^(i+2) (Gaussian elimination), and the
-    reduced complex keeps d^i with row x deleted, so d^i goes to the SNF
-    with those rows emptied.  Deleting them changes neither its rank nor
-    its torsion: d^(i+1) d^i = 0 makes each deleted row an integer
-    combination of the kept ones.  So the generators of C^(i+1) that
-    cancel are not reduced a second time as rows of d^i.
-    """
+    """Homology groups over Z per (i, j), via Smith normal form per slice."""
     slices = chain_slices(d, cap=cap)
     entries: dict[tuple[int, int], tuple[int, tuple[int, ...]]] = {}
     for j, sl in slices.items():
-        divisors: dict[int, list[int]] = {}
-        cancelled: dict[int, set[int]] = {}
-        for i in sorted(sl.boundaries, reverse=True):
-            rows = sl.boundaries[i]
-            for x in cancelled.get(i + 1, ()):
-                rows[x] = {}
-            cancelled[i] = set()
-            divisors[i] = snf_divisors(rows, cancelled[i])
+        divisors = {i: snf_divisors(rows) for i, rows in sl.boundaries.items()}
         for i, n in sl.generator_counts.items():
             rank_out = len(divisors.get(i, ()))
             incoming = divisors.get(i - 1, [])

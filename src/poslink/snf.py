@@ -12,11 +12,10 @@ from each column to the live rows holding it kept in step.
    factor 1 and drops one row and one column, leaving the Schur
    complement), and go on to the next row.  Sweeps repeat until one finds
    no unit.  Choosing the sparsest column of a row keeps fill-in down
-   without a global search over all rows.  A caller may ask for the
-   columns of these pivots: each is a change of basis that splits off a
-   Z --(+-1)--> Z summand of a chain complex, so a column reported for
-   the map leaving degree k names a generator of degree k that cancels
-   (see :func:`poslink.khovanov.khovanov_homology`).
+   without a global search over all rows.  The complexes that
+   :mod:`poslink.tangle` builds arrive with no unit entry left, so this
+   phase serves general input, such as the full cube of resolutions the
+   tests compare against.
 2. Euclidean elimination.  Whatever survives holds no unit.  Pivot on an
    entry of least magnitude and reduce its column by row operations with
    floor quotients; once the column holds only the pivot, reduce the pivot
@@ -38,13 +37,11 @@ _Rows = dict[int, dict[int, int]]
 _Cols = dict[int, set[int]]
 
 
-def snf_divisors(matrix: SparseRows, units: set[int] | None = None) -> list[int]:
+def snf_divisors(matrix: SparseRows) -> list[int]:
     """Nonzero diagonal of the Smith normal form, each dividing the next.
 
     The length of the result is the rank; entries greater than 1 are the
-    torsion orders of the cokernel.  The input rows are not modified.  If
-    ``units`` is given, the column of every pivot of the unit phase is
-    added to it.
+    torsion orders of the cokernel.  The input rows are not modified.
     """
     rows: _Rows = {}
     cols: _Cols = {}
@@ -72,8 +69,6 @@ def snf_divisors(matrix: SparseRows, units: set[int] | None = None) -> list[int]
             _reduce_column(rows, cols, r, c)  # a unit divides exactly: c clears
             _drop(rows, cols, r)
             unit_count += 1
-            if units is not None:
-                units.add(c)
             pivoted = True
 
     diagonal = []

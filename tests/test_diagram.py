@@ -19,18 +19,10 @@ from poslink import (
     jones_V,
     parse_braid,
     parse_pd,
-    reduce_nugatory,
     state_circles,
     writhe,
 )
-from poslink.diagram import (
-    A_SMOOTHING,
-    B_SMOOTHING,
-    _find_nugatory,
-    _Oriented,
-    _shadow_components,
-    smoothing_pairs,
-)
+from poslink.diagram import _shadow_components, smoothing_pairs
 from poslink.errors import (
     ArcMultiplicity,
     ArityError,
@@ -337,9 +329,8 @@ class TestBraidClosure:
         assert components(d) == cycles
 
 
-def shadow_pieces(crossings, smoothed=None):
-    """Pieces of the shadow by union-find; ``smoothed=(k, pairs)`` replaces
-    crossing k by the arc joins ``pairs``."""
+def shadow_pieces(crossings):
+    """Pieces of the shadow by union-find over each crossing's arcs."""
     parent = {}
 
     def find(x):
@@ -347,87 +338,46 @@ def shadow_pieces(crossings, smoothed=None):
             x = parent[x]
         return x
 
-    for k, t in enumerate(crossings):
-        if smoothed and smoothed[0] == k:
-            pairs = smoothed[1]
-        else:
-            pairs = ((t[0], t[1]), (t[0], t[2]), (t[0], t[3]))
-        for x, y in pairs:
-            rx, ry = find(x), find(y)
+    for a, b, c, d in crossings:
+        for x in (b, c, d):
+            rx, ry = find(a), find(x)
             if rx != ry:
                 parent[rx] = ry
     return len({find(v) for t in crossings for v in t})
 
 
-def first_splitting_crossing(crossings):
-    """First crossing with a smoothing that raises the shadow's piece count."""
-    base = shadow_pieces(crossings)
-    for k, t in enumerate(crossings):
-        for label in (A_SMOOTHING, B_SMOOTHING):
-            if shadow_pieces(crossings, (k, smoothing_pairs(t, label))) > base:
-                return k
-    return None
+class TestShadowComponents:
+    """The Seifert geometry behind ``conway`` reads _shadow_components; a
+    union-find over each crossing's four arcs is the reference."""
 
-
-def check_nugatory_at_every_step(d):
-    work = _Oriented.of(d)
-    while True:
-        assert _shadow_components(work.crossings) == shadow_pieces(work.crossings), d
-        k = _find_nugatory(work.crossings)
-        assert k == first_splitting_crossing(work.crossings), d
-        if k is None:
-            return
-        work = work.pass_through(k)
-
-
-class TestReduceNugatory:
     @pytest.mark.parametrize(
         "text",
         ["PD[X[1,1,2,2]]", "PD[X[2,1,1,2]]", TREFOIL_PD[:-1] + ",O[]]", SEVEN4_PD],
     )
-    def test_nugatory_matches_splitting_smoothing(self, text):
-        check_nugatory_at_every_step(parse_pd(text))
+    def test_matches_union_find(self, text):
+        crossings = parse_pd(text).crossings
+        assert _shadow_components(crossings) == shadow_pieces(crossings)
 
-    def test_nugatory_matches_splitting_smoothing_on_polygon_diagrams(self):
+    def test_matches_union_find_on_polygon_diagrams(self):
         for d in seeded_polygon_diagrams():
-            check_nugatory_at_every_step(d)
+            assert _shadow_components(d.crossings) == shadow_pieces(d.crossings), d
 
     @given(
         strands=st.integers(2, 5),
         letters=st.lists(st.tuples(st.integers(1, 4), st.booleans()), max_size=12),
     )
     @settings(max_examples=150, deadline=None)
-    def test_nugatory_matches_splitting_smoothing_on_braids(self, strands, letters):
+    def test_matches_union_find_on_braids(self, strands, letters):
         word = tuple(min(g, strands - 1) * (1 if up else -1) for g, up in letters)
-        check_nugatory_at_every_step(braid_closure(BraidWord(strands, word)))
+        d = braid_closure(BraidWord(strands, word))
+        assert _shadow_components(d.crossings) == shadow_pieces(d.crossings), d
 
-    def test_single_kink(self):
-        d = braid_closure(parse_braid("strands=2; 1"))
-        assert reduce_nugatory(d) == Diagram((), 1)
 
-    def test_trefoil_fixed(self, trefoil):
-        assert reduce_nugatory(trefoil) == trefoil
+class TestKinks:
+    """A kink (Reidemeister I) changes neither the link nor its invariants."""
 
-    def test_no_crossings_fixed(self, unknot):
-        assert reduce_nugatory(unknot) == unknot
+    def test_components_invariant(self, stabilized_trefoil, trefoil):
+        assert components(stabilized_trefoil) == components(trefoil)
 
-    def test_stabilized_trefoil_reduces(self, stabilized_trefoil, trefoil):
-        reduced = reduce_nugatory(stabilized_trefoil)
-        assert reduced.crossing_count == 3
-        assert jones_V(reduced) == jones_V(trefoil)
-
-    def test_two_sided_nugatory(self, trefoil):
-        # granny knot drawn with a twist joint: both sides of the nugatory
-        # crossing carry crossings of their own
-        d = braid_closure(parse_braid("strands=4; 1 1 1 2 3 3 3"))
-        reduced = reduce_nugatory(d)
-        assert reduced.crossing_count == 6
-        v3 = jones_V(trefoil)
-        assert jones_V(reduced) == v3 * v3
-
-    def test_components_invariant(self, stabilized_trefoil, hopf):
-        for d in (stabilized_trefoil, hopf):
-            assert components(reduce_nugatory(d)) == components(d)
-
-    def test_jones_invariant(self, stabilized_trefoil):
-        assert jones_V(reduce_nugatory(stabilized_trefoil)) == jones_V(stabilized_trefoil)
+    def test_jones_invariant(self, stabilized_trefoil, trefoil):
+        assert jones_V(stabilized_trefoil) == jones_V(trefoil)

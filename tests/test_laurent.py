@@ -21,7 +21,6 @@ from poslink import (
     parse_braid,
     parse_pd,
     parse_poly,
-    reduce_nugatory,
     unnormalized_to_v,
     v_to_unnormalized,
 )
@@ -303,7 +302,6 @@ class TestJones:
         v = jones_V(trefoil)
         assert jones_V(perturbed_trefoil) == v
         assert jones_V(stabilized_trefoil) == v
-        assert jones_V(reduce_nugatory(stabilized_trefoil)) == v
 
     def test_invariance_under_r3(self):
         # the braid relation realizes a third Reidemeister move

@@ -144,18 +144,6 @@ class TestProperties:
         assert _snf_divisors(rows) == [1, 2]
         assert rows == snapshot
 
-    def test_unit_pivot_columns_reported(self):
-        units = set()
-        assert _snf_divisors(sparse([[0, 1, 0], [0, 0, -1], [1, 0, 0]]), units) == [1, 1, 1]
-        assert units == {0, 1, 2}
-        # the 1 of gcd(2, 3) comes from the Euclidean phase, not a unit pivot
-        units = set()
-        assert _snf_divisors(sparse([[2, 0], [0, 3]]), units) == [1, 6]
-        assert units == set()
-        units = set()
-        assert _snf_divisors(sparse([[1, 2], [3, 4]]), units) == [1, 2]
-        assert units == {0}
-
 
 def _det(matrix):
     """Fraction-exact determinant by Gaussian elimination."""
