@@ -3,7 +3,12 @@
 Compute Jones and Conway polynomials, integral Khovanov homology, and the
 diagram-independent inequalities that every positive link with second
 Jones coefficient of absolute value 0, 1, or 2 must satisfy.
+
+The homology and obstruction exports are loaded on first access, so a run
+that computes only polynomials never compiles them.
 """
+
+from importlib import import_module
 
 from .diagram import (
     BraidWord,
@@ -35,30 +40,6 @@ from .laurent import (
     v_to_unnormalized,
 )
 from .conway import conway, lead_coeff_conway
-from .khovanov import (
-    BigradedGroups,
-    ChainSlice,
-    GradingSummary,
-    chain_slices,
-    euler_characteristic,
-    extreme_gradings,
-    format_kh_polynomial,
-    kh1_rank,
-    khovanov_homology,
-    parse_kh_polynomial,
-)
-from .obstruction import (
-    ObstructionInput,
-    ObstructionReport,
-    Strength,
-    TestKind,
-    Verdict,
-    gamma,
-    jones_test,
-    khovanov_test,
-    khovanov_test_from_kh1,
-    strength_comparison,
-)
 from .batch import (
     BatchResult,
     LinkRecord,
@@ -70,6 +51,46 @@ from .batch import (
     positive_braid_words,
     survey_corpus,
 )
+
+# export -> submodule, imported on first access (PEP 562); ``conway`` stays
+# eager because it is both a submodule and the function exported here, and
+# once the submodule is imported the package attribute would be the module
+_DEFERRED = {
+    "BigradedGroups": "khovanov",
+    "ChainSlice": "khovanov",
+    "GradingSummary": "khovanov",
+    "chain_slices": "khovanov",
+    "euler_characteristic": "khovanov",
+    "extreme_gradings": "khovanov",
+    "format_kh_polynomial": "khovanov",
+    "kh1_rank": "khovanov",
+    "khovanov_homology": "khovanov",
+    "parse_kh_polynomial": "khovanov",
+    "ObstructionInput": "obstruction",
+    "ObstructionReport": "obstruction",
+    "Strength": "obstruction",
+    "TestKind": "obstruction",
+    "Verdict": "obstruction",
+    "gamma": "obstruction",
+    "jones_test": "obstruction",
+    "khovanov_test": "obstruction",
+    "khovanov_test_from_kh1": "obstruction",
+    "strength_comparison": "obstruction",
+}
+
+
+def __getattr__(name: str):
+    module = _DEFERRED.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_DEFERRED))
+
 
 __all__ = [
     "BatchResult",

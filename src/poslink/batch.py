@@ -1,13 +1,21 @@
 """Batch records: CSV ingestion, cross-validation against computed values,
-obstruction runs, and the positive-braid survey."""
+obstruction runs, and the positive-braid survey.
+
+The Khovanov stack (``khovanov``, ``tangle``, ``snf``) and ``obstruction``
+are imported on the first call that needs them, not with this module: a
+``compute --jones`` or ``--conway`` run never calls them, and compiling
+them took about a quarter of its import time.  Their names stay bindings
+of this module, looked up when called, because the benchmark's tracer
+wraps ``poslink.batch.<name>`` by name to time each layer.
+"""
 
 from __future__ import annotations
 
-import csv
 import itertools
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from importlib import import_module
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from .conway import conway
 from .diagram import (
@@ -20,19 +28,11 @@ from .diagram import (
     parse_pd,
 )
 from .errors import (
+    DEFAULT_CROSSING_CAP,
     ColumnMissing,
     CrossingCapExceeded,
     FileUnreadable,
     PoslinkError,
-)
-from .khovanov import (
-    DEFAULT_CROSSING_CAP,
-    BigradedGroups,
-    euler_characteristic,
-    extreme_gradings,
-    khovanov_homology,
-    parse_kh_polynomial,
-    format_kh_polynomial,
 )
 from .laurent import (
     LaurentPoly,
@@ -42,15 +42,33 @@ from .laurent import (
     parse_poly,
     v_to_unnormalized,
 )
-from .obstruction import (
-    ObstructionInput,
-    ObstructionReport,
-    Strength,
-    jones_test,
-    khovanov_test,
-    khovanov_test_from_kh1,
-    strength_comparison,
-)
+
+if TYPE_CHECKING:
+    from .khovanov import BigradedGroups
+    from .obstruction import ObstructionReport, Strength
+
+
+def _deferred(module: str, name: str) -> Callable:
+    """A stand-in for ``poslink.<module>.<name>`` that imports the module
+    on its first call; later calls find it in ``sys.modules``."""
+
+    def call(*args, **kwargs):
+        return getattr(import_module(f".{module}", __package__), name)(*args, **kwargs)
+
+    call.__name__ = call.__qualname__ = name
+    return call
+
+
+euler_characteristic = _deferred("khovanov", "euler_characteristic")
+extreme_gradings = _deferred("khovanov", "extreme_gradings")
+format_kh_polynomial = _deferred("khovanov", "format_kh_polynomial")
+khovanov_homology = _deferred("khovanov", "khovanov_homology")
+parse_kh_polynomial = _deferred("khovanov", "parse_kh_polynomial")
+ObstructionInput = _deferred("obstruction", "ObstructionInput")
+jones_test = _deferred("obstruction", "jones_test")
+khovanov_test = _deferred("obstruction", "khovanov_test")
+khovanov_test_from_kh1 = _deferred("obstruction", "khovanov_test_from_kh1")
+strength_comparison = _deferred("obstruction", "strength_comparison")
 
 SCHEMA_VERSION = "poslink.record/1"
 
@@ -148,6 +166,8 @@ def ingest_csv(path: str, column_map: dict[str, str]) -> list[LinkRecord]:
     diagram or invariant that parsed becomes a record carrying the parse
     messages as its error, and a row with no filled cell is dropped.
     """
+    import csv  # only CSV input needs it
+
     for role in column_map:
         if role not in COLUMN_ROLES:
             raise ColumnMissing(f"unknown column role {role!r}; know {COLUMN_ROLES}")

@@ -20,8 +20,7 @@ from .batch import (
     records_from_lines,
 )
 from .diagram import parse_braid, parse_pd
-from .errors import ColumnMissing, FileUnreadable, PoslinkError
-from .khovanov import DEFAULT_CROSSING_CAP
+from .errors import DEFAULT_CROSSING_CAP, ColumnMissing, FileUnreadable, PoslinkError
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -1,5 +1,4 @@
-"""Conway polynomial from a Seifert matrix, plus the skein recursion as a
-reference.
+"""Conway polynomial from a Seifert matrix.
 
 :func:`conway` runs Seifert's algorithm on the PD code.  Smoothing every
 crossing along the orientation gives the Seifert circles (the same arc
@@ -35,15 +34,6 @@ homology classes alone, so each may use its own drawing of the curves:
   d = +-1 the direction of crossing the band), and wherever a band that
   reaches a circle from the inside passes over the other curve's path
   along that circle.
-
-:func:`conway_skein` is the descending-diagram skein recursion.  It walks
-each component from a basepoint and switches the first crossing reached on
-its under-strand before its over-strand.  Switching strictly reduces the
-number of such defects and resolving strictly reduces crossings, so the
-tree terminates: descending diagrams are unlinks, giving 1 for a knot and
-0 for a split link.  Subtrees are shared through a memo table keyed by a
-densely-relabeled encoding.  It is exponential in general and serves as
-the independent reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -51,13 +41,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .diagram import Diagram, _DisjointLabels, _Oriented, _shadow_components
-from .errors import RecursionBudgetExceeded
+from .diagram import Diagram, _DisjointLabels, _shadow_components
 from .laurent import LaurentPoly
-
-_Z = LaurentPoly.term(1, 1)
-
-DEFAULT_NODE_BUDGET = 10**6
 
 
 def conway(d: Diagram) -> LaurentPoly:
@@ -381,51 +366,3 @@ def _bareiss_det(rows: list[list[int]]) -> int:
             row[k + 1:] = [(x * pivot - a * y) // prev for x, y in zip(row[k + 1:], tail)]
         prev = pivot
     return sign * rows[-1][-1] if n else 1
-
-
-# --------------------------------------------------------------------------
-# skein recursion (reference)
-
-
-def conway_skein(d: Diagram, *, node_budget: int = DEFAULT_NODE_BUDGET) -> LaurentPoly:
-    """Conway polynomial by the descending-diagram skein recursion.
-
-    Exponential in general; raises RecursionBudgetExceeded after
-    ``node_budget`` distinct subdiagrams."""
-    memo: dict[tuple, LaurentPoly] = {}
-    nodes = 0
-
-    def evaluate(od: _Oriented) -> LaurentPoly:
-        nonlocal nodes
-        key = od.key()
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        nodes += 1
-        if nodes > node_budget:
-            raise RecursionBudgetExceeded(
-                f"skein recursion exceeded {node_budget} nodes"
-            )
-        if not od.crossings:
-            # crossing-free: a single circle is the unknot, more are split
-            result = LaurentPoly.one() if od.free_circles == 1 else LaurentPoly.zero()
-        elif od.free_circles > 0 or _shadow_components(od.crossings) > 1:
-            result = LaurentPoly.zero()
-        else:
-            k = od.first_defect()
-            if k is None:
-                # descending connected diagram: an unknot
-                result = (
-                    LaurentPoly.one()
-                    if od.component_count() == 1
-                    else LaurentPoly.zero()
-                )
-            else:
-                sign = od.sign(k)
-                skein = _Z * evaluate(od.resolve(k))
-                switched = evaluate(od.switch(k))
-                result = switched + skein if sign > 0 else switched - skein
-        memo[key] = result
-        return result
-
-    return evaluate(_Oriented.of(d))

@@ -59,12 +59,13 @@ class NotPositiveDiagram(PoslinkError, ValueError):
 
 # Computation limits.
 
+# the homology crossing cap unless one is given; here rather than in
+# khovanov, so that reading the default does not load the homology code
+DEFAULT_CROSSING_CAP = 16
+
+
 class CrossingCapExceeded(PoslinkError, ValueError):
     """Crossing count exceeds the configured cap for this computation."""
-
-
-class RecursionBudgetExceeded(PoslinkError, RuntimeError):
-    """The skein recursion visited more nodes than the configured budget."""
 
 
 # Khovanov homology.

@@ -22,6 +22,7 @@ from typing import Iterator, Mapping
 
 from .diagram import Diagram, a_state_circles, b_state_circles, crossing_signs
 from .errors import (
+    DEFAULT_CROSSING_CAP,
     CrossingCapExceeded,
     EmptyHomology,
     MalformedKhPolynomial,
@@ -30,8 +31,6 @@ from .errors import (
 from .laurent import LaurentPoly, parse_poly
 from .snf import SparseRows, snf_divisors
 from .tangle import reduced_complex
-
-DEFAULT_CROSSING_CAP = 16
 
 
 class BigradedGroups:
@@ -134,7 +133,8 @@ class ChainSlice:
     ``boundaries[i]`` is the map C^i -> C^(i+1) as sparse rows: a list of
     ``generator_counts[i + 1]`` dicts, one per generator of C^(i+1), each
     sending a generator index of C^i to its nonzero coefficient.  Absent
-    columns are zero; a row with no entries is an empty dict.
+    columns are zero; a row with no entries is an empty dict.  A map with
+    no nonzero entry is absent, so every map present holds one.
     """
 
     quantum_grading: int
@@ -163,12 +163,15 @@ def chain_slices(d: Diagram, *, cap: int = DEFAULT_CROSSING_CAP) -> dict[int, Ch
         counts[key] = index[o] + 1
     slices: dict[int, ChainSlice] = {}
     for (i, j), n in sorted(counts.items()):
-        sl = slices.setdefault(j, ChainSlice(j, {}, {}))
-        sl.generator_counts[i] = n
-        sl.boundaries[i] = [{} for _ in range(counts.get((i + 1, j), 0))]
+        slices.setdefault(j, ChainSlice(j, {}, {})).generator_counts[i] = n
     for o, row in differential.items():
+        if not row:
+            continue
         h, q = generators[o]
-        rows = slices[q + shift].boundaries[h - qn]
+        i, j = h - qn, q + shift
+        rows = slices[j].boundaries.get(i)
+        if rows is None:
+            rows = slices[j].boundaries[i] = [{} for _ in range(counts[(i + 1, j)])]
         for t, coeff in row.items():
             rows[index[t]][index[o]] = coeff
     return slices

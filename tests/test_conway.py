@@ -20,12 +20,12 @@ from poslink import (
     parse_poly,
 )
 from poslink.batch import _conway_mirror
-from poslink.conway import _conway_from_seifert, _surface, conway_skein, seifert_matrix
+from poslink.conway import _conway_from_seifert, _surface, seifert_matrix
 from poslink.diagram import _Oriented, _shadow_components
-from poslink.errors import RecursionBudgetExceeded
 
 from conftest import DATA_DIR, lucas, mirror
 from polygon_diagrams import polygon_diagram
+from reference import RecursionBudgetExceeded, conway_skein
 
 Z = parse_poly("z", "z")
 
