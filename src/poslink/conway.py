@@ -1,14 +1,14 @@
 """Conway polynomial from a Seifert matrix.
 
 :func:`conway` runs Seifert's algorithm on the PD code.  Smoothing every
-crossing along the orientation gives the Seifert circles (the same arc
-joins as ``_Oriented.resolve``).  Each circle bounds a disk, a circle
-nested inside another is stacked above it, and every crossing becomes a
-half-twisted band joining its two circles.  H_1 of that surface has as a
-basis the fundamental cycles of the Seifert graph (circles as vertices,
-crossings as edges): c - m + 1 cycles for m circles.  The Seifert form
-V[i][j] = lk(g_i, g_j^+) is assembled from the crossings of the projected
-curves, and
+crossing along the orientation gives the Seifert circles (X[a,b,c,d]
+joins a to d and b to c when positive, a to b and c to d when negative).
+Each circle bounds a disk, a circle nested inside another is stacked
+above it, and every crossing becomes a half-twisted band joining its two
+circles.  H_1 of that surface has as a basis the fundamental cycles of
+the Seifert graph (circles as vertices, crossings as edges): c - m + 1
+cycles for m circles.  The Seifert form V[i][j] = lk(g_i, g_j^+) is
+assembled from the crossings of the projected curves, and
 
     nabla(z) = det(t^(-1/2) V - t^(1/2) V^T),   z = t^(1/2) - t^(-1/2)
 

@@ -296,9 +296,9 @@ def parse_braid(text: str) -> BraidWord:
 class _Oriented:
     """PD data with the over-strand entry slot carried explicitly.
 
-    Skein surgeries (switches and resolutions) relabel arcs freely, which
-    would defeat re-inference of orientation from the labeling convention;
-    carrying entry slots sidesteps that entirely.
+    A braid closure merges arc labels freely, which would defeat
+    re-inference of orientation from the labeling convention; carrying
+    entry slots sidesteps that entirely.
     ``over_in[k]`` is 1 when the over-strand of crossing k runs b -> d
     (positive) and 3 when it runs d -> b (negative).
     """
@@ -314,23 +314,6 @@ class _Oriented:
         self.crossings = list(crossings)
         self.over_in = list(over_in)
         self.free_circles = free_circles
-
-    @classmethod
-    def of(cls, d: Diagram) -> "_Oriented":
-        return cls(d.crossings, d._orientation[0], d.free_circles)
-
-    def sign(self, k: int) -> int:
-        return 1 if self.over_in[k] == 1 else -1
-
-    def key(self) -> tuple:
-        """Hashable form with arcs densely relabeled, order preserved."""
-        labels = sorted({lab for t in self.crossings for lab in t})
-        ren = {lab: i + 1 for i, lab in enumerate(labels)}
-        return (
-            tuple(tuple(ren[v] for v in t) for t in self.crossings),
-            tuple(self.over_in),
-            self.free_circles,
-        )
 
     def entry_walk(self) -> list[list[int]]:
         """Entry positions ``4 * k + s`` (slot 0 or ``over_in[k]``) of each
@@ -353,52 +336,6 @@ class _Oriented:
                 raise OrientationInconsistent(f"arc {label[pos]} leaves crossings at both ends")
             walks.append(walk)
         return walks
-
-    def component_count(self) -> int:
-        return len(self.entry_walk()) + self.free_circles
-
-    def first_defect(self) -> int | None:
-        """First crossing reached on its under-strand before its over-strand."""
-        visited: set[int] = set()
-        for walk in self.entry_walk():
-            for pos in walk:
-                k = pos >> 2
-                if k not in visited:
-                    visited.add(k)
-                    if pos & 3 == 0:
-                        return k
-        return None
-
-    def switch(self, k: int) -> "_Oriented":
-        """Exchange over- and under-strand at crossing k (sign flips)."""
-        t = self.crossings[k]
-        xs = list(self.crossings)
-        oi = list(self.over_in)
-        if oi[k] == 1:
-            xs[k] = (t[1], t[2], t[3], t[0])
-            oi[k] = 3
-        else:
-            xs[k] = (t[3], t[0], t[1], t[2])
-            oi[k] = 1
-        return _Oriented(xs, oi, self.free_circles)
-
-    def resolve(self, k: int) -> "_Oriented":
-        """Oriented resolution: both strands continue, the crossing is gone."""
-        a, b, c, d = self.crossings[k]
-        pairs = ((a, d), (b, c)) if self.over_in[k] == 1 else ((a, b), (c, d))
-        dj = _DisjointLabels()
-        for x, y in pairs:
-            dj.union(x, y)
-        xs = []
-        oi = []
-        for i, (t, o) in enumerate(zip(self.crossings, self.over_in)):
-            if i == k:
-                continue
-            xs.append(tuple(dj.find(v) for v in t))
-            oi.append(o)
-        used = {v for t in xs for v in t}
-        closed = {dj.find(v) for v in self.crossings[k]} - used
-        return _Oriented(xs, oi, self.free_circles + len(closed))
 
     def to_diagram(self) -> Diagram:
         """Relabel arcs consecutively along each oriented component."""

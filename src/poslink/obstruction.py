@@ -26,9 +26,12 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .errors import NotApplicableError
-from .khovanov import BigradedGroups, kh1_rank
+
+if TYPE_CHECKING:
+    from .khovanov import BigradedGroups
 
 APPLICABLE_P1 = (0, 1, 2)
 
@@ -226,7 +229,7 @@ def khovanov_test_from_kh1(
     """
     j_lower, j_upper = kh.j_range()
     inp = ObstructionInput(
-        p1=kh1_rank(kh), n=n, lead_conway=lead_conway, j_lower=j_lower, j_upper=j_upper
+        p1=kh.total_rank_at(1), n=n, lead_conway=lead_conway, j_lower=j_lower, j_upper=j_upper
     )
     report = khovanov_test(inp)
     note = KH1_CAVEAT if not report.note else f"{report.note}; {KH1_CAVEAT}"

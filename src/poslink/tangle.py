@@ -7,26 +7,54 @@ h.  An entry of the differential is a combination of dotted cobordisms,
 one disk per cycle of the two matchings, keyed by the mask of dotted
 disks (:func:`_neck_cut`).  After each crossing every entry that is +-1
 times the identity of a matching is cancelled (Gaussian elimination).
+
+Each :func:`reduced_complex` call interns the matchings it meets as small
+ints, so objects and memos key on ints, not on tuples of arc pairs.  A
+glued cobordism is cut by its shape: the disk count, the gluings and the
+boundary circles as disk numbers, and the counts of circles kept open
+and of source loops delooped.  The shape names no arc, so gluings that
+differ only in their arc labels share one neck cut, computed once per
+(shape, dots).
+Every memo lives and dies inside one call: nothing is kept across records.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
+
 from .diagram import Diagram
 from .laurent import _SLOT_PAIRS, _contraction_order, _smoothings
+
+
+class _Interned(dict):
+    """Small int ids for hashable values, in order of first lookup;
+    ``value[i]`` is the value of id i."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.value: list = []
+
+    def __missing__(self, x) -> int:
+        i = self[x] = len(self.value)
+        self.value.append(x)
+        return i
 
 
 def reduced_complex(d: Diagram) -> tuple[dict[int, tuple[int, int]], dict[int, dict]]:
     """The complex of the closed diagram, with the homology of its cube of
     resolutions over Z: (h, q) per generator, and per generator its
     nonzero coefficients on the generators one degree up."""
-    memo: dict[tuple, object] = {}  # cycles and compositions, by their arguments
+    matchings, shapes = _Interned(), _Interned()
+    memo: dict[tuple, object] = {}  # cycles and composition shapes, by ids
+    cuts: dict[tuple[int, int], tuple] = {}  # (shape, dots) -> _deloop terms
 
-    def cycles(m1: tuple, m2: tuple) -> tuple[dict[int, int], list[int]]:
-        # the cycle of each end in m1 and m2 together, numbered by least end,
-        # and that least end of each cycle
-        key = (m1, m2)
+    def cycles(i1: int, i2: int) -> tuple[dict[int, int], list[int]]:
+        # the cycle of each end in matchings i1 and i2 together, numbered
+        # by least end, and that least end of each cycle
+        key = (i1, i2)
         if key not in memo:
-            p1, p2 = dict(m1), dict(m2)
+            m1 = matchings.value[i1]
+            p1, p2 = dict(m1), dict(matchings.value[i2])
             cycle, least = {}, []
             for e, _ in m1:
                 if e not in cycle:
@@ -37,28 +65,41 @@ def reduced_complex(d: Diagram) -> tuple[dict[int, tuple[int, int]], dict[int, d
             memo[key] = cycle, least
         return memo[key]
 
-    def compose(m1: tuple, m2: tuple, m3: tuple, f: dict, g: dict) -> dict[int, int]:
-        # g o f for f: m1 -> m2 and g: m2 -> m3, glued along the arcs of m2
+    def cut(shape: int, dots: int) -> tuple[tuple[int, int, tuple], ...]:
+        # the neck cut of a shape with these disks dotted, delooped, as
+        # (source labels, target labels, (mask, coefficient) terms)
+        key = (shape, dots)
+        if key not in cuts:
+            disks, gluings, circles, width, inputs = shapes.value[shape]
+            terms = _deloop(_neck_cut(disks, dots, gluings, circles), width, inputs)
+            cuts[key] = tuple((l1, l2, tuple(g.items())) for (l1, l2), g in terms.items())
+        return cuts[key]
+
+    def compose(i1: int, i2: int, i3: int, f: dict, g: dict) -> dict[int, int]:
+        # g o f for f: i1 -> i2 and g: i2 -> i3, glued along the arcs of i2
+        key = (i1, i2, i3)
+        if key not in memo:
+            first, arcs = cycles(i1, i2)
+            second, more = cycles(i2, i3)
+            n = len(arcs)
+            gluings = tuple((first[e], n + second[e]) for e, p in matchings.value[i2] if e < p)
+            circles = tuple(first[e] for e in cycles(i1, i3)[1])
+            memo[key] = shapes[n + len(more), gluings, circles, len(circles), 0], n
+        shape, n = memo[key]
         out: dict[int, int] = {}
         for a, x in f.items():
             for b, y in g.items():
-                key = (m1, m2, m3, a, b)
-                if key not in memo:
-                    first, arcs = cycles(m1, m2)
-                    second, more = cycles(m2, m3)
-                    n = len(arcs)
-                    gluings = [(first[e], n + second[e]) for e, p in m2 if e < p]
-                    circles = [first[e] for e in cycles(m1, m3)[1]]
-                    memo[key] = _neck_cut(n + len(more), a | b << n, gluings, circles)
-                for mask, z in memo[key]:
-                    out[mask] = out.get(mask, 0) + x * y * z
+                for _, _, terms in cut(shape, a | b << n):  # no loops: one entry
+                    for mask, z in terms:
+                        out[mask] = out.get(mask, 0) + x * y * z
         return out
 
     free = d.free_circles
-    objects = {lab: ((), 0, free - 2 * lab.bit_count()) for lab in range(1 << free)}
+    empty = matchings[()]
+    objects = {lab: (empty, 0, free - 2 * lab.bit_count()) for lab in range(1 << free)}
     out: dict[int, dict[int, dict[int, int]]] = {o: {} for o in objects}
     for k in _contraction_order(d):
-        objects, out = _add_crossing(objects, out, d.crossings[k], cycles)
+        objects, out = _add_crossing(objects, out, d.crossings[k], matchings, shapes, cycles, cut)
         _cancel_isomorphisms(objects, out, compose)
     return (
         {o: (h, q) for o, (_, h, q) in objects.items()},
@@ -67,7 +108,7 @@ def reduced_complex(d: Diagram) -> tuple[dict[int, tuple[int, int]], dict[int, d
 
 
 def _neck_cut(
-    disks: int, dots: int, gluings: list[tuple[int, int]], circles: list[int]
+    disks: int, dots: int, gluings: Sequence[tuple[int, int]], circles: Sequence[int]
 ) -> list[tuple[int, int]]:
     """A surface glued from disks, in the basis of one disk per boundary
     circle with or without a dot, as (mask of dotted circles, coefficient)
@@ -113,7 +154,9 @@ def _neck_cut(
     return terms
 
 
-def _add_crossing(objects: dict, out: dict, crossing, cycles) -> tuple[dict, dict]:
+def _add_crossing(
+    objects: dict, out: dict, crossing, matchings: _Interned, shapes: _Interned, cycles, cut
+) -> tuple[dict, dict]:
     """The complex with one more crossing, before reduction: each object
     splits into its A- and B-smoothing, one object per labelling of the
     loops that close, each entry f is glued to the identity on either, and
@@ -122,42 +165,47 @@ def _add_crossing(objects: dict, out: dict, crossing, cycles) -> tuple[dict, dic
     closes to the disk of its slot, and the two slots of a kink's arc."""
     slot = {arc: -1 - s for s, arc in enumerate(crossing)}
     kinks = [(-1 - s, slot[arc]) for s, arc in enumerate(crossing) if slot[arc] != -1 - s]
-    joined = {m: _smoothings(m, crossing) for m in {m for m, _, _ in objects.values()}}
+    joined = {
+        i: [(matchings[m], loops) for m, loops in _smoothings(matchings.value[i], crossing)]
+        for i in {m for m, _, _ in objects.values()}
+    }
     objs: dict[int, tuple] = {}
-    ids: dict[tuple[int, int, int], int] = {}
+    first: dict[int, list[int]] = {}  # object -> id of each smoothing's label 0
     for o, (m, h, q) in objects.items():
+        first[o] = []
         for b, (m2, loops) in enumerate(joined[m]):
+            first[o].append(len(objs))
             for lab in range(1 << len(loops)):
-                ids[o, b, lab] = len(objs)
                 objs[len(objs)] = (m2, h + b, q + b + len(loops) - 2 * lab.bit_count())
-    glued: dict[tuple, dict] = {}
+    glued: dict[tuple, int] = {}
 
-    def glue(m1: tuple, m2: tuple, mask: int, b1: int, b2: int) -> dict:
-        # the cobordism glued to the piece b1 -> b2, split by loop labels
-        key = (m1, m2, mask, b1, b2)
+    def glue(i1: int, i2: int, b1: int, b2: int) -> int:
+        # the shape of the cobordism glued to the piece b1 -> b2
+        key = (i1, i2, b1, b2)
         if key not in glued:
-            cycle, least = cycles(m1, m2)
+            cycle, least = cycles(i1, i2)
             n = len(least)
             # the disk of each slot: one strip per smoothing arc of the
             # identity, one disk for the saddle
             pairs = _SLOT_PAIRS[b1] if b1 == b2 else [range(-4, 0)]
             disk = {x: n + i for i, pair in enumerate(pairs) for x in pair}
-            (n1, loops1), (n2, loops2) = joined[m1][b1], joined[m2][b2]
+            (n1, loops1), (n2, loops2) = joined[i1][b1], joined[i2][b2]
             ends = cycles(n1, n2)[1]
             gluings = [(cycle[arc], disk[slot[arc]]) for arc in crossing if arc in cycle]
             gluings += [(disk[x], disk[y]) for x, y in kinks]
             circles = [cycle[e] if e in cycle else disk[slot[e]] for e in ends]
             circles += [disk[x] for x in loops1 + loops2]
-            terms = _neck_cut(n + len(pairs), mask, gluings, circles)
-            glued[key] = _deloop(terms, len(ends), len(loops1))
+            glued[key] = shapes[n + len(pairs), tuple(gluings), tuple(circles), len(ends), len(loops1)]
         return glued[key]
 
     new: dict[int, dict[int, dict[int, int]]] = {o: {} for o in objs}
 
     def add(o1: int, b1: int, o2: int, b2: int, f: dict, sign: int) -> None:
+        shape = glue(objects[o1][0], objects[o2][0], b1, b2)
+        s1, s2 = first[o1][b1], first[o2][b2]
         for mask, x in f.items():
-            for (l1, l2), g in glue(objects[o1][0], objects[o2][0], mask, b1, b2).items():
-                _add_to(new[ids[o1, b1, l1]], ids[o2, b2, l2], g, sign * x)
+            for l1, l2, terms in cut(shape, mask):
+                _add_to(new[s1 + l1], s2 + l2, terms, sign * x)
 
     for o1, row in out.items():
         for o2, f in row.items():
@@ -182,11 +230,11 @@ def _deloop(terms: list[tuple[int, int]], width: int, inputs: int) -> dict[tuple
     return out
 
 
-def _add_to(row: dict, t: int, terms: dict[int, int], factor: int) -> bool:
-    """row[t] += factor * terms, dropping zero terms and an empty row[t];
-    whether row[t] is left."""
+def _add_to(row: dict, t: int, terms: Iterable[tuple[int, int]], factor: int) -> bool:
+    """row[t] += factor * terms ((mask, coefficient) pairs), dropping zero
+    terms and an empty row[t]; whether row[t] is left."""
     acc = row.pop(t, {})
-    for a, z in terms.items():
+    for a, z in terms:
         z = acc.get(a, 0) + factor * z
         if z:
             acc[a] = z
@@ -210,7 +258,10 @@ def _cancel_isomorphisms(objects: dict, out: dict, compose) -> None:
         if b1 not in objects:
             continue
         m = objects[b1][0]
-        isos = [t for t, phi in out[b1].items() if phi in ({0: 1}, {0: -1}) and objects[t][0] == m]
+        isos = [
+            t for t, phi in out[b1].items()
+            if len(phi) == 1 and phi.get(0) in (1, -1) and objects[t][0] == m
+        ]
         if not isos:
             continue
         b2 = isos[0]
@@ -220,7 +271,7 @@ def _cancel_isomorphisms(objects: dict, out: dict, compose) -> None:
             row = out[o]
             for e, gamma in gammas:
                 correction = compose(objects[o][0], m, objects[e][0], row[b2], gamma)
-                if _add_to(row, e, correction, -sign):
+                if _add_to(row, e, correction.items(), -sign):
                     into[e].add(o)
                 else:
                     into[e].discard(o)

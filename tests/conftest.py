@@ -15,7 +15,7 @@ from poslink import (
     parse_pd,
     survey_corpus,
 )
-from poslink.diagram import _Oriented
+from reference import Skein
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -34,7 +34,7 @@ STABILIZED_TREFOIL_BRAID = "strands=4; 1 1 1 2 3"
 
 def mirror(d: Diagram) -> Diagram:
     """The same diagram with every crossing switched."""
-    od = _Oriented.of(d)
+    od = Skein.of(d)
     for k in range(d.crossing_count):
         od = od.switch(k)
     return od.to_diagram()

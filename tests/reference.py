@@ -9,6 +9,8 @@
 * :func:`kauffman_bracket_states`: the bracket as a sum over all 2^c states.
 * :func:`contraction_order`: the bracket's crossing order, by rescanning
   every remaining crossing at each step.
+* :class:`Skein`: a diagram with explicit orientation, and the crossing
+  switches and oriented resolutions of the skein relation.
 * :func:`conway_skein`: the Conway polynomial by the descending-diagram
   skein recursion.
 """
@@ -22,6 +24,7 @@ from poslink import BigradedGroups, Diagram, LaurentPoly
 from poslink.diagram import (
     A_SMOOTHING,
     B_SMOOTHING,
+    _DisjointLabels,
     _Oriented,
     _shadow_components,
     crossing_signs,
@@ -217,6 +220,77 @@ def contraction_order(d: Diagram) -> list[int]:
     return order
 
 
+class Skein(_Oriented):
+    """A diagram's PD data with its over-strand entry slots, closed under
+    the skein surgeries: switches and resolutions relabel arcs freely, and
+    the carried slots keep the orientation through them."""
+
+    __slots__ = ()
+
+    @classmethod
+    def of(cls, d: Diagram) -> "Skein":
+        return cls(d.crossings, d._orientation[0], d.free_circles)
+
+    def sign(self, k: int) -> int:
+        return 1 if self.over_in[k] == 1 else -1
+
+    def key(self) -> tuple:
+        """Hashable form with arcs densely relabeled, order preserved."""
+        labels = sorted({lab for t in self.crossings for lab in t})
+        ren = {lab: i + 1 for i, lab in enumerate(labels)}
+        return (
+            tuple(tuple(ren[v] for v in t) for t in self.crossings),
+            tuple(self.over_in),
+            self.free_circles,
+        )
+
+    def component_count(self) -> int:
+        return len(self.entry_walk()) + self.free_circles
+
+    def first_defect(self) -> int | None:
+        """First crossing reached on its under-strand before its over-strand."""
+        visited: set[int] = set()
+        for walk in self.entry_walk():
+            for pos in walk:
+                k = pos >> 2
+                if k not in visited:
+                    visited.add(k)
+                    if pos & 3 == 0:
+                        return k
+        return None
+
+    def switch(self, k: int) -> "Skein":
+        """Exchange over- and under-strand at crossing k (sign flips)."""
+        t = self.crossings[k]
+        xs = list(self.crossings)
+        oi = list(self.over_in)
+        if oi[k] == 1:
+            xs[k] = (t[1], t[2], t[3], t[0])
+            oi[k] = 3
+        else:
+            xs[k] = (t[3], t[0], t[1], t[2])
+            oi[k] = 1
+        return Skein(xs, oi, self.free_circles)
+
+    def resolve(self, k: int) -> "Skein":
+        """Oriented resolution: both strands continue, the crossing is gone."""
+        a, b, c, d = self.crossings[k]
+        pairs = ((a, d), (b, c)) if self.over_in[k] == 1 else ((a, b), (c, d))
+        dj = _DisjointLabels()
+        for x, y in pairs:
+            dj.union(x, y)
+        xs = []
+        oi = []
+        for i, (t, o) in enumerate(zip(self.crossings, self.over_in)):
+            if i == k:
+                continue
+            xs.append(tuple(dj.find(v) for v in t))
+            oi.append(o)
+        used = {v for t in xs for v in t}
+        closed = {dj.find(v) for v in self.crossings[k]} - used
+        return Skein(xs, oi, self.free_circles + len(closed))
+
+
 DEFAULT_NODE_BUDGET = 10**6
 
 
@@ -239,7 +313,7 @@ def conway_skein(d: Diagram, *, node_budget: int = DEFAULT_NODE_BUDGET) -> Laure
     memo: dict[tuple, LaurentPoly] = {}
     nodes = 0
 
-    def evaluate(od: _Oriented) -> LaurentPoly:
+    def evaluate(od: Skein) -> LaurentPoly:
         nonlocal nodes
         key = od.key()
         cached = memo.get(key)
@@ -272,4 +346,4 @@ def conway_skein(d: Diagram, *, node_budget: int = DEFAULT_NODE_BUDGET) -> Laure
         memo[key] = result
         return result
 
-    return evaluate(_Oriented.of(d))
+    return evaluate(Skein.of(d))

@@ -26,10 +26,10 @@ from poslink import (
     positive_braid_words,
     v_to_unnormalized,
 )
-from poslink.diagram import _Oriented
 from poslink.laurent import format_poly
 
 from conftest import DATA_DIR
+from reference import Skein
 
 
 @contextmanager
@@ -207,7 +207,7 @@ def test_criterion_09_conway_oracle(unknot, hopf, trefoil, seven4, perturbed_tre
         assert conway(seven4) == parse_poly("1 + 4z^2", "z")
         z = parse_poly("z", "z")
         for d in (unknot, hopf, trefoil, seven4, perturbed_trefoil):
-            od = _Oriented.of(d)
+            od = Skein.of(d)
             for k in range(d.crossing_count):
                 lhs = conway(d) - conway(od.switch(k).to_diagram())
                 rhs = od.sign(k) * z * conway(od.resolve(k).to_diagram())

@@ -21,11 +21,11 @@ from poslink import (
 )
 from poslink.batch import _conway_mirror
 from poslink.conway import _conway_from_seifert, _surface, seifert_matrix
-from poslink.diagram import _Oriented, _shadow_components
+from poslink.diagram import _shadow_components
 
 from conftest import DATA_DIR, lucas, mirror
 from polygon_diagrams import polygon_diagram
-from reference import RecursionBudgetExceeded, conway_skein
+from reference import RecursionBudgetExceeded, Skein, conway_skein
 
 Z = parse_poly("z", "z")
 
@@ -115,7 +115,7 @@ class TestSkeinRelation:
     def test_every_crossing(self, hopf, trefoil, seven4, perturbed_trefoil):
         # conway(D) - conway(switch k) = sign(k) * z * conway(resolve k)
         for d in (hopf, trefoil, seven4, perturbed_trefoil):
-            od = _Oriented.of(d)
+            od = Skein.of(d)
             for k in range(d.crossing_count):
                 lhs = conway(d) - conway(od.switch(k).to_diagram())
                 rhs = od.sign(k) * Z * conway(od.resolve(k).to_diagram())

@@ -1,6 +1,11 @@
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -31,6 +36,7 @@ from poslink.errors import (
     MalformedKhPolynomial,
     UnsupportedTorsionExponent,
 )
+from poslink import tangle
 from poslink.tangle import _deloop, _neck_cut, reduced_complex
 
 from polygon_diagrams import polygon_diagram
@@ -319,6 +325,69 @@ class TestReducedComplex:
             reduced = {j: n for j, n in euler_by_grading(chain_slices(d)).items() if n}
             full = {j: n for j, n in euler_by_grading(cube_slices(d)).items() if n}
             assert reduced == full
+
+
+def relabel(d: Diagram, rng: random.Random) -> Diagram:
+    """The same diagram with its arc labels permuted at random."""
+    arcs = range(1, d.arc_count + 1)
+    ren = dict(zip(arcs, rng.sample(arcs, len(arcs))))
+    return Diagram(tuple(tuple(ren[a] for a in t) for t in d.crossings), d.free_circles)
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+FRESH_CALL = (
+    "import sys\n"
+    "from poslink import braid_closure, parse_braid\n"
+    "from poslink.tangle import reduced_complex\n"
+    "print(repr(reduced_complex(braid_closure(parse_braid(sys.argv[1])))))\n"
+)
+
+
+def fresh_reduced_complex(word: str) -> str:
+    """repr of reduced_complex on a braid closure, in a new interpreter."""
+    proc = subprocess.run(
+        [sys.executable, "-c", FRESH_CALL, word],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+class TestMemos:
+    """reduced_complex computes each neck cut once per label-free shape of
+    the glued surface, and keeps no memo from one call to the next."""
+
+    def test_arc_labels_do_not_matter(self, unknot, perturbed_trefoil, reduction_corpus):
+        rng = random.Random(0)
+        polygons = random.Random(15)
+        corpus = [unknot, perturbed_trefoil, *reduction_corpus]
+        corpus += [polygon_diagram(polygons, max_crossings=10) for _ in range(50)]
+        for d in corpus:
+            e = relabel(d, rng)
+            assert khovanov_homology(e) == khovanov_homology(d), d
+            assert Counter(reduced_complex(e)[0].values()) == Counter(reduced_complex(d)[0].values()), d
+
+    def test_no_state_between_calls(self):
+        words = ["strands=3; " + "1 2 " * 5, MIXED_4_BRAID]
+        d1, d2 = (braid_closure(parse_braid(w)) for w in words)
+        runs = [repr(reduced_complex(d)) for d in (d1, d2, d1)]
+        fresh = [fresh_reduced_complex(w) for w in words]
+        assert runs == [fresh[0], fresh[1], fresh[0]]
+
+    def test_neck_cuts_per_shape(self, monkeypatch):
+        calls = 0
+        neck_cut = tangle._neck_cut
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return neck_cut(*args)
+
+        monkeypatch.setattr(tangle, "_neck_cut", counting)
+        reduced_complex(braid_closure(parse_braid("strands=3; " + "1 2 " * 9)))
+        # 865 when the memos were keyed by arc-labelled matchings
+        assert calls <= 250
 
 
 class TestChainComplex:

@@ -78,6 +78,15 @@ def test_homology_loads_no_obstruction():
     assert "poslink.obstruction" not in run["modules"]
 
 
+def test_ingested_polynomials_load_no_homology():
+    # Jones and Conway cells only: the obstruction tests run, but no record
+    # has a diagram or a kh cell, so nothing computes or reads homology
+    run = run_fresh(["test", "--file", str(KNOTS), "--columns", "name=Name,jones=Jones,conway=Conway"])
+    assert "poslink.obstruction" in run["modules"]
+    assert {"poslink.khovanov", "poslink.tangle", "poslink.snf"}.isdisjoint(run["modules"])
+    assert "verdict: " in run["output"]
+
+
 def test_deferred_bindings_are_looked_up_at_every_call():
     run = run_fresh(["test", "--braid", "strands=2; 1 1 1", "--braid", "strands=3; 1 2 1 2"])
     assert run["calls"] == {name: 2 for name in WRAPPED}
