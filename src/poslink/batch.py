@@ -11,6 +11,7 @@ wraps ``poslink.batch.<name>`` by name to time each layer.
 
 from __future__ import annotations
 
+import io
 import itertools
 import time
 from dataclasses import dataclass, field
@@ -171,16 +172,15 @@ def ingest_csv(path: str, column_map: dict[str, str]) -> list[LinkRecord]:
     for role in column_map:
         if role not in COLUMN_ROLES:
             raise ColumnMissing(f"unknown column role {role!r}; know {COLUMN_ROLES}")
+    reader = csv.DictReader(open_text(path, newline=""))
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            header = reader.fieldnames or []
-            for role, column in column_map.items():
-                if column not in header:
-                    raise ColumnMissing(f"column {column!r} (role {role!r}) not in header {header}")
-            rows = list(reader)
-    except OSError as exc:
-        raise FileUnreadable(f"cannot read {path}: {exc}") from exc
+        header = reader.fieldnames or []
+        for role, column in column_map.items():
+            if column not in header:
+                raise ColumnMissing(f"column {column!r} (role {role!r}) not in header {header}")
+        rows = list(reader)
+    except csv.Error as exc:
+        raise FileUnreadable(f"cannot read {path}: line {reader.reader.line_num}: {exc}") from None
 
     parsers: dict[str, Callable[[str], object]] = {
         "pd": parse_pd,
@@ -216,6 +216,24 @@ def ingest_csv(path: str, column_map: dict[str, str]) -> list[LinkRecord]:
             why = "; ".join(flags) or "no diagram and no invariants"
             records.append(LinkRecord(name=name, error="row unusable: " + why))
     return records
+
+
+def open_text(path: str, newline: str | None = None) -> io.StringIO:
+    """The whole file decoded as UTF-8, to read as from ``open(path,
+    newline=newline)``.  Decoding it at once puts the file offset of a bad
+    byte in the FileUnreadable message; a streamed decode knows only its
+    offset within the chunk."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise FileUnreadable(f"cannot read {path}: {exc}") from exc
+    try:
+        return io.StringIO(data.decode("utf-8"), newline=newline)
+    except UnicodeDecodeError as exc:
+        raise FileUnreadable(
+            f"cannot read {path}: byte offset {exc.start} is not UTF-8 ({exc.reason})"
+        ) from None
 
 
 def records_from_lines(lines: Iterable[str]) -> list[LinkRecord]:

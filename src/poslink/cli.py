@@ -17,6 +17,7 @@ from .batch import (
     cmd_survey,
     cmd_test,
     ingest_csv,
+    open_text,
     records_from_lines,
 )
 from .diagram import parse_braid, parse_pd
@@ -95,11 +96,7 @@ def _gather_records(args, parser) -> list[LinkRecord]:
                 parser.error("CSV input needs --columns to map roles to headers")
             records.extend(ingest_csv(args.file, _parse_columns(args.columns, parser)))
         else:
-            try:
-                with open(args.file, encoding="utf-8") as fh:
-                    records.extend(records_from_lines(fh))
-            except OSError as exc:
-                raise FileUnreadable(f"cannot read {args.file}: {exc}") from exc
+            records.extend(records_from_lines(open_text(args.file)))
     if not records:
         parser.error("no input: give --pd, --braid, or --file")
     return records

@@ -22,6 +22,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate, repeat
 from typing import Sequence
 
 from .errors import (
@@ -200,59 +201,42 @@ def parse_pd(text: str) -> Diagram:
     m = re.fullmatch(r"\s*PD\[(.*)\]\s*", text, re.S)
     if not m:
         raise MalformedPD(f"not a PD expression: {text!r}")
-    items = _split_items(m.group(1))
-    if not items:
+    body = m.group(1)
+    if not body.strip():
         raise MalformedPD("PD[] must contain at least one X[...] or O[] item")
+    # a body whose brackets do not balance, or with a blank item, is malformed
+    # before any item is read; depth[i] is the bracket depth after body[i],
+    # and a blank item follows the start or a comma at depth 0
+    depth = list(accumulate(map(_BRACKET_STEP.get, body, repeat(0))))
+    blanks = re.finditer(r"(?:^|,)(?=\s*(?:,|\Z))", body)
+    if min(depth) < 0 or depth[-1] or any(depth[b.start()] == 0 for b in blanks):
+        raise MalformedPD(f"unbalanced brackets or an empty item in {text!r}")
+    next_item = re.compile(_PD_ITEM).match
     crossings = []
-    free = 0
-    for item in items:
-        if re.fullmatch(r"O\[\s*\]", item):
+    free = pos = 0
+    while pos < len(body):
+        item = next_item(body, pos)
+        if not item:
+            raise MalformedPD(f"unrecognized item at {body[pos:]!r}")
+        pos = item.end()
+        if item["arcs"] is None:
             free += 1
             continue
-        xm = re.fullmatch(r"X\[([^\[\]]*)\]", item)
-        if not xm:
-            raise MalformedPD(f"unrecognized item {item!r}")
-        entries = [e.strip() for e in xm.group(1).split(",")]
+        crossing = f"X[{item['arcs']}]"
+        entries = [e.strip() for e in item["arcs"].split(",")]
         if len(entries) != 4:
-            raise ArityError(f"crossing {item!r} must list exactly 4 arcs")
+            raise ArityError(f"crossing {crossing!r} must list exactly 4 arcs")
         if not all(re.fullmatch(r"\d+", e) for e in entries):
-            raise MalformedPD(f"arc labels must be base-10 positive integers: {item!r}")
+            raise MalformedPD(f"arc labels must be base-10 positive integers: {crossing!r}")
         labels = tuple(int(e) for e in entries)
         if min(labels) < 1:
-            raise MalformedPD(f"arc labels must be positive: {item!r}")
+            raise MalformedPD(f"arc labels must be positive: {crossing!r}")
         crossings.append(labels)
     return Diagram(tuple(crossings), free)
 
 
-def _split_items(body: str) -> list[str]:
-    if not body.strip():
-        return []
-    items = []
-    depth = 0
-    current = []
-
-    def push() -> None:
-        item = "".join(current).strip()
-        if not item:
-            raise MalformedPD("empty item in PD expression")
-        items.append(item)
-
-    for ch in body:
-        if ch == "," and depth == 0:
-            push()
-            current = []
-            continue
-        if ch == "[":
-            depth += 1
-        elif ch == "]":
-            depth -= 1
-            if depth < 0:
-                raise MalformedPD("unbalanced brackets in PD expression")
-        current.append(ch)
-    if depth != 0:
-        raise MalformedPD("unbalanced brackets in PD expression")
-    push()
-    return items
+_BRACKET_STEP = {"[": 1, "]": -1}
+_PD_ITEM = r"\s*(?:O\[\s*\]|X\[(?P<arcs>[^\[\]]*)\])\s*(?:,|\Z)"
 
 
 @dataclass(frozen=True)

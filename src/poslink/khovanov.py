@@ -26,9 +26,10 @@ from .errors import (
     CrossingCapExceeded,
     EmptyHomology,
     MalformedKhPolynomial,
+    MalformedPolynomial,
     UnsupportedTorsionExponent,
 )
-from .laurent import LaurentPoly, parse_poly
+from .laurent import EXPONENT, LaurentPoly, exponent_halves, parse_poly
 from .snf import SparseRows, snf_divisors
 from .tangle import reduced_complex
 
@@ -145,10 +146,13 @@ class ChainSlice:
 def chain_slices(d: Diagram, *, cap: int = DEFAULT_CROSSING_CAP) -> dict[int, ChainSlice]:
     """The Khovanov complex after Bar-Natan's local reduction
     (:func:`poslink.tangle.reduced_complex`), as independent
-    per-quantum-grading complexes."""
-    if d.crossing_count > cap:
+    per-quantum-grading complexes.  Each free circle counts as a crossing
+    against the cap: the builder starts from 2^(free circles) objects."""
+    size = d.crossing_count + d.free_circles
+    if size > cap:
         raise CrossingCapExceeded(
-            f"{d.crossing_count} crossings exceed the homology cap of {cap}; "
+            f"{size} crossings exceed the homology cap of {cap} "
+            f"(free circles count as crossings: {d.free_circles} here); "
             "raise the cap explicitly to go above it"
         )
     signs = crossing_signs(d)
@@ -241,14 +245,32 @@ def parse_kh_polynomial(text: str) -> BigradedGroups:
         return BigradedGroups({})
     free: dict[tuple[int, int], int] = {}
     torsion: dict[tuple[int, int], int] = {}
-    for sign, body in _split_signed_terms(s):
-        tpoly, j, torsion_part = _parse_kh_term(body)
+    term = re.compile(_KH_TERM, re.X).match
+    pos = 0
+    while pos < len(s):
+        m = term(s, pos)
+        if not m:
+            raise MalformedKhPolynomial(f"cannot parse {s[pos:]!r}")
+        if pos and m["sign"] is None:
+            raise MalformedKhPolynomial(f"missing sign before {s[pos:]!r}")
+        group, mono, j, texp = m.group("group", "mono", "j", "texp")
+        try:
+            tpoly = parse_poly(group if group is not None else (mono.strip() or "1"), "t")
+        except MalformedPolynomial as exc:
+            raise MalformedKhPolynomial(f"in {m[0].strip()!r}: {exc}") from None
+        if m["tors"] and (texp is None or _grading(texp) != 2):
+            raise UnsupportedTorsionExponent(
+                f"only T^2 torsion markers are supported: {m[0].strip()!r}"
+            )
+        kind = torsion if m["tors"] else free
+        sign = -1 if m["sign"] == "-" else 1
+        qj = 1 if j is None else _grading(j)
         for exp, coeff in tpoly.terms():
             if exp.denominator != 1:
                 raise MalformedKhPolynomial(f"homological grading {exp} is not an integer")
-            kind = torsion if torsion_part else free
-            key = (int(exp), j)
+            key = (int(exp), qj)
             kind[key] = kind.get(key, 0) + sign * coeff
+        pos = m.end()
     for name, table in (("rank", free), ("torsion multiplicity", torsion)):
         for key, mult in table.items():
             if mult < 0:
@@ -264,69 +286,22 @@ def parse_kh_polynomial(text: str) -> BigradedGroups:
         raise MalformedKhPolynomial(str(exc)) from None
 
 
-_KH_TERM_RE = re.compile(
-    r"""^(?P<coeff>\((?:[^()]|\([^()]*\))*\)|[^q]*?)\s*\*?\s*
-        q(?:\s*\^\s*(?P<j>[({\[]?\s*-?\d+\s*[)}\]]?))?
-        \s*(?P<tors>T(?:\s*\^\s*(?P<texp>[({\[]?\s*-?\d+\s*[)}\]]?))?)?\s*$""",
-    re.X,
-)
+# one signed term: a t-part (a t-monomial, or a t-polynomial in one pair of
+# parentheses), then a power of q, then an optional torsion marker T^2; the
+# t-monomial takes a '*' only when the rest needs it, so '*q' is q.  Each
+# token takes the spaces after it, so a run of spaces splits only one way.
+# Compiled on first use, through re's cache: computed homology reads no text.
+_KH_TERM = rf"""(?:(?P<sign>[+-])\s*)?
+    (?:\((?P<group>(?:[^()]|\([^()]*\))*)\)\s*
+      |(?P<mono>(?:\d+\s*)?(?:\*\s*)??(?:t\s*(?:\^\s*{EXPONENT}\s*)?)?))
+    (?:\*\s*)?q\s*(?:\^\s*(?P<j>{EXPONENT})\s*)?
+    (?:(?P<tors>T)\s*(?:\^\s*(?P<texp>{EXPONENT})\s*)?)?"""
 
 
-def _parse_kh_term(body: str) -> tuple[LaurentPoly, int, bool]:
-    m = _KH_TERM_RE.match(body.strip())
-    if not m:
-        raise MalformedKhPolynomial(f"cannot parse term {body!r}")
-    coeff, j_token, tors, texp = m.group("coeff", "j", "tors", "texp")
-    coeff = (coeff or "").strip()
-    if coeff.startswith("("):
-        tpoly = parse_poly(coeff[1:-1], "t")
-    elif coeff == "":
-        tpoly = LaurentPoly.one()
-    else:
-        tpoly = parse_poly(coeff, "t")
-    j = _int_token(j_token) if j_token is not None else 1
-    if tors is not None:
-        if texp is None or _int_token(texp) != 2:
-            raise UnsupportedTorsionExponent(
-                f"only T^2 torsion markers are supported: {body!r}"
-            )
-    return tpoly, j, tors is not None
-
-
-def _int_token(token: str) -> int:
-    return int(token.strip().strip("({[)}]").strip())
-
-
-def _split_signed_terms(s: str) -> list[tuple[int, str]]:
-    terms: list[tuple[int, str]] = []
-    depth = 0
-    sign = 1
-    current: list[str] = []
-    prev = ""
-    for ch in s:
-        if ch in "([{":
-            depth += 1
-        elif ch in ")]}":
-            depth -= 1
-            if depth < 0:
-                raise MalformedKhPolynomial("unbalanced brackets")
-        if ch in "+-" and depth == 0 and prev != "^":
-            if current and "".join(current).strip():
-                terms.append((sign, "".join(current).strip()))
-                current = []
-            sign = 1 if ch == "+" else -1
-            prev = ch
-            continue
-        current.append(ch)
-        if not ch.isspace():
-            prev = ch
-    if depth != 0:
-        raise MalformedKhPolynomial("unbalanced brackets")
-    tail = "".join(current).strip()
-    if not tail:
-        raise MalformedKhPolynomial("dangling sign")
-    terms.append((sign, tail))
-    return terms
+def _grading(token: str) -> int:
+    if "/" in token:
+        raise MalformedKhPolynomial(f"grading {token!r} is not an integer")
+    return exponent_halves(token) // 2
 
 
 def format_kh_polynomial(kh: BigradedGroups) -> str:

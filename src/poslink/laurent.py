@@ -34,8 +34,6 @@ from .errors import (
     ZeroPolynomial,
 )
 
-HalfInt = Fraction  # exponents are integers or half-integers
-
 
 def _to_halves(exponent) -> int:
     f = Fraction(exponent)
@@ -207,61 +205,48 @@ def format_poly(p: LaurentPoly, var: str = "t") -> str:
     return " ".join(pieces)
 
 
-_TERM_RE = re.compile(
-    r"""\s*(?P<sign>[+-])?\s*
-        (?P<coeff>\d+)?\s*\*?\s*
-        (?:(?P<var>[A-Za-z]+)
-           (?:\s*\^\s*(?P<exp>[({\[]?\s*-?\d+(?:\s*/\s*2)?\s*[)}\]]?))?
-        )?\s*""",
-    re.X,
-)
+# the exponent token of every text grammar: an integer or n/2, bare or in
+# one matched pair of brackets
+_N = r"-?\d+(?:\s*/\s*2)?"
+EXPONENT = rf"(?:{_N}|\(\s*{_N}\s*\)|\{{\s*{_N}\s*\}}|\[\s*{_N}\s*\])"
+
+
+def exponent_halves(token: str) -> int:
+    """The value of an :data:`EXPONENT` match, in half-steps."""
+    num, _, half = token.strip("()[]{}").partition("/")
+    return int(num) if half else 2 * int(num)
+
+
+# compiled on first use, through re's cache: most runs read no polynomial text
+_TERM = rf"""\s*(?P<sign>[+-])?\s*(?P<coeff>\d+)?\s*\*?\s*
+    (?:(?P<var>[A-Za-z]+)(?:\s*\^\s*(?P<exp>{EXPONENT}))?)?\s*"""
 
 
 def parse_poly(text: str, var: str = "t") -> LaurentPoly:
     """Inverse of :func:`format_poly`; also accepts unnormalized input
-    (repeated exponents accumulate, '*' and parentheses are optional)."""
+    (repeated exponents accumulate, '*' and exponent brackets are optional)."""
     s = text.strip()
     if s == "0":
         return LaurentPoly.zero()
     if not s:
         raise MalformedPolynomial("empty polynomial text")
+    term = re.compile(_TERM, re.X).match
     out: dict[int, int] = {}
     pos = 0
-    first = True
     while pos < len(s):
-        m = _TERM_RE.match(s, pos)
-        if not m or m.end() == pos:
-            raise MalformedPolynomial(f"cannot parse {s[pos:]!r}")
+        m = term(s, pos)
         sign, coeff, name, exp = m.group("sign", "coeff", "var", "exp")
         if coeff is None and name is None:
             raise MalformedPolynomial(f"cannot parse {s[pos:]!r}")
-        if not first and sign is None:
+        if pos and sign is None:
             raise MalformedPolynomial(f"missing sign before {s[pos:]!r}")
+        if name not in (None, var):
+            raise MalformedPolynomial(f"expected variable {var!r}, got {name!r}")
+        key = 0 if name is None else 2 if exp is None else exponent_halves(exp)
         value = int(coeff) if coeff is not None else 1
-        if sign == "-":
-            value = -value
-        if name is not None:
-            if name != var:
-                raise MalformedPolynomial(f"expected variable {var!r}, got {name!r}")
-            key = _parse_exponent(exp) if exp is not None else 2
-        else:
-            if exp is not None:
-                raise MalformedPolynomial("exponent without a variable")
-            key = 0
-        out[key] = out.get(key, 0) + value
+        out[key] = out.get(key, 0) + (-value if sign == "-" else value)
         pos = m.end()
-        first = False
     return LaurentPoly._raw(out)
-
-
-def _parse_exponent(token: str) -> int:
-    inner = token.strip().strip("({[)}]").strip()
-    if "/" in inner:
-        num, den = inner.split("/")
-        if den.strip() != "2":
-            raise MalformedPolynomial(f"exponent {token!r} is not a half-integer")
-        return int(num)
-    return 2 * int(inner)
 
 
 # --------------------------------------------------------------------------

@@ -91,6 +91,23 @@ class TestIngest:
         assert any("jones" in f for f in records[1].flags)
 
 
+    def test_misread_kh_cell_is_flagged_not_tested(self, tmp_path):
+        # text between a group and its q: this cell was once read as
+        # (1 + t^2)q^3, which moved a rank into Kh^0 and printed a verdict
+        path = tmp_path / "kh.csv"
+        path.write_text(
+            "Name,Jones,Kh\n"
+            "k,t^3 + t^5 - t^6 + t^7 - t^8 + t^9 - t^10,(1 + t^2)t q^3\n"
+        )
+        records = ingest_csv(str(path), {"name": "Name", "jones": "Jones", "kh": "Kh"})
+        assert records[0].kh is None
+        assert len(records[0].flags) == 1
+        assert records[0].flags[0].startswith("kh: cell parse error")
+        result = cmd_test(records).results[0]
+        assert result.error is None
+        assert "KhovanovFromKh1" not in [r.test.value for r in result.reports]
+
+
 class TestCrossValidation:
     def test_shipped_fixtures_have_zero_flags(self):
         records = ingest_csv(KNOTS_CSV, COLUMNS)
@@ -527,6 +544,37 @@ class TestCli:
 
     def test_unreadable_file_exit_1(self, capsys):
         assert main(["compute", "--file", "/no/such/file"]) == 1
+
+    def test_free_circles_count_against_the_cap(self, capsys):
+        # 1 crossing and 16 free circles: the builder starts from 2^16 objects
+        braid = "strands=18; 1"
+        assert main(["compute", "--kh", "--braid", braid]) == 0
+        out = capsys.readouterr().out
+        assert "flag: kh: skipped: 17 crossings exceed the homology cap of 16" in out
+        assert "free circles count as crossings: 16 here" in out
+        assert main(["compute", "--kh", "--cap", "17", "--braid", braid]) == 0
+        out = capsys.readouterr().out
+        assert "kh: q^-17 + 17 q^-15 + 136 q^-13" in out and "skipped" not in out
+
+    @pytest.mark.parametrize(
+        "content, args, where",
+        [
+            (b"Name,Jones\nk,t + t^3 - t^4\nbad,t\xff\n",
+             ["test", "--columns", "name=Name,jones=Jones"], "byte offset 32 is not UTF-8"),
+            (b"strands=2; 1 1 1\nstrands=2; 1\xfe\n",
+             ["compute", "--jones"], "byte offset 29 is not UTF-8"),
+            (b"Name,Jones\nbig," + b"t" * 140000 + b"\n",
+             ["test", "--columns", "name=Name,jones=Jones"], "line 2: field larger than"),
+        ],
+        ids=["csv-byte", "lines-byte", "csv-field"],
+    )
+    def test_bad_input_bytes_exit_1(self, tmp_path, capsys, content, args, where):
+        path = tmp_path / "input"
+        path.write_bytes(content)
+        assert main([*args, "--file", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"poslink: cannot read {path}: {where}")
+        assert "Traceback" not in err
 
     def test_record_format_deterministic(self, tmp_path):
         out1, out2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -83,6 +84,28 @@ class TestParsePD:
     def test_malformed(self, text):
         with pytest.raises(MalformedPD):
             parse_pd(text)
+
+    def test_items_are_checked_in_order_after_the_brackets(self):
+        # a blank item or an unbalanced bracket anywhere is a MalformedPD,
+        # ahead of any item; otherwise the first bad item decides
+        for text in ("PD[X[1,2,3],]", "PD[X[1,2,3],X[1]]]", "PD[X[1,2,3],,O[]]"):
+            with pytest.raises(MalformedPD) as exc:
+                parse_pd(text)
+            assert type(exc.value) is MalformedPD
+        for text in ("PD[X[1,2,3],Y[1]]", "PD[O[],X[1,2,3],X[[4]]]"):
+            with pytest.raises(ArityError):
+                parse_pd(text)
+
+    def test_deep_nesting_is_rejected_in_linear_time(self):
+        # collapsing innermost bracket groups until none is left would take
+        # one pass per level: about 10^10 steps here
+        start = time.perf_counter()
+        nest = "[" * 100000 + "]" * 100000
+        with pytest.raises(MalformedPD):
+            parse_pd("PD[" + nest + "]")
+        with pytest.raises(ArityError):
+            parse_pd("PD[X[1,2,3]," + nest + "]")
+        assert time.perf_counter() - start < 5
 
     def test_rejects_non_planar_codes(self):
         # the first two draw their shadow on a torus, not on a sphere; the

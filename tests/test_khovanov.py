@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -539,9 +540,47 @@ class TestTextForm:
             parse_kh_polynomial("t^2 q^5 T")
 
     def test_malformed(self):
-        for bad in ("", "wibble", "q^2 + q^3", "t^2", "(1+t", "q - 2q"):
+        for bad in (
+            "", "wibble", "q^2 + q^3", "t^2", "(1+t", "q - 2q",
+            # text between a group and its q, once read as (1 + t^2)q^3
+            "(1 + t^2)2q^3", "(1 + t^2)t q^3", "(2t^2 + t^3)x q^3",
+            # unbalanced or mismatched exponent brackets, the empty group
+            "q^3)", "q^(3]", "(t^2/2 + q^3)", "()q^5",
+            # runs of signs, a half-integer grading, the t-part's own errors
+            "- + q^3", "q^3 -+ q", "q^(4/2)", "(z)q",
+        ):
             with pytest.raises(MalformedKhPolynomial):
                 parse_kh_polynomial(bad)
+
+    def test_long_space_runs_are_rejected_in_linear_time(self):
+        # a term pattern whose spaces split several ways backtracks in
+        # about n^4 steps here: minutes, where one pass takes milliseconds
+        start = time.perf_counter()
+        for head in ("2", "q +", "(1)", "t^"):
+            with pytest.raises(MalformedKhPolynomial):
+                parse_kh_polynomial(head + " " * 20000 + "x")
+        assert time.perf_counter() - start < 5
+
+    def test_accepts_what_the_grammar_allows(self):
+        assert parse_kh_polynomial("(1 + t^(2))*q^3 + 2 * t^{-1} * q^[5] + *q") == (
+            parse_kh_polynomial("(1 + t^2)q^3 + 2t^-1 q^5 + q")
+        )
+        assert parse_kh_polynomial("t^2/2 q + 0q^3 + (0)q") == parse_kh_polynomial("t q")
+
+    @given(
+        st.dictionaries(
+            st.tuples(st.integers(-6, 6), st.integers(-9, 9)),
+            st.tuples(st.integers(0, 3), st.integers(0, 3)),
+            max_size=12,
+        ),
+        st.integers(0, 1),
+    )
+    @settings(max_examples=150)
+    def test_roundtrip_random_groups(self, cells, parity):
+        kh = BigradedGroups(
+            {(i, 2 * j + parity): (rank, (2,) * z2) for (i, j), (rank, z2) in cells.items()}
+        )
+        assert parse_kh_polynomial(format_kh_polynomial(kh)) == kh
 
     def test_roundtrip_computed(self, trefoil, seven4, hopf, mirror_trefoil):
         for d in (trefoil, seven4, hopf, mirror_trefoil):

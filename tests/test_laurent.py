@@ -114,9 +114,12 @@ class TestTextForm:
         assert parse_poly("t^3+t^5-t^6") == parse_poly("t^3 + t^5 - t^6")
         assert parse_poly("3*t^2") == parse_poly("3t^2")
         assert parse_poly("t + t") == parse_poly("2t")
+        for text in ("t^(3)", "t^{3}", "t^[3]", "t^ ( 3 )", "t^6/2"):
+            assert parse_poly(text) == parse_poly("t^3")
 
     def test_rejects_garbage(self):
-        for bad in ("", "t +", "q^2", "t^^2", "t^(1/3)", "2 2"):
+        for bad in ("", "t +", "q^2", "t^^2", "t^(1/3)", "2 2",
+                    "t^3)", "t^(3", "t^{3]", "1 + t^2)", "t^(3 + t)"):
             with pytest.raises(MalformedPolynomial):
                 parse_poly(bad, "t")
 
