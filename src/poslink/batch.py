@@ -1,6 +1,9 @@
 """Batch records: CSV ingestion, cross-validation against computed values,
 obstruction runs, and the positive-braid survey.
 
+Records run one after another, in input order.  The work is pure Python
+and holds the interpreter lock, so a thread pool gave no speed-up.
+
 The Khovanov stack (``khovanov``, ``tangle``, ``snf``) and ``obstruction``
 are imported on the first call that needs them, not with this module: a
 ``compute --jones`` or ``--conway`` run never calls them, and compiling
@@ -476,38 +479,14 @@ def process_record(
     )
 
 
-def run_batch(
-    records: Iterable[LinkRecord],
-    fn: Callable[[LinkRecord], RecordResult],
-    *,
-    jobs: int = 1,
-) -> BatchResult:
-    """Apply fn to every record; output order always matches input order."""
-    records = list(records)
-    if jobs <= 1:
-        results = [fn(r) for r in records]
-    else:
-        # loaded only here: it adds milliseconds to every serial start-up
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(fn, records))
-    return BatchResult(results)
-
-
 def cmd_compute(
     records: Iterable[LinkRecord],
     *,
     want: frozenset[str] = frozenset({"jones", "conway", "kh"}),
     cap: int = DEFAULT_CROSSING_CAP,
     mirror: str = "auto",
-    jobs: int = 1,
 ) -> BatchResult:
-    return run_batch(
-        records,
-        lambda r: process_record(r, want=want, cap=cap, mirror=mirror),
-        jobs=jobs,
-    )
+    return BatchResult([process_record(r, want=want, cap=cap, mirror=mirror) for r in records])
 
 
 def cmd_test(
@@ -515,12 +494,9 @@ def cmd_test(
     *,
     cap: int = DEFAULT_CROSSING_CAP,
     mirror: str = "auto",
-    jobs: int = 1,
 ) -> BatchResult:
-    return run_batch(
-        records,
-        lambda r: process_record(r, run_tests=True, cap=cap, mirror=mirror),
-        jobs=jobs,
+    return BatchResult(
+        [process_record(r, run_tests=True, cap=cap, mirror=mirror) for r in records]
     )
 
 
@@ -564,7 +540,6 @@ def cmd_survey(
     max_length: int,
     *,
     cap: int = DEFAULT_CROSSING_CAP,
-    jobs: int = 1,
 ) -> BatchResult:
     """Enumerate positive braid closures, dedupe, test, and assert that no
     positive diagram ever fails an applicable obstruction test."""
@@ -573,11 +548,7 @@ def cmd_survey(
         letters = " ".join(str(k) for k in word.letters)
         name = f"closure(strands={word.strand_count}; {letters})"
         records.append(LinkRecord(name=name, braid=word, closure=diagram))
-    result = run_batch(
-        records,
-        lambda r: process_record(r, run_tests=True, cap=cap),
-        jobs=jobs,
-    )
+    result = BatchResult([process_record(r, run_tests=True, cap=cap) for r in records])
     for res, rec in zip(result.results, records):
         if res.error is not None:
             continue

@@ -37,8 +37,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", metavar="PATH", help="write output here instead of stdout")
     common.add_argument("--cap", type=int, default=DEFAULT_CROSSING_CAP, metavar="N",
                         help="crossing cap for homology (default %(default)s)")
-    common.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="worker threads for batch processing")
+    # records run one after another; --jobs 1 is still accepted because the
+    # benchmark's worker passes it, and ROADMAP J removes both together
+    common.add_argument("--jobs", type=int, default=1, help=argparse.SUPPRESS)
     common.add_argument("--mirror", choices=("auto", "never", "always"), default="auto",
                         help="normalize ingested data written in the mirror convention")
 
@@ -144,8 +145,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.cap < 0:
         parser.error("--cap must be at least 0")
-    if args.jobs < 1:
-        parser.error("--jobs must be at least 1")
+    if args.jobs != 1:
+        parser.error("--jobs must be 1: records run one after another")
     try:
         if args.command == "survey":
             # a braid needs two strands and one letter to cross anything
@@ -153,23 +154,20 @@ def main(argv: list[str] | None = None) -> int:
                 parser.error("survey needs --strands of at least 2")
             if args.max_length < 1:
                 parser.error("survey needs --max-length of at least 1")
-            batch = cmd_survey(args.strands, args.max_length, cap=args.cap, jobs=args.jobs)
+            batch = cmd_survey(args.strands, args.max_length, cap=args.cap)
             return _emit(batch, args)
         if getattr(args, "require_columns", False) and not (args.file and args.columns):
             parser.error("ingest needs --file and --columns")
         records = _gather_records(args, parser)
         if args.command == "test":
-            batch = cmd_test(records, cap=args.cap, mirror=args.mirror, jobs=args.jobs)
+            batch = cmd_test(records, cap=args.cap, mirror=args.mirror)
         else:  # compute or ingest
             want = {"jones", "conway", "kh"}
             if args.command == "compute" and not args.all:
                 chosen = {k for k in ("jones", "conway", "kh") if getattr(args, k)}
                 if chosen:
                     want = chosen
-            batch = cmd_compute(
-                records, want=frozenset(want), cap=args.cap,
-                mirror=args.mirror, jobs=args.jobs,
-            )
+            batch = cmd_compute(records, want=frozenset(want), cap=args.cap, mirror=args.mirror)
         return _emit(batch, args)
     except (FileUnreadable, ColumnMissing) as exc:
         print(f"poslink: {exc}", file=sys.stderr)

@@ -41,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .diagram import Diagram, _DisjointLabels, _shadow_components
+from .diagram import Diagram, _shadow_components
 from .laurent import LaurentPoly
 
 
@@ -117,6 +117,30 @@ def seifert_matrix(d: Diagram, outer: int = 0) -> list[list[int]]:
             matrix[i][j] = (s + cut) // 2
             matrix[j][i] = (s - cut) // 2
     return matrix
+
+
+class _DisjointLabels:
+    """Union-find over arc labels with minimum-label representatives."""
+
+    def __init__(self) -> None:
+        self._parent: dict[int, int] = {}
+
+    def find(self, x: int) -> int:
+        parent = self._parent
+        root = x
+        while parent.get(root, root) != root:
+            root = parent[root]
+        while parent.get(x, x) != x:
+            parent[x], x = root, parent[x]
+        return root
+
+    def union(self, x: int, y: int) -> None:
+        rx, ry = self.find(x), self.find(y)
+        if rx != ry:
+            # keep the smaller label as representative: deterministic output
+            if rx > ry:
+                rx, ry = ry, rx
+            self._parent[ry] = rx
 
 
 def _surface(d: Diagram, outer: int) -> _Surface:

@@ -41,30 +41,6 @@ A_SMOOTHING = "A"
 B_SMOOTHING = "B"
 
 
-class _DisjointLabels:
-    """Union-find over arc labels with minimum-label representatives."""
-
-    def __init__(self) -> None:
-        self._parent: dict[int, int] = {}
-
-    def find(self, x: int) -> int:
-        parent = self._parent
-        root = x
-        while parent.get(root, root) != root:
-            root = parent[root]
-        while parent.get(x, x) != x:
-            parent[x], x = root, parent[x]
-        return root
-
-    def union(self, x: int, y: int) -> None:
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            # keep the smaller label as representative: deterministic output
-            if rx > ry:
-                rx, ry = ry, rx
-            self._parent[ry] = rx
-
-
 def smoothing_pairs(crossing: Sequence[int], label: str) -> tuple[tuple[int, int], tuple[int, int]]:
     """Arc identifications made by smoothing one crossing."""
     a, b, c, d = crossing
@@ -102,7 +78,7 @@ class Diagram:
             )
         # V - E + F = 2 on the sphere for each connected piece of the
         # shadow, which has c vertices and 2c edges in all
-        faces = len(set(_corner_faces(self.crossings)))
+        faces = _face_count(self.crossings)
         if faces - len(self.crossings) != 2 * _shadow_components(self.crossings):
             raise MalformedPD("PD code is not planar")
 
@@ -273,93 +249,45 @@ def parse_braid(text: str) -> BraidWord:
     return BraidWord(strand_count, tuple(letters))
 
 
-# --------------------------------------------------------------------------
-# explicit-orientation working form
-
-
-class _Oriented:
-    """PD data with the over-strand entry slot carried explicitly.
-
-    A braid closure merges arc labels freely, which would defeat
-    re-inference of orientation from the labeling convention; carrying
-    entry slots sidesteps that entirely.
-    ``over_in[k]`` is 1 when the over-strand of crossing k runs b -> d
-    (positive) and 3 when it runs d -> b (negative).
-    """
-
-    __slots__ = ("crossings", "over_in", "free_circles")
-
-    def __init__(
-        self,
-        crossings: Sequence[Crossing],
-        over_in: Sequence[int],
-        free_circles: int,
-    ) -> None:
-        self.crossings = list(crossings)
-        self.over_in = list(over_in)
-        self.free_circles = free_circles
-
-    def entry_walk(self) -> list[list[int]]:
-        """Entry positions ``4 * k + s`` (slot 0 or ``over_in[k]``) of each
-        crossed component in traversal order, components ordered by and
-        starting at their least arc."""
-        other = _far_ends(self.crossings)
-        label = [arc for t in self.crossings for arc in t]
-        todo = {4 * k + s for k, oi in enumerate(self.over_in) for s in (0, oi)}
-        walks = []
-        for start in sorted(todo, key=label.__getitem__):
-            if start not in todo:
-                continue
-            walk = []
-            pos = start
-            while pos in todo:
-                todo.remove(pos)
-                walk.append(pos)
-                pos = other[pos ^ 2]
-            if pos != start:
-                raise OrientationInconsistent(f"arc {label[pos]} leaves crossings at both ends")
-            walks.append(walk)
-        return walks
-
-    def to_diagram(self) -> Diagram:
-        """Relabel arcs consecutively along each oriented component."""
-        ren: dict[int, int] = {}
-        for walk in self.entry_walk():
-            for pos in walk:
-                ren[self.crossings[pos >> 2][pos & 3]] = len(ren) + 1
-        return Diagram(
-            tuple(tuple(ren[v] for v in t) for t in self.crossings),
-            self.free_circles,
-        )
-
-
 def braid_closure(b: BraidWord) -> Diagram:
-    """Close a braid word into a diagram; crossing signs equal letter signs."""
-    current = list(range(1, b.strand_count + 1))
-    nxt = b.strand_count + 1
-    crossings: list[Crossing] = []
-    over_in: list[int] = []
-    for k in b.letters:
-        i = abs(k) - 1
-        left, right = current[i], current[i + 1]
-        out_left, out_right = nxt, nxt + 1
-        nxt += 2
-        if k > 0:
-            # right strand dives under, heading left; left strand passes over
-            crossings.append((right, left, out_left, out_right))
-            over_in.append(1)
-        else:
-            crossings.append((left, out_left, out_right, right))
-            over_in.append(3)
-        current[i], current[i + 1] = out_left, out_right
-    dj = _DisjointLabels()
-    for p in range(b.strand_count):
-        dj.union(p + 1, current[p])
-    merged = [tuple(dj.find(v) for v in t) for t in crossings]
-    used = {v for t in merged for v in t}
-    top_reps = {dj.find(p + 1) for p in range(b.strand_count)}
-    free = len(top_reps - used)
-    return _Oriented(merged, over_in, free).to_diagram()
+    """Close a braid word into a diagram; crossing signs equal letter signs.
+
+    Letter t is crossing t.  Each strand is walked down the word from the
+    least top position not yet visited, wrapping at the bottom to the same
+    top position, until it returns.  A positive letter takes the left strand
+    in at slot 1 and out at slot 3 and the right strand from 0 to 2; a
+    negative one takes the left strand from 0 to 2 and the right from 3 to
+    1, so the over-strand runs b -> d exactly when the letter is positive.
+    The arcs of each component get consecutive labels from its first visit,
+    and a position that no letter touches closes to a free circle.
+    """
+    # (entry, exit) slots of the left and of the right strand, at a
+    # negative letter and at a positive one
+    slots = (((0, 2), (3, 1)), ((1, 3), (0, 2)))
+    crossings = [[0] * 4 for _ in b.letters]
+    visited = [False] * b.strand_count
+    free = 0
+    label = 1
+    for start in range(b.strand_count):
+        if visited[start]:
+            continue
+        visits = []
+        pos = start
+        while not visited[pos]:
+            visited[pos] = True
+            for k, letter in enumerate(b.letters):
+                left = abs(letter) - 1
+                if pos - left in (0, 1):
+                    entry, out = slots[letter > 0][pos - left]
+                    visits.append((crossings[k], entry, out))
+                    pos = 2 * left + 1 - pos
+        if not visits:
+            free += 1
+        for v, (t, entry, out) in enumerate(visits):
+            t[entry] = label + v
+            t[out] = label + (v + 1) % len(visits)
+        label += len(visits)
+    return Diagram(tuple(map(tuple, crossings)), free)
 
 
 # --------------------------------------------------------------------------
@@ -426,12 +354,14 @@ def state_circles(d: Diagram, state: Sequence[str]) -> int:
         raise ValueError(
             f"state length {len(state)} != crossing count {d.crossing_count}"
         )
-    dj = _DisjointLabels()
-    for t, label in zip(d.crossings, state):
-        for x, y in smoothing_pairs(t, label):
-            dj.union(x, y)
-    roots = {dj.find(lab) for lab in range(1, d.arc_count + 1)}
-    return len(roots) + d.free_circles
+    # join[pos] is the slot that the smoothing joins to slot pos at its
+    # crossing; a circle crossed in each direction is two orbits
+    join = [0] * (4 * d.crossing_count)
+    for k, label in enumerate(state):
+        for x, y in smoothing_pairs(range(4 * k, 4 * k + 4), label):
+            join[x], join[y] = y, x
+    other = _far_ends(d.crossings)
+    return _orbit_count([other[j] for j in join]) // 2 + d.free_circles
 
 
 def a_state_circles(d: Diagram) -> int:
@@ -463,21 +393,24 @@ def _shadow_components(crossings: Sequence[Crossing]) -> int:
     return pieces
 
 
-def _corner_faces(crossings: Sequence[Crossing]) -> list[int]:
-    """Face of every corner of the shadow drawn with the PD code's cyclic
-    orders.  Faces are the orbits of "run along the arc to its far end, then
-    turn to the next slot"; entry ``4 * k + s`` is the face at the corner
-    of crossing k between slots s - 1 and s (mod 4)."""
-    other = _far_ends(crossings)
-    face = [-1] * len(other)
-    faces = 0
-    for start in range(len(other)):
-        if face[start] >= 0:
+def _face_count(crossings: Sequence[Crossing]) -> int:
+    """Faces of the shadow drawn with the PD code's cyclic orders: the
+    orbits of "run along the arc to its far end, then turn to the next
+    slot" over the corners, the corner at position ``4 * k + s`` lying
+    between slots s - 1 and s (mod 4) of crossing k."""
+    return _orbit_count([end - end % 4 + (end + 1) % 4 for end in _far_ends(crossings)])
+
+
+def _orbit_count(step: Sequence[int]) -> int:
+    """Number of orbits of the permutation ``pos -> step[pos]``."""
+    seen = [False] * len(step)
+    orbits = 0
+    for start in range(len(step)):
+        if seen[start]:
             continue
+        orbits += 1
         pos = start
-        while face[pos] < 0:
-            face[pos] = faces
-            end = other[pos]
-            pos = end - end % 4 + (end + 1) % 4
-        faces += 1
-    return face
+        while not seen[pos]:
+            seen[pos] = True
+            pos = step[pos]
+    return orbits

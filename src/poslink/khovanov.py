@@ -17,6 +17,7 @@ normal form of its boundary maps, torsion included.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
@@ -305,16 +306,17 @@ def _grading(token: str) -> int:
 
 
 def format_kh_polynomial(kh: BigradedGroups) -> str:
-    """Canonical text: free part grouped by quantum grading, then torsion
-    terms, both in ascending (j, i) order.  Bit-exact round trip with
-    :func:`parse_kh_polynomial`."""
+    """Canonical text: free part grouped by quantum grading, then one
+    ``m t^i q^j T^k`` term for the m summands Z/k at (i, j), in ascending
+    (j, i, k) order.  Bit-exact round trip with :func:`parse_kh_polynomial`
+    when all torsion is 2-torsion; it reads no other order."""
     by_j: dict[int, list[tuple[int, int]]] = {}
-    torsion_terms: list[tuple[int, int, int]] = []
+    torsion_terms: list[tuple[int, int, int, int]] = []
     for (i, j), (rank, torsion) in kh.items():
         if rank:
             by_j.setdefault(j, []).append((i, rank))
-        if torsion:
-            torsion_terms.append((j, i, len(torsion)))
+        for k, mult in Counter(torsion).items():
+            torsion_terms.append((j, i, k, mult))
     pieces = []
     for j in sorted(by_j):
         monomials = [_t_monomial(rank, i) for i, rank in sorted(by_j[j])]
@@ -324,11 +326,11 @@ def format_kh_polynomial(kh: BigradedGroups) -> str:
             pieces.append(qpart if mono == "1" else f"{mono} {qpart}")
         else:
             pieces.append("(" + " + ".join(monomials) + ")" + qpart)
-    for j, i, mult in sorted(torsion_terms):
+    for j, i, k, mult in sorted(torsion_terms):
         qpart = "q" if j == 1 else f"q^{j}"
         mono = _t_monomial(mult, i)
         head = qpart if mono == "1" else f"{mono} {qpart}"
-        pieces.append(f"{head} T^2")
+        pieces.append(f"{head} T^{k}")
     return " + ".join(pieces) if pieces else "0"
 
 

@@ -18,18 +18,20 @@
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from poslink import BigradedGroups, Diagram, LaurentPoly
+from poslink.conway import _DisjointLabels
 from poslink.diagram import (
     A_SMOOTHING,
     B_SMOOTHING,
-    _DisjointLabels,
-    _Oriented,
+    Crossing,
+    _far_ends,
     _shadow_components,
     crossing_signs,
     smoothing_pairs,
 )
+from poslink.errors import OrientationInconsistent
 from poslink.khovanov import ChainSlice
 from poslink.snf import snf_divisors
 
@@ -220,12 +222,59 @@ def contraction_order(d: Diagram) -> list[int]:
     return order
 
 
-class Skein(_Oriented):
+class Skein:
     """A diagram's PD data with its over-strand entry slots, closed under
     the skein surgeries: switches and resolutions relabel arcs freely, and
-    the carried slots keep the orientation through them."""
+    the carried slots keep the orientation through them.
 
-    __slots__ = ()
+    ``over_in[k]`` is 1 when the over-strand of crossing k runs b -> d
+    (positive) and 3 when it runs d -> b (negative).
+    """
+
+    __slots__ = ("crossings", "over_in", "free_circles")
+
+    def __init__(
+        self,
+        crossings: Sequence[Crossing],
+        over_in: Sequence[int],
+        free_circles: int,
+    ) -> None:
+        self.crossings = list(crossings)
+        self.over_in = list(over_in)
+        self.free_circles = free_circles
+
+    def entry_walk(self) -> list[list[int]]:
+        """Entry positions ``4 * k + s`` (slot 0 or ``over_in[k]``) of each
+        crossed component in traversal order, components ordered by and
+        starting at their least arc."""
+        other = _far_ends(self.crossings)
+        label = [arc for t in self.crossings for arc in t]
+        todo = {4 * k + s for k, oi in enumerate(self.over_in) for s in (0, oi)}
+        walks = []
+        for start in sorted(todo, key=label.__getitem__):
+            if start not in todo:
+                continue
+            walk = []
+            pos = start
+            while pos in todo:
+                todo.remove(pos)
+                walk.append(pos)
+                pos = other[pos ^ 2]
+            if pos != start:
+                raise OrientationInconsistent(f"arc {label[pos]} leaves crossings at both ends")
+            walks.append(walk)
+        return walks
+
+    def to_diagram(self) -> Diagram:
+        """Relabel arcs consecutively along each oriented component."""
+        ren: dict[int, int] = {}
+        for walk in self.entry_walk():
+            for pos in walk:
+                ren[self.crossings[pos >> 2][pos & 3]] = len(ren) + 1
+        return Diagram(
+            tuple(tuple(ren[v] for v in t) for t in self.crossings),
+            self.free_circles,
+        )
 
     @classmethod
     def of(cls, d: Diagram) -> "Skein":

@@ -516,10 +516,12 @@ class TestCli:
             (["compute", "--braid", "strands=2; 1 1 1", "--jobs", "0"], "--jobs must"),
             (["test", "--braid", "strands=2; 1 1 1", "--jobs", "-3"], "--jobs must"),
             (["survey", "--max-length", "2", "--cap", "-1"], "--cap must"),
+            (["survey", "--max-length", "2", "--jobs", "2"], "--jobs must"),
         ],
     )
     def test_negative_cap_or_no_jobs_is_a_usage_error(self, args, message, capsys):
-        # a negative cap skips every homology and jobs < 1 ran serially, both silently
+        # a negative cap skips every homology, and any --jobs but 1 would
+        # ask for workers that no longer exist
         with pytest.raises(SystemExit) as exc:
             main(args)
         assert exc.value.code == 2
@@ -579,9 +581,10 @@ class TestCli:
     def test_record_format_deterministic(self, tmp_path):
         out1, out2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         for out in (out1, out2):
+            # --jobs 1 as the benchmark's worker passes it
             code = main([
                 "test", "--file", KNOTS_CSV, "--columns", COLUMNS_FLAG,
-                "--format", "record", "--out", str(out), "--jobs", "2",
+                "--format", "record", "--jobs", "1", "--out", str(out),
             ])
             assert code == 0
 

@@ -39,6 +39,15 @@ from polygon_diagrams import polygon_diagram
 from reference import cube_states
 
 
+@st.composite
+def signed_words(draw):
+    """A strand count of 1-6 and up to 14 signed letters on it."""
+    strands = draw(st.integers(1, 6))
+    letter = st.tuples(st.integers(1, max(strands - 1, 1)), st.sampled_from((1, -1)))
+    letters = draw(st.lists(letter, max_size=14 if strands > 1 else 0))
+    return strands, [g * sign for g, sign in letters]
+
+
 def seeded_polygon_diagrams():
     """160 seeded random diagrams with 1-3 components and up to 14 crossings."""
     for seed in range(4):
@@ -320,6 +329,53 @@ class TestBraidClosure:
         d = braid_closure(parse_braid("strands=4; 1"))
         assert d.crossing_count == 1
         assert d.free_circles == 2
+
+    @pytest.mark.parametrize(
+        "text, crossings, free",
+        [
+            ("strands=3; 1 2 1 2", ((4, 1, 5, 2), (7, 2, 8, 3), (8, 5, 1, 6), (3, 6, 4, 7)), 0),
+            ("strands=3; 1 -2", ((4, 1, 1, 2), (2, 4, 3, 3)), 0),
+            ("strands=4; 1 -3 1", ((3, 1, 4, 2), (5, 5, 6, 6), (2, 4, 1, 3)), 0),
+            ("strands=3; 1 1", ((3, 1, 4, 2), (2, 4, 1, 3)), 1),
+        ],
+    )
+    def test_pinned_labels(self, text, crossings, free):
+        assert braid_closure(parse_braid(text)) == Diagram(crossings, free)
+
+    @given(word=signed_words())
+    @settings(max_examples=200, deadline=None)
+    def test_components_are_label_runs_in_top_strand_order(self, word):
+        # the crossings each top strand passes, found by swapping strand
+        # names down the word; the strand that ends at position p closes up
+        # into top strand p.  Cycles with a crossing, by least top strand,
+        # must own the label runs in order.
+        strands, letters = word
+        at = list(range(strands))
+        passes = [[] for _ in range(strands)]
+        for t, k in enumerate(letters):
+            i = abs(k) - 1
+            passes[at[i]].append(t)
+            passes[at[i + 1]].append(t)
+            at[i], at[i + 1] = at[i + 1], at[i]
+        cycles, seen = [], set()
+        for start in range(strands):
+            if start in seen:
+                continue
+            strand, passed = start, []
+            while strand not in seen:
+                seen.add(strand)
+                passed += passes[strand]
+                strand = at.index(strand)
+            cycles.append(passed)
+        crossed = [passed for passed in cycles if passed]
+
+        d = braid_closure(BraidWord(strands, tuple(letters)))
+        assert d.free_circles == len(cycles) - len(crossed)
+        assert len(d.component_cycles) == len(crossed)
+        for run, passed in zip(d.component_cycles, crossed):
+            assert run == tuple(range(run[0], run[0] + len(run)))
+            assert len(run) == len(passed)
+            assert {t for t, x in enumerate(d.crossings) if set(x) & set(run)} == set(passed)
 
     @given(
         strands=st.integers(2, 4),

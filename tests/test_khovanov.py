@@ -602,3 +602,12 @@ class TestTextForm:
         assert kh.rank(-3, -9) == 1
         assert kh.torsion(-2, -5) == (2, 2)
         assert format_kh_polynomial(kh) == "t^-3 q^-9 + 2t^-2 q^-5 T^2"
+
+    def test_each_torsion_order_is_its_own_term(self):
+        # Z/3 at (2, 5), Z/2 + Z/4 at (3, 7): once all printed as T^2, which
+        # read back as Z/2 and Z/2 + Z/2
+        kh = BigradedGroups({(2, 5): (1, (3,)), (3, 7): (0, (2, 4))})
+        text = format_kh_polynomial(kh)
+        assert text == "t^2 q^5 + t^2 q^5 T^3 + t^3 q^7 T^2 + t^3 q^7 T^4"
+        with pytest.raises(UnsupportedTorsionExponent):
+            parse_kh_polynomial(text)

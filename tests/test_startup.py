@@ -15,7 +15,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 KNOTS = Path(__file__).resolve().parent / "data" / "knots.csv"
 # no kh column: the homology and the obstruction tests are first loaded
-# by the records, from the pool's threads when --jobs is above 1
+# by the records, once the first diagram needs them
 KNOTS_COLUMNS = (
     "name=Name,components=Components,pd=PD Notation,braid=Braid Notation,"
     "jones=Jones,conway=Conway"
@@ -92,18 +92,9 @@ def test_deferred_bindings_are_looked_up_at_every_call():
     assert run["calls"] == {name: 2 for name in WRAPPED}
 
 
-def test_threads_load_deferred_layers_like_one_thread():
-    def records(jobs: int) -> list[dict]:
-        argv = ["test", "--file", str(KNOTS), "--columns", KNOTS_COLUMNS,
-                "--format", "record", "--jobs", str(jobs)]
-        run = run_fresh(argv)
-        assert HEAVY <= set(run["modules"])
-        out = [json.loads(line) for line in run["output"].splitlines()]
-        for record in out:
-            del record["timing_ms"]
-        return out
-
-    serial = records(1)
-    assert len(serial) == 4
-    assert sum(1 for r in serial if r["reports"]) >= 2
-    assert records(2) == serial
+def test_table_records_load_deferred_layers():
+    run = run_fresh(["test", "--file", str(KNOTS), "--columns", KNOTS_COLUMNS, "--format", "record"])
+    assert HEAVY <= set(run["modules"])
+    records = [json.loads(line) for line in run["output"].splitlines()]
+    assert len(records) == 4
+    assert sum(1 for r in records if r["reports"]) >= 2
