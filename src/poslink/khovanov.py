@@ -145,15 +145,13 @@ class ChainSlice:
 
 
 def chain_slices(d: Diagram, *, cap: int = DEFAULT_CROSSING_CAP) -> dict[int, ChainSlice]:
-    """The Khovanov complex after Bar-Natan's local reduction
+    """The Khovanov complex of the diagram's crossings, free circles left
+    out, after Bar-Natan's local reduction
     (:func:`poslink.tangle.reduced_complex`), as independent
-    per-quantum-grading complexes.  Each free circle counts as a crossing
-    against the cap: the builder starts from 2^(free circles) objects."""
-    size = d.crossing_count + d.free_circles
-    if size > cap:
+    per-quantum-grading complexes."""
+    if d.crossing_count > cap:
         raise CrossingCapExceeded(
-            f"{size} crossings exceed the homology cap of {cap} "
-            f"(free circles count as crossings: {d.free_circles} here); "
+            f"{d.crossing_count} crossings exceed the homology cap of {cap}; "
             "raise the cap explicitly to go above it"
         )
     signs = crossing_signs(d)
@@ -183,7 +181,10 @@ def chain_slices(d: Diagram, *, cap: int = DEFAULT_CROSSING_CAP) -> dict[int, Ch
 
 
 def khovanov_homology(d: Diagram, *, cap: int = DEFAULT_CROSSING_CAP) -> BigradedGroups:
-    """Homology groups over Z per (i, j), via Smith normal form per slice."""
+    """Homology groups over Z per (i, j), via Smith normal form per slice
+    of :func:`chain_slices`.  Each free circle then tensors the homology
+    with Z at q^-1 and q (Khovanov 2000): every group at (i, j) goes to
+    both (i, j - 1) and (i, j + 1), torsion too, as the factor is free."""
     slices = chain_slices(d, cap=cap)
     entries: dict[tuple[int, int], tuple[int, tuple[int, ...]]] = {}
     for j, sl in slices.items():
@@ -195,6 +196,13 @@ def khovanov_homology(d: Diagram, *, cap: int = DEFAULT_CROSSING_CAP) -> Bigrade
             torsion = tuple(t for t in incoming if t > 1)
             if free or torsion:
                 entries[(i, j)] = (free, torsion)
+    for _ in range(d.free_circles):
+        shifted: dict[tuple[int, int], tuple[int, tuple[int, ...]]] = {}
+        for (i, j), (free, torsion) in entries.items():
+            for k in (j - 1, j + 1):
+                free0, torsion0 = shifted.get((i, k), (0, ()))
+                shifted[(i, k)] = (free0 + free, torsion0 + torsion)
+        entries = shifted
     return BigradedGroups(entries)
 
 

@@ -2,30 +2,24 @@
 
 Input is sparse: a list of rows, each a dict sending a column index to its
 coefficient (absent columns and zero values are zero).  Boundary maps of
-resolution cubes come in this form, are mostly zero, and are dominated by
-+-1 entries.  Both phases below work on the same sparse rows, with a map
-from each column to the live rows holding it kept in step.
+resolution cubes come in this form and are mostly zero.  The elimination
+works on the same sparse rows, with a map from each column to the live
+rows holding it kept in step, and follows one rule.
 
-1. Unit elimination.  Sweep the live rows in order; at each row holding a
-   +-1, pivot on the unit whose column has the fewest live entries, clear
-   that column from the other rows (each pivot contributes an invariant
-   factor 1 and drops one row and one column, leaving the Schur
-   complement), and go on to the next row.  Sweeps repeat until one finds
-   no unit.  Choosing the sparsest column of a row keeps fill-in down
-   without a global search over all rows.  The complexes that
-   :mod:`poslink.tangle` builds arrive with no unit entry left, so this
-   phase serves general input, such as the full cube of resolutions the
-   tests compare against.
-2. Euclidean elimination.  Whatever survives holds no unit.  Pivot on an
-   entry of least magnitude and reduce its column by row operations with
-   floor quotients; once the column holds only the pivot, reduce the pivot
-   row modulo the pivot (the column is zero elsewhere, so these column
-   operations touch that row only).  A nonzero remainder is smaller than
-   the pivot and becomes the next one.  A pivot alone in its row and
-   column is a diagonal entry, and its row and column are dropped.
+Sweep the live rows, and sweep again while any are left.  At each row,
+pivot on its entry of least magnitude, on ties the one whose column has
+the fewest live rows.  Reduce the pivot's column by row operations with
+floor quotients; a nonzero remainder is smaller than the pivot and moves
+the pivot to the least one in the column.  Once the column holds only the
+pivot, reduce the pivot row modulo the pivot (the column is zero
+elsewhere, so these column operations touch that row only), and move the
+pivot to the least leftover in the row.  A pivot alone in its row and
+column is a diagonal entry, and its row and column are dropped.  A +-1
+pivot divides everything: it clears its column and its row at once,
+leaving the Schur complement, and the sparsest column keeps fill-in down.
 
-The diagonal is then put in divisor-chain form by the exchange
-Z/a + Z/b = Z/gcd(a, b) + Z/lcm(a, b).
+The diagonal entries greater than 1 are then put in divisor-chain form by
+the exchange Z/a + Z/b = Z/gcd(a, b) + Z/lcm(a, b); the 1s go in front.
 """
 
 from __future__ import annotations
@@ -52,62 +46,45 @@ def snf_divisors(matrix: SparseRows) -> list[int]:
             for c in data:
                 cols.setdefault(c, set()).add(r)
 
-    unit_count = 0
-    pivoted = True
-    while pivoted:
-        pivoted = False
+    diagonal = []
+    while rows:
         for r in list(rows):
             prow = rows.get(r)
             if prow is None:
-                continue  # emptied by an earlier pivot of this sweep
-            c = None
-            for c2, v in prow.items():
-                if (v == 1 or v == -1) and (c is None or len(cols[c2]) < len(cols[c])):
-                    c = c2
-            if c is None:
-                continue
-            _reduce_column(rows, cols, r, c)  # a unit divides exactly: c clears
-            _drop(rows, cols, r)
-            unit_count += 1
-            pivoted = True
+                continue  # emptied or finished earlier in this sweep
+            c = min(prow, key=lambda c2: (abs(prow[c2]), len(cols[c2])))
+            while True:
+                _reduce_column(rows, cols, r, c)
+                prow = rows[r]
+                p = prow[c]
+                rest = cols[c] - {r}
+                if rest:
+                    r = min(rest, key=lambda r2: abs(rows[r2][c]))
+                    continue
+                for c2 in list(prow):
+                    if c2 != c:
+                        v = prow[c2] % p
+                        if v:
+                            prow[c2] = v
+                        else:
+                            del prow[c2]
+                            cols[c2].discard(r)
+                            if not cols[c2]:
+                                del cols[c2]
+                if len(prow) > 1:
+                    c = min((c2 for c2 in prow if c2 != c), key=lambda c2: abs(prow[c2]))
+                    continue
+                diagonal.append(abs(p))
+                _drop(rows, cols, r)
+                break
 
-    diagonal = []
-    while rows:
-        r, c = min(
-            ((r, c) for r, row in rows.items() for c in row),
-            key=lambda rc: abs(rows[rc[0]][rc[1]]),
-        )
-        while True:
-            _reduce_column(rows, cols, r, c)
-            prow = rows[r]
-            p = prow[c]
-            rest = cols[c] - {r}
-            if rest:
-                r = min(rest, key=lambda r2: abs(rows[r2][c]))
-                continue
-            for c2 in list(prow):
-                if c2 != c:
-                    v = prow[c2] % p
-                    if v:
-                        prow[c2] = v
-                    else:
-                        del prow[c2]
-                        cols[c2].discard(r)
-                        if not cols[c2]:
-                            del cols[c2]
-            if len(prow) > 1:
-                c = min((c2 for c2 in prow if c2 != c), key=lambda c2: abs(prow[c2]))
-                continue
-            diagonal.append(abs(p))
-            _drop(rows, cols, r)
-            break
-
-    for i in range(len(diagonal)):
-        for j in range(i + 1, len(diagonal)):
-            a, b = diagonal[i], diagonal[j]
+    chain = [x for x in diagonal if x > 1]
+    for i in range(len(chain)):
+        for j in range(i + 1, len(chain)):
+            a, b = chain[i], chain[j]
             g = gcd(a, b)
-            diagonal[i], diagonal[j] = g, a // g * b
-    return [1] * unit_count + diagonal
+            chain[i], chain[j] = g, a // g * b
+    return [1] * (len(diagonal) - len(chain)) + chain
 
 
 def _reduce_column(rows: _Rows, cols: _Cols, r: int, c: int) -> None:

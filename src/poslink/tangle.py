@@ -7,6 +7,8 @@ h.  An entry of the differential is a combination of dotted cobordisms,
 one disk per cycle of the two matchings, keyed by the mask of dotted
 disks (:func:`_neck_cut`).  After each crossing every entry that is +-1
 times the identity of a matching is cancelled (Gaussian elimination).
+The build starts from one object, the empty tangle: a free circle meets
+no crossing, and :mod:`poslink.khovanov` tensors it in afterwards.
 
 Each :func:`reduced_complex` call interns the matchings it meets as small
 ints, so objects and memos key on ints, not on tuples of arc pairs.  A
@@ -41,9 +43,10 @@ class _Interned(dict):
 
 
 def reduced_complex(d: Diagram) -> tuple[dict[int, tuple[int, int]], dict[int, dict]]:
-    """The complex of the closed diagram, with the homology of its cube of
-    resolutions over Z: (h, q) per generator, and per generator its
-    nonzero coefficients on the generators one degree up."""
+    """The complex of the diagram's crossings, with the homology of their
+    cube of resolutions over Z: (h, q) per generator, and per generator its
+    nonzero coefficients on the generators one degree up.  Free circles
+    are left out; the caller tensors them in."""
     matchings, shapes = _Interned(), _Interned()
     memo: dict[tuple, object] = {}  # cycles and composition shapes, by ids
     cuts: dict[tuple[int, int], tuple] = {}  # (shape, dots) -> _deloop terms
@@ -94,10 +97,8 @@ def reduced_complex(d: Diagram) -> tuple[dict[int, tuple[int, int]], dict[int, d
                         out[mask] = out.get(mask, 0) + x * y * z
         return out
 
-    free = d.free_circles
-    empty = matchings[()]
-    objects = {lab: (empty, 0, free - 2 * lab.bit_count()) for lab in range(1 << free)}
-    out: dict[int, dict[int, dict[int, int]]] = {o: {} for o in objects}
+    objects = {0: (matchings[()], 0, 0)}
+    out: dict[int, dict[int, dict[int, int]]] = {0: {}}
     for k in _contraction_order(d):
         objects, out = _add_crossing(objects, out, d.crossings[k], matchings, shapes, cycles, cut)
         _cancel_isomorphisms(objects, out, compose)

@@ -154,6 +154,27 @@ class TestCmdTest:
         assert (khovanov_report.lhs, khovanov_report.rhs) == (21, 17)
         assert result.comparison is Strength.KHOVANOV_ONLY_FAILS
 
+    def test_fail_on_a_positive_diagram_is_an_error(self, monkeypatch, capsys):
+        import poslink.batch
+        from poslink import ObstructionReport, TestKind
+
+        fail = ObstructionReport(TestKind.KHOVANOV, True, 9, 1, 0, Verdict.FAIL)
+        monkeypatch.setattr(poslink.batch, "khovanov_test", lambda inp: fail)
+        expected = (
+            "KhovanovTest failed on a positive diagram; "
+            "this contradicts the obstruction theorems"
+        )
+        trefoil = LinkRecord(name="trefoil", pd=parse_pd(TREFOIL_PD))
+        assert cmd_test([trefoil]).results[0].error == expected
+        assert main(["test", "--pd", TREFOIL_PD]) == 1
+        assert f"error: {expected}" in capsys.readouterr().out
+        # the figure-eight knot has no positive diagram: a Fail is a verdict
+        figure_eight = "strands=3; 1 -2 1 -2"
+        result = cmd_test([LinkRecord(name="4_1", braid=parse_braid(figure_eight))]).results[0]
+        assert result.error is None and fail in result.reports
+        assert main(["test", "--braid", figure_eight]) == 0
+        assert "error:" not in capsys.readouterr().out
+
     def test_trefoil_computed(self):
         batch = cmd_test([LinkRecord(name="trefoil", pd=__import__("poslink").parse_pd(TREFOIL_PD))])
         result = batch.results[0]
@@ -547,14 +568,10 @@ class TestCli:
     def test_unreadable_file_exit_1(self, capsys):
         assert main(["compute", "--file", "/no/such/file"]) == 1
 
-    def test_free_circles_count_against_the_cap(self, capsys):
-        # 1 crossing and 16 free circles: the builder starts from 2^16 objects
-        braid = "strands=18; 1"
-        assert main(["compute", "--kh", "--braid", braid]) == 0
-        out = capsys.readouterr().out
-        assert "flag: kh: skipped: 17 crossings exceed the homology cap of 16" in out
-        assert "free circles count as crossings: 16 here" in out
-        assert main(["compute", "--kh", "--cap", "17", "--braid", braid]) == 0
+    def test_free_circles_are_not_crossings(self, capsys):
+        # 1 crossing and 16 free circles: the circles are tensored in after
+        # the build, so the default cap of 16 crossings does not refuse it
+        assert main(["compute", "--kh", "--braid", "strands=18; 1"]) == 0
         out = capsys.readouterr().out
         assert "kh: q^-17 + 17 q^-15 + 136 q^-13" in out and "skipped" not in out
 

@@ -317,15 +317,80 @@ class TestCobordisms:
         }
 
 
+def times_free_circles(euler: dict[int, int], f: int) -> dict[int, int]:
+    """A per-grading Euler characteristic times (q + q^-1)^f."""
+    for _ in range(f):
+        out: dict[int, int] = {}
+        for j, n in euler.items():
+            for k in (j - 1, j + 1):
+                out[k] = out.get(k, 0) + n
+        euler = out
+    return {j: n for j, n in euler.items() if n}
+
+
 class TestReducedComplex:
-    """chain_slices returns a complex with the cube's alternating sum of
-    generator counts per quantum grading."""
+    """chain_slices returns a complex of the crossings alone with the
+    cube's alternating sum of generator counts per quantum grading, once
+    each free circle multiplies it by q + q^-1."""
 
     def test_euler_characteristic_per_grading(self, unknot, reduction_corpus):
         for d in (unknot, parse_pd("PD[O[],O[]]"), *reduction_corpus):
-            reduced = {j: n for j, n in euler_by_grading(chain_slices(d)).items() if n}
+            reduced = times_free_circles(euler_by_grading(chain_slices(d)), d.free_circles)
             full = {j: n for j, n in euler_by_grading(cube_slices(d)).items() if n}
             assert reduced == full
+
+
+def polygon_corpus(seed: int, count: int, max_crossings: int) -> list[Diagram]:
+    rng = random.Random(seed)
+    return [polygon_diagram(rng, max_crossings=max_crossings) for _ in range(count)]
+
+
+def generator_count(d: Diagram) -> int:
+    return sum(sum(sl.generator_counts.values()) for sl in chain_slices(d).values())
+
+
+def jones_l1(d: Diagram) -> int:
+    """The sum of the absolute coefficients of V of the crossed part."""
+    return sum(abs(c) for _, c in jones_V(Diagram(d.crossings, 0)).terms())
+
+
+class TestFreeCircles:
+    """Free circles are not built: khovanov_homology tensors each in as
+    Z at q^-1 and q (Kh(L + O) = Kh(L) (x) Z{q^-1, q}), where the full cube
+    of the reference builds them as circles of every state."""
+
+    def test_kunneth(
+        self, unknot, hopf, trefoil, mirror_trefoil, seven4, perturbed_trefoil,
+        stabilized_trefoil,
+    ):
+        fixtures = [
+            unknot, hopf, trefoil, mirror_trefoil, seven4, perturbed_trefoil,
+            stabilized_trefoil,
+        ]
+        for d in fixtures + polygon_corpus(18, 40, 7):
+            for f in (1, 2):
+                e = Diagram(d.crossings, f)
+                assert khovanov_homology(e) == per_map_homology(e), (d, f)
+
+
+class TestGeneratorFloor:
+    """Over Z, N generators give dim Kh(L; F_2) <= N, and Shumakovitch's
+    Kh(L; F_2) = Khr(L; F_2) (x) F_2[x]/x^2 gives dim Kh(L; F_2) >= 2 |V|_1:
+    so the complex of the crossings keeps at least 2 |V|_1 generators."""
+
+    def test_polygon_diagrams(self):
+        for d in polygon_corpus(19, 80, 9):
+            assert generator_count(d) >= 2 * jones_l1(d), d
+
+    @given(
+        strands=st.integers(2, 5),
+        letters=st.lists(st.tuples(st.integers(1, 4), st.booleans()), min_size=1, max_size=10),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_mixed_braids(self, strands, letters):
+        word = tuple(min(g, strands - 1) * (1 if up else -1) for g, up in letters)
+        d = braid_closure(BraidWord(strands, word))
+        assert generator_count(d) >= 2 * jones_l1(d), word
 
 
 def relabel(d: Diagram, rng: random.Random) -> Diagram:

@@ -71,7 +71,7 @@ class TestKnownForms:
 
     def test_torsion(self):
         assert snf_divisors([[6, 4], [4, 4]]) == [2, 4]
-        # no unit anywhere: the Euclidean phase does all the work
+        # no unit anywhere: every pivot needs Euclidean steps
         assert snf_divisors([[2, 4, 4], [-6, 6, 12], [10, -4, -16]]) == [2, 6, 12]
 
     def test_rectangular(self):
@@ -96,7 +96,7 @@ def grids(entries, lo, hi, *, square=False):
 
 matrices = grids(st.integers(-9, 9), 1, 5)
 unit_heavy = grids(st.sampled_from([0, 0, 0, 0, 1, -1, 2]), 2, 12)
-# no +-1 entries, so the Euclidean phase does all the work
+# no +-1 entries, so every pivot needs Euclidean steps
 UNIT_FREE = st.sampled_from([0, 0, 0, 2, -2, 3, -3, 4, 6, -9])
 unit_free = grids(UNIT_FREE, 2, 14)
 
@@ -130,13 +130,30 @@ class TestProperties:
     @given(matrix=unit_heavy)
     @settings(max_examples=100, deadline=None)
     def test_sparse_unit_heavy(self, matrix):
-        # larger, mostly zero matrices of +-1 with a few 2s: several unit
-        # sweeps, fill-in, and sometimes a unit-free rest for the Euclidean
-        # phase
+        # larger, mostly zero matrices of +-1 with a few 2s: several
+        # sweeps, fill-in, and sometimes a unit-free rest that needs
+        # Euclidean steps
         divisors = snf_divisors(matrix)
         for a, b in zip(divisors, divisors[1:]):
             assert b % a == 0
         assert len(divisors) == rational_rank(matrix)
+
+    @given(matrix=st.one_of(unit_heavy, unit_free), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_permutation_invariant(self, matrix, data):
+        # the pivot order follows the row order and the column counts:
+        # neither may change the divisors
+        rows = data.draw(st.permutations(matrix))
+        order = data.draw(st.permutations(range(len(matrix[0]))))
+        permuted = [[row[c] for c in order] for row in rows]
+        assert snf_divisors(permuted) == snf_divisors(matrix)
+
+    def test_first_row_without_unit(self):
+        # the sweep pivots on 2 before it reaches the unit rows below; the
+        # determinant is -14
+        matrix = [[2, 4, 0], [1, 0, 3], [0, -1, 5]]
+        assert snf_divisors(matrix) == [1, 1, 14]
+        assert snf_divisors(matrix[::-1]) == [1, 1, 14]
 
     def test_input_rows_untouched(self):
         rows = [{0: 1, 1: 2}, {0: 1, 1: 4, 2: 0}]
