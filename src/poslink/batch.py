@@ -25,6 +25,7 @@ from .conway import conway
 from .diagram import (
     BraidWord,
     Diagram,
+    a_state_circles,
     braid_closure,
     components,
     is_positive,
@@ -43,6 +44,7 @@ from .laurent import (
     format_poly,
     jones_V,
     jones_summary,
+    lickorish_bounds,
     parse_poly,
     v_to_unnormalized,
 )
@@ -323,6 +325,36 @@ def _self_check(computed: dict[str, object]) -> str | None:
     return None
 
 
+def _positive_check(
+    d: Diagram, computed: dict[str, object], gradings: dict[str, int | None] | None
+) -> str | None:
+    """Compare the invariants computed from a positive diagram with what
+    its crossing count c and all-A circle count s_A fix.  The all-A state
+    of a positive diagram is its Seifert state, and it is adequate, so
+    min deg V = (c - s_A + 1)/2 (Lickorish-Thistlethwaite) and
+    j_lower = c - s_A, the lower potential (Khovanov, *Patterns in knot
+    cohomology I*, 2003); a nonzero nabla has degree c - s_A + 1 and no
+    negative coefficient (Cromwell, *Homogeneous links*, 1989)."""
+    jones, nabla = computed.get("jones"), computed.get("conway")
+    if jones is not None:
+        low = lickorish_bounds(d)[0]
+        if jones.min_deg() != low:
+            return f"positive diagram: min deg V = {jones.min_deg()} but (c - s_A + 1)/2 = {low}"
+    if nabla:
+        degree = d.crossing_count - a_state_circles(d) + 1
+        if nabla.max_deg() != degree:
+            return f"positive diagram: deg nabla = {nabla.max_deg()} but c - s_A + 1 = {degree}"
+        if any(coeff < 0 for _, coeff in nabla.terms()):
+            return "positive diagram: nabla has a negative coefficient"
+    # gradings are set whenever homology was computed and passed the self-check
+    if "kh" in computed and gradings["j_lower"] != gradings["j_min_potential"]:
+        return (
+            f"positive diagram: j_lower = {gradings['j_lower']} but "
+            f"c - s_A = {gradings['j_min_potential']}"
+        )
+    return None
+
+
 def _component_count(
     jones: LaurentPoly | None, cell: int | None, d: Diagram | None
 ) -> tuple[int | None, str | None]:
@@ -437,6 +469,9 @@ def process_record(
                     "j_min_potential": None,
                     "j_max_potential": None,
                 }
+
+        if error is None and d is not None and is_positive(d):
+            error = _positive_check(d, computed, gradings)
 
         if run_tests and error is None:
             if jones is None:

@@ -18,6 +18,7 @@ Conventions, fixed empirically so that the Knot Atlas code of 3_1
 
 from __future__ import annotations
 
+import heapq
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -98,6 +99,25 @@ class Diagram:
     def component_cycles(self) -> tuple[tuple[int, ...], ...]:
         """Arc labels of each crossed component, in traversal order."""
         return self._orientation[1]
+
+    @cached_property
+    def _signs(self) -> CrossingSigns:
+        return CrossingSigns(tuple(1 if oi == 1 else -1 for oi in self._orientation[0]))
+
+    @cached_property
+    def _a_circles(self) -> int:
+        return state_circles(self, all_a_state(self))
+
+    @cached_property
+    def _b_circles(self) -> int:
+        return state_circles(self, all_b_state(self))
+
+    @cached_property
+    def contraction_order(self) -> tuple[int, ...]:
+        """Crossing indices in the order the Kauffman bracket and the
+        Khovanov tangle builder add them (:func:`_contraction_order`),
+        computed once per diagram."""
+        return _contraction_order(self.crossings, self._signs.signs)
 
 
 def _far_ends(crossings: Sequence[Crossing]) -> list[int]:
@@ -315,8 +335,7 @@ class CrossingSigns:
 
 def crossing_signs(d: Diagram) -> CrossingSigns:
     """Signs per crossing; positive means the over-strand runs b -> d."""
-    over_in, _ = d._orientation
-    return CrossingSigns(tuple(1 if oi == 1 else -1 for oi in over_in))
+    return d._signs
 
 
 def writhe(d: Diagram) -> int:
@@ -365,11 +384,54 @@ def state_circles(d: Diagram, state: Sequence[str]) -> int:
 
 
 def a_state_circles(d: Diagram) -> int:
-    return state_circles(d, all_a_state(d))
+    return d._a_circles
 
 
 def b_state_circles(d: Diagram) -> int:
-    return state_circles(d, all_b_state(d))
+    return d._b_circles
+
+
+def _contraction_order(crossings: Sequence[Crossing], signs: Sequence[int]) -> tuple[int, ...]:
+    """Crossing indices in the order a tangle contraction adds them.
+
+    Each next crossing shares the most arcs with the open boundary; ties go
+    to the one with more of its incoming arcs open, so the sweep follows
+    the orientation (down a braid closure, adding each crossing below the
+    boundary), and then to the lowest index.  The pair is kept as one
+    score per crossing, 3 * shared + incoming, updated through an
+    arc -> crossings index when an arc opens or closes.  A heap of
+    crossings per score value gives the lowest index; entries whose score
+    has changed since they were pushed are dropped when met.
+    """
+    weights: dict[int, list[tuple[int, int]]] = {}  # arc -> (crossing, weight)
+    for k, (t, s) in enumerate(zip(crossings, signs)):
+        for arc in t:
+            weights.setdefault(arc, []).append((k, 3))
+        for arc in (t[0], t[1] if s > 0 else t[3]):
+            weights[arc].append((k, 1))
+    score = [0] * len(crossings)  # -1 once added
+    top = 3 * 4 + 2
+    heaps: list[list[int]] = [list(range(len(crossings)))] + [[] for _ in range(top)]
+    is_open: set[int] = set()
+    order: list[int] = []
+    for _ in range(len(crossings)):
+        for value in range(top, -1, -1):
+            heap = heaps[value]
+            while heap and score[heap[0]] != value:
+                heapq.heappop(heap)
+            if heap:
+                k = heapq.heappop(heap)
+                break
+        order.append(k)
+        score[k] = -1
+        for arc in crossings[k]:
+            step = -1 if arc in is_open else 1
+            is_open ^= {arc}
+            for i, weight in weights[arc]:
+                if score[i] >= 0:
+                    score[i] += step * weight
+                    heapq.heappush(heaps[score[i]], i)
+    return tuple(order)
 
 
 def _shadow_components(crossings: Sequence[Crossing]) -> int:

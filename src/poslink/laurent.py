@@ -10,7 +10,6 @@ Coefficients are arbitrary-precision integers.
 
 from __future__ import annotations
 
-import heapq
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -257,21 +256,21 @@ def kauffman_bracket(d: Diagram) -> LaurentPoly:
     """Kauffman bracket in the variable A, by tangle contraction.
 
     Normalized so a single crossing-free circle has bracket 1.  Crossings
-    join a tangle in :func:`_contraction_order`.  Its smoothings are summed
-    per planar matching of its open ends: each matching maps every open end
-    to the one its strand leaves by, and carries a Laurent polynomial on
-    half-step keys.  A crossing splits every matching into its A- and
-    B-smoothing, weighted A and A^-1.  Each circle that closes multiplies
+    join a tangle in :attr:`Diagram.contraction_order`, which the diagram
+    computes once and shares with the Khovanov tangle builder.  The
+    tangle's smoothings are summed per planar matching of its open ends:
+    each matching maps every open end to the one its strand leaves by, and
+    carries a Laurent polynomial on half-step keys.  A crossing splits
+    every matching into its A- and B-smoothing, weighted A and A^-1.  Each circle that closes multiplies
     by delta = -A^2 - A^-2, except one circle of the last crossing, where
     every state closes at least one: the bracket weighs a state by
     delta^(circles - 1).  The cost is c times the live matchings.  On the
     n-strand braid closures the tests check, up to 40 crossings, the order
     keeps at most 2n ends open, so at most Catalan(n) matchings.
     """
-    order = _contraction_order(d)
+    order = d.contraction_order
     if not order:
         return _delta_power(d.free_circles - 1) if d.free_circles else LaurentPoly.one()
-    deltas = [_delta_power(m)._coeffs for m in range(3)]
     states: dict[tuple, dict[int, int]] = {(): {0: 1}}
     for step, k in enumerate(order):
         last = step == len(order) - 1
@@ -279,7 +278,7 @@ def kauffman_bracket(d: Diagram) -> LaurentPoly:
         for matching, poly in states.items():
             for (partner, loops), shift in zip(_smoothings(matching, d.crossings[k]), (2, -2)):
                 acc = joined.setdefault(partner, {})
-                for f, g in deltas[len(loops) - last].items():
+                for f, g in _DELTAS[len(loops) - last].items():
                     f += shift
                     for e, c in poly.items():
                         acc[e + f] = acc.get(e + f, 0) + c * g
@@ -315,53 +314,14 @@ def _smoothings(matching: tuple, crossing) -> list[tuple[tuple, list[int]]]:
     return out
 
 
-def _contraction_order(d: Diagram) -> list[int]:
-    """Crossing indices in the order :func:`kauffman_bracket` adds them.
-
-    Each next crossing shares the most arcs with the open boundary; ties go
-    to the one with more of its incoming arcs open, so the sweep follows
-    the orientation (down a braid closure, adding each crossing below the
-    boundary), and then to the lowest index.  The pair is kept as one
-    score per crossing, 3 * shared + incoming, updated through an
-    arc -> crossings index when an arc opens or closes.  A heap of
-    crossings per score value gives the lowest index; entries whose score
-    has changed since they were pushed are dropped when met.
-    """
-    signs = crossing_signs(d).signs
-    weights: dict[int, list[tuple[int, int]]] = {}  # arc -> (crossing, weight)
-    for k, (t, s) in enumerate(zip(d.crossings, signs)):
-        for arc in t:
-            weights.setdefault(arc, []).append((k, 3))
-        for arc in (t[0], t[1] if s > 0 else t[3]):
-            weights[arc].append((k, 1))
-    score = [0] * d.crossing_count  # -1 once added
-    top = 3 * 4 + 2
-    heaps: list[list[int]] = [list(range(d.crossing_count))] + [[] for _ in range(top)]
-    is_open: set[int] = set()
-    order: list[int] = []
-    for _ in range(d.crossing_count):
-        for value in range(top, -1, -1):
-            heap = heaps[value]
-            while heap and score[heap[0]] != value:
-                heapq.heappop(heap)
-            if heap:
-                k = heapq.heappop(heap)
-                break
-        order.append(k)
-        score[k] = -1
-        for arc in d.crossings[k]:
-            step = -1 if arc in is_open else 1
-            is_open ^= {arc}
-            for i, weight in weights[arc]:
-                if score[i] >= 0:
-                    score[i] += step * weight
-                    heapq.heappush(heaps[score[i]], i)
-    return order
-
-
 def _delta_power(n: int) -> LaurentPoly:
     delta = LaurentPoly({2: -1, -2: -1})
     return delta**n
+
+
+# delta^0, delta^1 and delta^2 on half-step keys: the weights of the 0, 1
+# or 2 loops one crossing closes
+_DELTAS = tuple(_delta_power(m)._coeffs for m in range(3))
 
 
 def jones_V(d: Diagram) -> LaurentPoly:

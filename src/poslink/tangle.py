@@ -10,14 +10,21 @@ times the identity of a matching is cancelled (Gaussian elimination).
 The build starts from one object, the empty tangle: a free circle meets
 no crossing, and :mod:`poslink.khovanov` tensors it in afterwards.
 
-Each :func:`reduced_complex` call interns the matchings it meets as small
-ints, so objects and memos key on ints, not on tuples of arc pairs.  A
-glued cobordism is cut by its shape: the disk count, the gluings and the
-boundary circles as disk numbers, and the counts of circles kept open
-and of source loops delooped.  The shape names no arc, so gluings that
-differ only in their arc labels share one neck cut, computed once per
-(shape, dots).
-Every memo lives and dies inside one call: nothing is kept across records.
+Each :func:`reduced_complex` call renumbers the arcs in the order the
+crossings meet them, so a relabelled copy of a diagram builds the same
+complex, and interns the matchings it meets as small ints, so objects
+and memos key on ints, not on tuples of arc pairs.  A glued cobordism is
+cut by its shape: the disk count, the gluings and the boundary circles
+as disk numbers, and the counts of circles kept open and of source loops
+delooped.  The shape names no arc, so gluings that differ only in their
+arc labels share one neck cut, computed once per (shape, dots).  The two
+label-free tables, the shapes (:data:`_SHAPES`) and the delooped neck
+cuts (:data:`_CUTS`), live for the whole process, so each diagram of a
+survey cuts only the shapes that no earlier one met.  A cut is a
+function of its shape and dots alone, so no result depends on what the
+tables hold.  Everything keyed by arc labels (the matchings, the cycles
+and composition shapes of a pair or triple of matchings, the glued shape
+of each piece at one crossing) lives and dies inside one call.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 
 from .diagram import Diagram
-from .laurent import _SLOT_PAIRS, _contraction_order, _smoothings
+from .laurent import _SLOT_PAIRS, _smoothings
 
 
 class _Interned(dict):
@@ -42,14 +49,30 @@ class _Interned(dict):
         return i
 
 
+# shape -> id, and (shape id, dots) -> delooped neck cut, for the whole
+# process: both are functions of label-free shapes alone
+_SHAPES = _Interned()
+_CUTS: dict[tuple[int, int], tuple[tuple[int, int, tuple], ...]] = {}
+
+
+def _cut(shape: int, dots: int) -> tuple[tuple[int, int, tuple], ...]:
+    """The neck cut of a shape with these disks dotted, delooped, as
+    (source labels, target labels, (mask, coefficient) terms)."""
+    key = (shape, dots)
+    if key not in _CUTS:
+        disks, gluings, circles, width, inputs = _SHAPES.value[shape]
+        terms = _deloop(_neck_cut(disks, dots, gluings, circles), width, inputs)
+        _CUTS[key] = tuple((l1, l2, tuple(g.items())) for (l1, l2), g in terms.items())
+    return _CUTS[key]
+
+
 def reduced_complex(d: Diagram) -> tuple[dict[int, tuple[int, int]], dict[int, dict]]:
     """The complex of the diagram's crossings, with the homology of their
     cube of resolutions over Z: (h, q) per generator, and per generator its
     nonzero coefficients on the generators one degree up.  Free circles
     are left out; the caller tensors them in."""
-    matchings, shapes = _Interned(), _Interned()
+    matchings = _Interned()
     memo: dict[tuple, object] = {}  # cycles and composition shapes, by ids
-    cuts: dict[tuple[int, int], tuple] = {}  # (shape, dots) -> _deloop terms
 
     def cycles(i1: int, i2: int) -> tuple[dict[int, int], list[int]]:
         # the cycle of each end in matchings i1 and i2 together, numbered
@@ -68,16 +91,6 @@ def reduced_complex(d: Diagram) -> tuple[dict[int, tuple[int, int]], dict[int, d
             memo[key] = cycle, least
         return memo[key]
 
-    def cut(shape: int, dots: int) -> tuple[tuple[int, int, tuple], ...]:
-        # the neck cut of a shape with these disks dotted, delooped, as
-        # (source labels, target labels, (mask, coefficient) terms)
-        key = (shape, dots)
-        if key not in cuts:
-            disks, gluings, circles, width, inputs = shapes.value[shape]
-            terms = _deloop(_neck_cut(disks, dots, gluings, circles), width, inputs)
-            cuts[key] = tuple((l1, l2, tuple(g.items())) for (l1, l2), g in terms.items())
-        return cuts[key]
-
     def compose(i1: int, i2: int, i3: int, f: dict, g: dict) -> dict[int, int]:
         # g o f for f: i1 -> i2 and g: i2 -> i3, glued along the arcs of i2
         key = (i1, i2, i3)
@@ -87,20 +100,22 @@ def reduced_complex(d: Diagram) -> tuple[dict[int, tuple[int, int]], dict[int, d
             n = len(arcs)
             gluings = tuple((first[e], n + second[e]) for e, p in matchings.value[i2] if e < p)
             circles = tuple(first[e] for e in cycles(i1, i3)[1])
-            memo[key] = shapes[n + len(more), gluings, circles, len(circles), 0], n
+            memo[key] = _SHAPES[n + len(more), gluings, circles, len(circles), 0], n
         shape, n = memo[key]
         out: dict[int, int] = {}
         for a, x in f.items():
             for b, y in g.items():
-                for _, _, terms in cut(shape, a | b << n):  # no loops: one entry
+                for _, _, terms in _cut(shape, a | b << n):  # no loops: one entry
                     for mask, z in terms:
                         out[mask] = out.get(mask, 0) + x * y * z
         return out
 
     objects = {0: (matchings[()], 0, 0)}
     out: dict[int, dict[int, dict[int, int]]] = {0: {}}
-    for k in _contraction_order(d):
-        objects, out = _add_crossing(objects, out, d.crossings[k], matchings, shapes, cycles, cut)
+    names: dict[int, int] = {}  # arc -> its number in order of first use
+    for k in d.contraction_order:
+        crossing = tuple(names.setdefault(arc, len(names) + 1) for arc in d.crossings[k])
+        objects, out = _add_crossing(objects, out, crossing, matchings, cycles)
         _cancel_isomorphisms(objects, out, compose)
     return (
         {o: (h, q) for o, (_, h, q) in objects.items()},
@@ -156,7 +171,7 @@ def _neck_cut(
 
 
 def _add_crossing(
-    objects: dict, out: dict, crossing, matchings: _Interned, shapes: _Interned, cycles, cut
+    objects: dict, out: dict, crossing, matchings: _Interned, cycles
 ) -> tuple[dict, dict]:
     """The complex with one more crossing, before reduction: each object
     splits into its A- and B-smoothing, one object per labelling of the
@@ -196,7 +211,7 @@ def _add_crossing(
             gluings += [(disk[x], disk[y]) for x, y in kinks]
             circles = [cycle[e] if e in cycle else disk[slot[e]] for e in ends]
             circles += [disk[x] for x in loops1 + loops2]
-            glued[key] = shapes[n + len(pairs), tuple(gluings), tuple(circles), len(ends), len(loops1)]
+            glued[key] = _SHAPES[n + len(pairs), tuple(gluings), tuple(circles), len(ends), len(loops1)]
         return glued[key]
 
     new: dict[int, dict[int, dict[int, int]]] = {o: {} for o in objs}
@@ -205,7 +220,7 @@ def _add_crossing(
         shape = glue(objects[o1][0], objects[o2][0], b1, b2)
         s1, s2 = first[o1][b1], first[o2][b2]
         for mask, x in f.items():
-            for l1, l2, terms in cut(shape, mask):
+            for l1, l2, terms in _cut(shape, mask):
                 _add_to(new[s1 + l1], s2 + l2, terms, sign * x)
 
     for o1, row in out.items():

@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
+from collections import Counter
 
 import pytest
 
@@ -28,7 +29,7 @@ from poslink import (
     positive_braid_words,
     survey_corpus,
 )
-from poslink.batch import _self_check, records_from_lines
+from poslink.batch import _self_check, process_record, records_from_lines
 from poslink.cli import main
 from poslink.errors import ColumnMissing, FileUnreadable
 
@@ -464,6 +465,52 @@ class TestSelfChecks:
         expected = "self-check: the Euler characteristic of Kh is not (q + q^-1) V"
         assert [r.error for r in results] == [expected, None, expected]
         assert results[0].reports == [] and results[1].reports
+
+
+class TestPositiveCertificates:
+    """On a positive diagram the computed invariants must agree with what
+    c and s_A fix: min deg V, deg nabla, the signs of nabla's coefficients
+    and j_lower.  A disagreement is the record's error."""
+
+    TREFOIL_KH_WITHOUT_LOWEST = "q^3 + t^2 q^5 + t^3 q^9 + t^3 q^7 T^2"
+
+    @pytest.mark.parametrize("layer, value, want, expected", [
+        ("jones_V", parse_poly("t^2 + t^4 - t^5", "t"), "jones",
+         "positive diagram: min deg V = 2 but (c - s_A + 1)/2 = 1"),
+        ("conway", parse_poly("1 + z^4", "z"), "conway",
+         "positive diagram: deg nabla = 4 but c - s_A + 1 = 2"),
+        ("conway", parse_poly("1 - z^2", "z"), "conway",
+         "positive diagram: nabla has a negative coefficient"),
+        ("khovanov_homology", TREFOIL_KH_WITHOUT_LOWEST, "kh",
+         "positive diagram: j_lower = 3 but c - s_A = 1"),
+    ])
+    def test_violation_is_the_record_error(self, monkeypatch, layer, value, want, expected):
+        import poslink.batch
+        from poslink import parse_kh_polynomial
+
+        if layer == "khovanov_homology":
+            value = parse_kh_polynomial(value)
+        monkeypatch.setattr(poslink.batch, layer, lambda d, **kw: value)
+        trefoil = LinkRecord(name="trefoil", pd=parse_pd(TREFOIL_PD))
+        assert cmd_compute([trefoil], want=frozenset({want})).results[0].error == expected
+        # the same values on a diagram with a negative crossing are no error
+        mixed = LinkRecord(name="mixed", braid=parse_braid("strands=2; 1 1 1 1 -1"))
+        assert cmd_compute([mixed], want=frozenset({want})).results[0].error is None
+
+    def test_each_diagram_fact_is_computed_once(self, monkeypatch):
+        import poslink.diagram
+
+        calls: Counter = Counter()
+        for name in ("_contraction_order", "CrossingSigns", "state_circles"):
+            def counted(*args, _name=name, _fn=getattr(poslink.diagram, name)):
+                calls[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(poslink.diagram, name, counted)
+        record = LinkRecord(name="t", braid=parse_braid("strands=3; 1 2 1 2 1 2 2"))
+        result = process_record(record, run_tests=True)
+        assert result.error is None and len(result.reports) == 3
+        assert calls == {"_contraction_order": 1, "CrossingSigns": 1, "state_circles": 2}
 
 
 class TestCli:

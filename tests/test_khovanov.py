@@ -17,6 +17,7 @@ from poslink import (
     Diagram,
     braid_closure,
     chain_slices,
+    cmd_survey,
     components,
     euler_characteristic,
     extreme_gradings,
@@ -420,9 +421,30 @@ def fresh_reduced_complex(word: str) -> str:
     return proc.stdout.strip()
 
 
+def count_neck_cuts(monkeypatch) -> Counter:
+    """Count tangle._neck_cut calls under the key "calls"."""
+    count: Counter = Counter()
+    neck_cut = tangle._neck_cut
+
+    def counting(*args):
+        count["calls"] += 1
+        return neck_cut(*args)
+
+    monkeypatch.setattr(tangle, "_neck_cut", counting)
+    return count
+
+
+def empty_tables(monkeypatch) -> None:
+    """Give the tangle builder fresh, empty label-free tables."""
+    monkeypatch.setattr(tangle, "_SHAPES", tangle._Interned())
+    monkeypatch.setattr(tangle, "_CUTS", {})
+
+
 class TestMemos:
     """reduced_complex computes each neck cut once per label-free shape of
-    the glued surface, and keeps no memo from one call to the next."""
+    the glued surface.  Only the label-free tables (the shapes and their
+    delooped neck cuts) persist from one call to the next, and no result
+    depends on what they hold."""
 
     def test_arc_labels_do_not_matter(self, unknot, perturbed_trefoil, reduction_corpus):
         rng = random.Random(0)
@@ -435,6 +457,8 @@ class TestMemos:
             assert Counter(reduced_complex(e)[0].values()) == Counter(reduced_complex(d)[0].values()), d
 
     def test_no_state_between_calls(self):
+        # the survey fills the process-wide tables first
+        assert cmd_survey(3, 8).all_ok
         words = ["strands=3; " + "1 2 " * 5, MIXED_4_BRAID]
         d1, d2 = (braid_closure(parse_braid(w)) for w in words)
         runs = [repr(reduced_complex(d)) for d in (d1, d2, d1)]
@@ -442,18 +466,30 @@ class TestMemos:
         assert runs == [fresh[0], fresh[1], fresh[0]]
 
     def test_neck_cuts_per_shape(self, monkeypatch):
-        calls = 0
-        neck_cut = tangle._neck_cut
-
-        def counting(*args):
-            nonlocal calls
-            calls += 1
-            return neck_cut(*args)
-
-        monkeypatch.setattr(tangle, "_neck_cut", counting)
+        empty_tables(monkeypatch)
+        count = count_neck_cuts(monkeypatch)
         reduced_complex(braid_closure(parse_braid("strands=3; " + "1 2 " * 9)))
         # 865 when the memos were keyed by arc-labelled matchings
-        assert calls <= 250
+        assert 0 < count["calls"] <= 250
+
+    def test_relabelled_copy_reuses_every_cut(self, monkeypatch):
+        empty_tables(monkeypatch)
+        d = braid_closure(parse_braid(MIXED_4_BRAID))
+        e = relabel(d, random.Random(4))
+        assert e.crossings != d.crossings and e.contraction_order == d.contraction_order
+        first = reduced_complex(d)
+        count = count_neck_cuts(monkeypatch)
+        assert reduced_complex(e) == first
+        assert count["calls"] == 0
+
+    def test_survey_cuts_once_per_shape(self, monkeypatch):
+        empty_tables(monkeypatch)
+        count = count_neck_cuts(monkeypatch)
+        assert cmd_survey(3, 8).all_ok
+        # 2,655 when the tables lasted one call, 425 before arcs were
+        # renumbered in order of first use
+        assert count["calls"] <= 250
+        assert count["calls"] == len(tangle._CUTS)
 
 
 class TestChainComplex:

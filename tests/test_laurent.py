@@ -31,7 +31,6 @@ from poslink.errors import (
     NotPositiveDiagram,
     ZeroPolynomial,
 )
-from poslink.laurent import _contraction_order
 
 from conftest import TREFOIL_PD, lucas, mirror
 from polygon_diagrams import polygon_diagram
@@ -230,7 +229,7 @@ class TestContractionOrder:
             rng = random.Random(seed)
             for _ in range(40):
                 d = polygon_diagram(rng, max_crossings=14)
-                assert _contraction_order(d) == contraction_order(d), d
+                assert d.contraction_order == tuple(contraction_order(d)), d
 
     @given(
         strands=st.integers(2, 6),
@@ -240,7 +239,7 @@ class TestContractionOrder:
     def test_mixed_braids_match_the_rescan(self, strands, letters):
         word = tuple(min(g, strands - 1) * (1 if up else -1) for g, up in letters)
         d = braid_closure(BraidWord(strands, word))
-        assert _contraction_order(d) == contraction_order(d)
+        assert d.contraction_order == tuple(contraction_order(d))
 
     def test_open_boundary_at_most_two_arcs_per_strand(self):
         # 2n open arcs leave at most Catalan(n) planar matchings live, so the
@@ -259,7 +258,7 @@ class TestContractionOrder:
             words.append((n, tuple(rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(length))))
         for n, word in words:
             d = braid_closure(BraidWord(n, word))
-            order = _contraction_order(d)
+            order = d.contraction_order
             assert sorted(order) == list(range(d.crossing_count))
             open_arcs: set[int] = set()
             for k in order:
