@@ -582,13 +582,23 @@ def cmd_survey(
     cap: int = DEFAULT_CROSSING_CAP,
 ) -> BatchResult:
     """Enumerate positive braid closures, dedupe, and test them; a failed
-    test on a positive diagram is a record error, as in every command."""
+    test on a positive diagram is a record error, as in every command.
+
+    The records are built in the sorted order of their renumbered
+    crossings (:attr:`Diagram.contraction_crossings`), a depth-first walk
+    of their prefixes, so each shares the longest prefix possible with
+    the one built just before it and the tangle builder takes that prefix
+    from its chain (:mod:`poslink.tangle`).  They are listed in word
+    order."""
     records = []
     for word, diagram in survey_corpus(max_strands, max_length):
         letters = " ".join(str(k) for k in word.letters)
         name = f"closure(strands={word.strand_count}; {letters})"
         records.append(LinkRecord(name=name, braid=word, closure=diagram))
-    result = BatchResult([process_record(r, run_tests=True, cap=cap) for r in records])
+    built = {}
+    for i in sorted(range(len(records)), key=lambda i: records[i].closure.contraction_crossings):
+        built[i] = process_record(records[i], run_tests=True, cap=cap)
+    result = BatchResult([built[i] for i in range(len(records))])
     for res, rec in zip(result.results, records):
         if res.error is None and not is_positive(rec.diagram()):
             res.error = "survey generated a non-positive diagram"

@@ -119,6 +119,20 @@ class Diagram:
         computed once per diagram."""
         return _contraction_order(self.crossings, self._signs.signs)
 
+    @cached_property
+    def contraction_crossings(self) -> tuple[Crossing, ...]:
+        """The crossings in :attr:`contraction_order`, with the arcs
+        renumbered 1, 2, ... in the order the crossings first use them.
+        The first k entries name the tangle of the first k crossings up to
+        its arc labels, so two diagrams that agree on them build the same
+        Khovanov complex for those k steps, and a relabelled copy of a
+        diagram has the same tuple."""
+        names: dict[int, int] = {}
+        return tuple(
+            tuple(names.setdefault(arc, len(names) + 1) for arc in self.crossings[k])
+            for k in self.contraction_order
+        )
+
 
 def _far_ends(crossings: Sequence[Crossing]) -> list[int]:
     """Slot s of crossing k is position ``4 * k + s``; entry ``pos`` is the

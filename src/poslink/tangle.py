@@ -10,21 +10,38 @@ times the identity of a matching is cancelled (Gaussian elimination).
 The build starts from one object, the empty tangle: a free circle meets
 no crossing, and :mod:`poslink.khovanov` tensors it in afterwards.
 
-Each :func:`reduced_complex` call renumbers the arcs in the order the
-crossings meet them, so a relabelled copy of a diagram builds the same
-complex, and interns the matchings it meets as small ints, so objects
-and memos key on ints, not on tuples of arc pairs.  A glued cobordism is
-cut by its shape: the disk count, the gluings and the boundary circles
-as disk numbers, and the counts of circles kept open and of source loops
-delooped.  The shape names no arc, so gluings that differ only in their
-arc labels share one neck cut, computed once per (shape, dots).  The two
-label-free tables, the shapes (:data:`_SHAPES`) and the delooped neck
-cuts (:data:`_CUTS`), live for the whole process, so each diagram of a
-survey cuts only the shapes that no earlier one met.  A cut is a
-function of its shape and dots alone, so no result depends on what the
-tables hold.  Everything keyed by arc labels (the matchings, the cycles
-and composition shapes of a pair or triple of matchings, the glued shape
-of each piece at one crossing) lives and dies inside one call.
+The builder reads the crossings as :attr:`Diagram.contraction_crossings`
+gives them, with the arcs renumbered in the order the crossings meet
+them, so a relabelled copy of a diagram builds the same complex.  The
+matchings it meets are interned as small ints (:data:`_MATCHINGS`), so
+objects and memos key on ints, not on tuples of arc pairs.  A glued
+cobordism is cut by its shape: the disk count, the gluings and the
+boundary circles as disk numbers, and the counts of circles kept open
+and of source loops delooped.  The shape names no arc, so gluings that
+differ only in their arc labels share one neck cut, computed once per
+(shape, dots).  The two label-free tables, the shapes (:data:`_SHAPES`)
+and the delooped neck cuts (:data:`_CUTS`), live for the whole process,
+so each diagram of a survey cuts only the shapes that no earlier one
+met.  A cut is a function of its shape and dots alone, so no result
+depends on what the tables hold.  The cycles and composition shapes of
+a pair or triple of matchings, and the glued shape of each piece at one
+crossing, live and die inside one call.
+
+The complex after k steps is a function of the first k renumbered
+crossings alone: they fix the tangle, its open ends and their labels,
+and each step's objects are numbered in the order of the step before.
+So :data:`_CHAIN` keeps, for the last diagram built, one (renumbered
+crossing, reduced complex after it) pair per step, and the next call
+takes the complexes of the steps its own crossings share with that
+chain, cuts the chain at the first crossing that differs and builds on
+from there.  A complex joins the chain only once its cancellation is
+done; a later step reads it to build a new complex and never hands it to
+the cancellation, which works in place, so a complex the chain holds is
+never changed, and a call that raises leaves a chain of finished steps.
+The matchings stay interned with the chain because its complexes name
+them by id.  :func:`poslink.batch.cmd_survey` builds its records in the
+sorted order of their renumbered crossings, so each one shares the
+longest prefix possible with the one built just before it.
 """
 
 from __future__ import annotations
@@ -53,6 +70,12 @@ class _Interned(dict):
 # process: both are functions of label-free shapes alone
 _SHAPES = _Interned()
 _CUTS: dict[tuple[int, int], tuple[tuple[int, int, tuple], ...]] = {}
+# planar matching -> id, and the last diagram's (renumbered crossing,
+# (objects, differential) after it) per step, whose objects name
+# matchings by those ids; the chain is replaced whole, never changed in
+# place, so each value it takes is one build's finished steps
+_MATCHINGS = _Interned()
+_CHAIN: tuple[tuple[tuple[int, ...], tuple[dict, dict]], ...] = ()
 
 
 def _cut(shape: int, dots: int) -> tuple[tuple[int, int, tuple], ...]:
@@ -70,8 +93,10 @@ def reduced_complex(d: Diagram) -> tuple[dict[int, tuple[int, int]], dict[int, d
     """The complex of the diagram's crossings, with the homology of their
     cube of resolutions over Z: (h, q) per generator, and per generator its
     nonzero coefficients on the generators one degree up.  Free circles
-    are left out; the caller tensors them in."""
-    matchings = _Interned()
+    are left out; the caller tensors them in.  Steps the diagram's
+    renumbered crossings share with the last diagram built are taken from
+    :data:`_CHAIN`, not rebuilt."""
+    matchings = _MATCHINGS
     memo: dict[tuple, object] = {}  # cycles and composition shapes, by ids
 
     def cycles(i1: int, i2: int) -> tuple[dict[int, int], list[int]]:
@@ -110,13 +135,18 @@ def reduced_complex(d: Diagram) -> tuple[dict[int, tuple[int, int]], dict[int, d
                         out[mask] = out.get(mask, 0) + x * y * z
         return out
 
-    objects = {0: (matchings[()], 0, 0)}
-    out: dict[int, dict[int, dict[int, int]]] = {0: {}}
-    names: dict[int, int] = {}  # arc -> its number in order of first use
-    for k in d.contraction_order:
-        crossing = tuple(names.setdefault(arc, len(names) + 1) for arc in d.crossings[k])
+    global _CHAIN
+    crossings = d.contraction_crossings
+    chain = _CHAIN
+    k = 0
+    while k < min(len(chain), len(crossings)) and chain[k][0] == crossings[k]:
+        k += 1
+    objects, out = chain[k - 1][1] if k else ({0: (matchings[()], 0, 0)}, {0: {}})
+    for crossing in crossings[k:]:
         objects, out = _add_crossing(objects, out, crossing, matchings, cycles)
         _cancel_isomorphisms(objects, out, compose)
+        chain = _CHAIN = chain[:k] + ((crossing, (objects, out)),)
+        k += 1
     return (
         {o: (h, q) for o, (_, h, q) in objects.items()},
         {o: {t: f[0] for t, f in row.items()} for o, row in out.items()},

@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from poslink import Diagram
+from poslink import Diagram, crossing_signs
 
 GRID = 1000
 
@@ -65,15 +65,29 @@ def _crossings(polygons):
     return found
 
 
-def polygon_diagram(rng: random.Random, max_crossings: int = 14, max_components: int = 3) -> Diagram:
+def polygon_diagram(
+    rng: random.Random, max_crossings: int = 14, max_components: int = 3, *, positive: bool = False
+) -> Diagram:
     """A random diagram with 1..max_components components and
-    1..max_crossings crossings."""
+    1..max_crossings crossings; with ``positive``, the same draw with each
+    negative crossing switched.
+
+    Switching X[a,b,c,d] turns it to X[b,c,d,a] or X[d,a,b,c], whichever
+    has sign +1: either keeps the cyclic order of the arcs and puts the
+    other strand under.  A negative crossing's over-strand runs d -> b, so
+    X[d,a,b,c] is the one: d is the new incoming under-arc, and the old
+    under-strand a -> c is over, running from slot b to slot d."""
     while True:
         polygons = _draw(rng, rng.randint(1, max_components))
         found = _crossings(polygons)
         if found is None or not 1 <= len(found) <= max_crossings:
             continue
-        return _to_diagram(rng, polygons, found)
+        d = _to_diagram(rng, polygons, found)
+        if positive:
+            signs = crossing_signs(d).signs
+            switched = (t if s > 0 else (t[3], *t[:3]) for t, s in zip(d.crossings, signs))
+            d = Diagram(tuple(switched), d.free_circles)
+        return d
 
 
 def _to_diagram(rng, polygons, found) -> Diagram:

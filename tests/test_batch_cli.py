@@ -326,6 +326,21 @@ class TestSurvey:
         assert len(built) == len(batch) == len(survey_corpus(3, 5))
         assert {r.source for r in batch} == {"braid"}
 
+    def test_build_order_does_not_reach_the_output(self, monkeypatch):
+        from poslink import tangle
+
+        monkeypatch.setattr(tangle, "_MATCHINGS", tangle._Interned())
+        monkeypatch.setattr(tangle, "_CHAIN", ())
+        corpus = survey_corpus(3, 8)
+        batch = cmd_survey(3, 8)
+        assert [r.name for r in batch] == [
+            f"closure(strands={w.strand_count}; {' '.join(map(str, w.letters))})" for w, _ in corpus
+        ]
+        # built again one by one in word order, from the survey's chain
+        for result, (word, d) in zip(batch, corpus):
+            alone = process_record(LinkRecord(name=result.name, braid=word, closure=d), run_tests=True)
+            assert {**result.to_dict(), "timing_ms": 0} == {**alone.to_dict(), "timing_ms": 0}
+
 
 class TestPerRecordIsolation:
     def test_malformed_rows_do_not_abort(self, tmp_path):
@@ -511,6 +526,19 @@ class TestPositiveCertificates:
         result = process_record(record, run_tests=True)
         assert result.error is None and len(result.reports) == 3
         assert calls == {"_contraction_order": 1, "CrossingSigns": 1, "state_circles": 2}
+
+    def test_positive_polygon_corpus(self):
+        # switched polygon diagrams reach gamma != 0, which no positive
+        # braid closure of the 4x9 survey does
+        gammas = Counter()
+        for seed in range(150):
+            d = polygon_diagram(random.Random(seed), max_crossings=10, positive=True)
+            assert is_positive(d), seed
+            result = process_record(LinkRecord(name=str(seed), pd=d), run_tests=True)
+            assert result.error is None, (seed, result.error)
+            assert all(r.verdict is not Verdict.FAIL for r in result.reports), seed
+            gammas.update(r.gamma for r in result.reports if r.applicable)
+        assert set(gammas) - {0}, gammas
 
 
 class TestCli:

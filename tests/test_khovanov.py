@@ -29,6 +29,7 @@ from poslink import (
     parse_kh_polynomial,
     parse_pd,
     parse_poly,
+    survey_corpus,
     v_to_unnormalized,
 )
 from poslink.diagram import BraidWord
@@ -421,30 +422,45 @@ def fresh_reduced_complex(word: str) -> str:
     return proc.stdout.strip()
 
 
-def count_neck_cuts(monkeypatch) -> Counter:
-    """Count tangle._neck_cut calls under the key "calls"."""
+def count_calls(monkeypatch, name: str = "_neck_cut") -> Counter:
+    """Count calls of the tangle function ``name`` under the key "calls"."""
     count: Counter = Counter()
-    neck_cut = tangle._neck_cut
+    fn = getattr(tangle, name)
 
     def counting(*args):
         count["calls"] += 1
-        return neck_cut(*args)
+        return fn(*args)
 
-    monkeypatch.setattr(tangle, "_neck_cut", counting)
+    monkeypatch.setattr(tangle, name, counting)
     return count
 
 
 def empty_tables(monkeypatch) -> None:
-    """Give the tangle builder fresh, empty label-free tables."""
+    """Give the tangle builder fresh, empty process-wide state: the
+    label-free tables, the matching interner and the chain."""
     monkeypatch.setattr(tangle, "_SHAPES", tangle._Interned())
     monkeypatch.setattr(tangle, "_CUTS", {})
+    monkeypatch.setattr(tangle, "_MATCHINGS", tangle._Interned())
+    monkeypatch.setattr(tangle, "_CHAIN", ())
+
+
+def fresh_build(d: Diagram) -> tuple:
+    """reduced_complex(d) from an empty chain and matching interner; the
+    builder's own chain and interner are put back afterwards."""
+    saved = tangle._MATCHINGS, tangle._CHAIN
+    tangle._MATCHINGS, tangle._CHAIN = tangle._Interned(), ()
+    try:
+        return reduced_complex(d)
+    finally:
+        tangle._MATCHINGS, tangle._CHAIN = saved
 
 
 class TestMemos:
     """reduced_complex computes each neck cut once per label-free shape of
-    the glued surface.  Only the label-free tables (the shapes and their
-    delooped neck cuts) persist from one call to the next, and no result
-    depends on what they hold."""
+    the glued surface.  From one call to the next the builder keeps the
+    label-free tables (the shapes and their delooped neck cuts), the
+    interned matchings and the chain of the last diagram built, and no
+    result depends on what they hold."""
 
     def test_arc_labels_do_not_matter(self, unknot, perturbed_trefoil, reduction_corpus):
         rng = random.Random(0)
@@ -467,7 +483,7 @@ class TestMemos:
 
     def test_neck_cuts_per_shape(self, monkeypatch):
         empty_tables(monkeypatch)
-        count = count_neck_cuts(monkeypatch)
+        count = count_calls(monkeypatch)
         reduced_complex(braid_closure(parse_braid("strands=3; " + "1 2 " * 9)))
         # 865 when the memos were keyed by arc-labelled matchings
         assert 0 < count["calls"] <= 250
@@ -478,18 +494,86 @@ class TestMemos:
         e = relabel(d, random.Random(4))
         assert e.crossings != d.crossings and e.contraction_order == d.contraction_order
         first = reduced_complex(d)
-        count = count_neck_cuts(monkeypatch)
+        # without the chain, which would hand e every step of d
+        monkeypatch.setattr(tangle, "_CHAIN", ())
+        count = count_calls(monkeypatch)
         assert reduced_complex(e) == first
         assert count["calls"] == 0
 
     def test_survey_cuts_once_per_shape(self, monkeypatch):
         empty_tables(monkeypatch)
-        count = count_neck_cuts(monkeypatch)
+        count = count_calls(monkeypatch)
         assert cmd_survey(3, 8).all_ok
         # 2,655 when the tables lasted one call, 425 before arcs were
         # renumbered in order of first use
         assert count["calls"] <= 250
         assert count["calls"] == len(tangle._CUTS)
+
+
+class TestChain:
+    """reduced_complex takes from the chain of the last diagram built
+    every step that its own renumbered crossings share with that diagram,
+    so a run of diagrams in sorted order builds each prefix once, and no
+    result depends on what the chain holds."""
+
+    def test_survey_builds_each_prefix_once(self, monkeypatch):
+        empty_tables(monkeypatch)
+        count = count_calls(monkeypatch, "_add_crossing")
+        assert cmd_survey(3, 8).all_ok
+        # the distinct prefixes of the 59 records' crossings; 361 steps
+        # when each record built from the empty tangle
+        assert count["calls"] == 135
+        corpus = [d for _, d in survey_corpus(3, 8)]
+        count.clear()
+        reduced_complex(max(corpus, key=lambda d: d.contraction_crossings))
+        assert count["calls"] == 0
+        # the chain holds the last diagram alone, which shares no step
+        # with the first one in sorted order
+        assert cmd_survey(3, 8).all_ok
+        assert count["calls"] == 135
+
+    @given(
+        strands=st.integers(2, 4),
+        words=st.lists(
+            st.tuples(
+                st.integers(0, 10),
+                st.lists(st.tuples(st.integers(1, 3), st.booleans()), max_size=10),
+            ),
+            min_size=2,
+            max_size=4,
+        ),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_chain_builds_what_a_fresh_build_does(self, strands, words):
+        # each word keeps a prefix of the one before, so builds share steps
+        letters: tuple[int, ...] = ()
+        for keep, tail in words:
+            signed = tuple(min(g, strands - 1) * (1 if up else -1) for g, up in tail)
+            letters = (letters[:keep] + signed)[:10]
+            d = braid_closure(BraidWord(strands, letters))
+            assert repr(reduced_complex(d)) == repr(fresh_build(d)), letters
+
+    def test_failed_build_leaves_finished_steps(self, monkeypatch):
+        empty_tables(monkeypatch)
+        cancel = tangle._cancel_isomorphisms
+        calls = []
+
+        def failing(*args):
+            calls.append(None)
+            if len(calls) == 3:
+                raise RuntimeError("third crossing")
+            cancel(*args)
+
+        monkeypatch.setattr(tangle, "_cancel_isomorphisms", failing)
+        d = braid_closure(parse_braid(MIXED_4_BRAID))
+        with pytest.raises(RuntimeError, match="third crossing"):
+            reduced_complex(d)
+        assert len(tangle._CHAIN) == 2
+        monkeypatch.setattr(tangle, "_cancel_isomorphisms", cancel)
+        words = [MIXED_4_BRAID, "strands=4; 1 -2 3 -1 -2", "strands=4; 1 -2", MIXED_4_BRAID]
+        for w in words:
+            e = braid_closure(parse_braid(w))
+            assert repr(reduced_complex(e)) == repr(fresh_build(e)), w
 
 
 class TestChainComplex:
