@@ -78,10 +78,6 @@ class MalformedKhPolynomial(PoslinkError, ValueError):
     """Input text does not match the t/q/T homology-polynomial grammar."""
 
 
-class UnsupportedTorsionExponent(MalformedKhPolynomial):
-    """A torsion marker T^k with k != 2 was encountered; reported, not guessed."""
-
-
 # Obstruction tests.
 
 class NotApplicableError(PoslinkError, ValueError):

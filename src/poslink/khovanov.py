@@ -19,7 +19,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Iterable, Mapping
 
 from .diagram import Diagram, a_state_circles, b_state_circles, crossing_signs
 from .errors import (
@@ -28,30 +28,34 @@ from .errors import (
     EmptyHomology,
     MalformedKhPolynomial,
     MalformedPolynomial,
-    UnsupportedTorsionExponent,
 )
 from .laurent import EXPONENT, LaurentPoly, exponent_halves, parse_poly
-from .snf import SparseRows, snf_divisors
+from .snf import SparseRows, invariant_factors, snf_divisors
 from .tangle import reduced_complex
 
 
 class BigradedGroups:
     """Map (homological grading i, quantum grading j) -> abelian group,
-    stored as (free rank, sorted torsion orders).  Trivial groups are
-    absent; all quantum gradings share one parity."""
+    stored as (free rank, invariant factors): the torsion orders, each
+    dividing the next (:func:`poslink.snf.invariant_factors`), so that
+    equal entries mean isomorphic groups.  The constructor takes a mapping
+    or an iterable of ((i, j), (rank, torsion orders)) pairs and sums the
+    groups given at one (i, j): Z/2 and Z/5 there make Z/10.  Trivial
+    groups are absent; all quantum gradings share one parity."""
 
     __slots__ = ("_entries",)
 
-    def __init__(self, entries: Mapping[tuple[int, int], tuple[int, Iterator[int]]] = ()):
-        data: dict[tuple[int, int], tuple[int, tuple[int, ...]]] = {}
+    def __init__(self, entries: Mapping | Iterable = ()):
+        sums: dict[tuple[int, int], tuple[int, list[int]]] = {}
         items = entries.items() if isinstance(entries, Mapping) else entries
         for (i, j), (rank, torsion) in items:
-            torsion = tuple(sorted(int(t) for t in torsion))
-            rank = int(rank)
+            rank, torsion = int(rank), [int(t) for t in torsion]
             if rank < 0 or any(t < 2 for t in torsion):
                 raise ValueError(f"invalid group data at ({i}, {j})")
-            if rank or torsion:
-                data[(int(i), int(j))] = (rank, torsion)
+            key = (int(i), int(j))
+            total, orders = sums.get(key, (0, []))
+            sums[key] = (total + rank, orders + torsion)
+        data = {k: (r, tuple(invariant_factors(t))) for k, (r, t) in sums.items() if r or t}
         parities = {j & 1 for _, j in data}
         if len(parities) > 1:
             raise ValueError("quantum gradings mix parities")
@@ -79,16 +83,10 @@ class BigradedGroups:
         """Groups of the mirror diagram: free parts reflect through the
         origin, torsion shifts one homological degree (universal
         coefficients)."""
-        free: dict[tuple[int, int], int] = {}
-        tors: dict[tuple[int, int], list[int]] = {}
-        for (i, j), (rank, torsion) in self._entries.items():
-            if rank:
-                free[(-i, -j)] = rank
-            for t in torsion:
-                tors.setdefault((1 - i, -j), []).append(t)
-        keys = set(free) | set(tors)
         return BigradedGroups(
-            {k: (free.get(k, 0), tuple(tors.get(k, ()))) for k in keys}
+            group
+            for (i, j), (rank, torsion) in self._entries.items()
+            for group in (((-i, -j), (rank, ())), ((1 - i, -j), (0, torsion)))
         )
 
     def __bool__(self) -> bool:
@@ -185,25 +183,17 @@ def khovanov_homology(d: Diagram, *, cap: int = DEFAULT_CROSSING_CAP) -> Bigrade
     of :func:`chain_slices`.  Each free circle then tensors the homology
     with Z at q^-1 and q (Khovanov 2000): every group at (i, j) goes to
     both (i, j - 1) and (i, j + 1), torsion too, as the factor is free."""
-    slices = chain_slices(d, cap=cap)
-    entries: dict[tuple[int, int], tuple[int, tuple[int, ...]]] = {}
-    for j, sl in slices.items():
+    groups = []
+    for j, sl in chain_slices(d, cap=cap).items():
         divisors = {i: snf_divisors(rows) for i, rows in sl.boundaries.items()}
         for i, n in sl.generator_counts.items():
-            rank_out = len(divisors.get(i, ()))
             incoming = divisors.get(i - 1, [])
-            free = n - rank_out - len(incoming)
-            torsion = tuple(t for t in incoming if t > 1)
-            if free or torsion:
-                entries[(i, j)] = (free, torsion)
+            free = n - len(divisors.get(i, ())) - len(incoming)
+            groups.append(((i, j), (free, [t for t in incoming if t > 1])))
+    kh = BigradedGroups(groups)
     for _ in range(d.free_circles):
-        shifted: dict[tuple[int, int], tuple[int, tuple[int, ...]]] = {}
-        for (i, j), (free, torsion) in entries.items():
-            for k in (j - 1, j + 1):
-                free0, torsion0 = shifted.get((i, k), (0, ()))
-                shifted[(i, k)] = (free0 + free, torsion0 + torsion)
-        entries = shifted
-    return BigradedGroups(entries)
+        kh = BigradedGroups(((i, k), g) for (i, j), g in kh.items() for k in (j - 1, j + 1))
+    return kh
 
 
 def euler_characteristic(kh: BigradedGroups) -> LaurentPoly:
@@ -245,15 +235,16 @@ def extreme_gradings(kh: BigradedGroups, d: Diagram) -> GradingSummary:
 
 def parse_kh_polynomial(text: str) -> BigradedGroups:
     """Parse a homology polynomial: ``a t^i q^j`` terms give Z^a at (i, j)
-    and ``a t^i q^j T^2`` terms give (Z/2)^a; coefficients may be grouped
-    as polynomials in t, e.g. ``(1 + t)q^3``."""
+    and ``a t^i q^j T^k`` terms give (Z/k)^a, for any integer k >= 2;
+    coefficients may be grouped as polynomials in t, e.g. ``(1 + t)q^3``.
+    The groups at one (i, j) are summed (:class:`BigradedGroups`)."""
     s = text.strip()
     if not s:
         raise MalformedKhPolynomial("empty homology polynomial")
     if s == "0":
         return BigradedGroups({})
-    free: dict[tuple[int, int], int] = {}
-    torsion: dict[tuple[int, int], int] = {}
+    # (i, j, k) -> multiplicity of Z/k at (i, j), with k = 0 for Z
+    counts: dict[tuple[int, int, int], int] = {}
     term = re.compile(_KH_TERM, re.X).match
     pos = 0
     while pos < len(s):
@@ -267,36 +258,32 @@ def parse_kh_polynomial(text: str) -> BigradedGroups:
             tpoly = parse_poly(group if group is not None else (mono.strip() or "1"), "t")
         except MalformedPolynomial as exc:
             raise MalformedKhPolynomial(f"in {m[0].strip()!r}: {exc}") from None
-        if m["tors"] and (texp is None or _grading(texp) != 2):
-            raise UnsupportedTorsionExponent(
-                f"only T^2 torsion markers are supported: {m[0].strip()!r}"
-            )
-        kind = torsion if m["tors"] else free
+        order = _grading(texp) if texp else 0  # texp is matched only after a T
+        if m["tors"] and order < 2:
+            raise MalformedKhPolynomial(f"torsion markers are T^k, k >= 2: {m[0].strip()!r}")
         sign = -1 if m["sign"] == "-" else 1
         qj = 1 if j is None else _grading(j)
         for exp, coeff in tpoly.terms():
             if exp.denominator != 1:
                 raise MalformedKhPolynomial(f"homological grading {exp} is not an integer")
-            key = (int(exp), qj)
-            kind[key] = kind.get(key, 0) + sign * coeff
+            key = (int(exp), qj, order)
+            counts[key] = counts.get(key, 0) + sign * coeff
         pos = m.end()
-    for name, table in (("rank", free), ("torsion multiplicity", torsion)):
-        for key, mult in table.items():
-            if mult < 0:
-                raise MalformedKhPolynomial(f"negative {name} at {key}")
+    for (i, qj, order), mult in counts.items():
+        if mult < 0:
+            group = f"Z/{order}" if order else "Z"
+            raise MalformedKhPolynomial(f"negative multiplicity of {group} at {(i, qj)}")
     try:
         return BigradedGroups(
-            {
-                key: (free.get(key, 0), (2,) * torsion.get(key, 0))
-                for key in set(free) | set(torsion)
-            }
+            ((i, qj), (0, (order,) * mult) if order else (mult, ()))
+            for (i, qj, order), mult in counts.items()
         )
     except ValueError as exc:
         raise MalformedKhPolynomial(str(exc)) from None
 
 
 # one signed term: a t-part (a t-monomial, or a t-polynomial in one pair of
-# parentheses), then a power of q, then an optional torsion marker T^2; the
+# parentheses), then a power of q, then an optional torsion marker T^k; the
 # t-monomial takes a '*' only when the rest needs it, so '*q' is q.  Each
 # token takes the spaces after it, so a run of spaces splits only one way.
 # Compiled on first use, through re's cache: computed homology reads no text.
@@ -315,31 +302,25 @@ def _grading(token: str) -> int:
 
 def format_kh_polynomial(kh: BigradedGroups) -> str:
     """Canonical text: free part grouped by quantum grading, then one
-    ``m t^i q^j T^k`` term for the m summands Z/k at (i, j), in ascending
-    (j, i, k) order.  Bit-exact round trip with :func:`parse_kh_polynomial`
-    when all torsion is 2-torsion; it reads no other order."""
-    by_j: dict[int, list[tuple[int, int]]] = {}
-    torsion_terms: list[tuple[int, int, int, int]] = []
+    ``m t^i q^j T^k`` term for the m invariant factors Z/k at (i, j), in
+    ascending (j, i, k) order.  :func:`parse_kh_polynomial` reads it back
+    to an equal BigradedGroups, whatever the torsion."""
+    # items() ascend in (j, i), and invariant factors ascend in k
+    free: dict[int, list[str]] = {}
+    pieces = []
     for (i, j), (rank, torsion) in kh.items():
         if rank:
-            by_j.setdefault(j, []).append((i, rank))
-        for k, mult in Counter(torsion).items():
-            torsion_terms.append((j, i, k, mult))
-    pieces = []
-    for j in sorted(by_j):
-        monomials = [_t_monomial(rank, i) for i, rank in sorted(by_j[j])]
-        qpart = "q" if j == 1 else f"q^{j}"
-        if len(monomials) == 1:
-            mono = monomials[0]
-            pieces.append(qpart if mono == "1" else f"{mono} {qpart}")
-        else:
-            pieces.append("(" + " + ".join(monomials) + ")" + qpart)
-    for j, i, k, mult in sorted(torsion_terms):
-        qpart = "q" if j == 1 else f"q^{j}"
-        mono = _t_monomial(mult, i)
-        head = qpart if mono == "1" else f"{mono} {qpart}"
-        pieces.append(f"{head} T^{k}")
-    return " + ".join(pieces) if pieces else "0"
+            free.setdefault(j, []).append(_t_monomial(rank, i))
+        pieces += [f"{_q_term(_t_monomial(m, i), j)} T^{k}" for k, m in Counter(torsion).items()]
+    grouped = [_q_term(t[0] if len(t) == 1 else f"({' + '.join(t)})", j) for j, t in free.items()]
+    return " + ".join(grouped + pieces) or "0"
+
+
+def _q_term(t_part: str, j: int) -> str:
+    q = "q" if j == 1 else f"q^{j}"
+    if t_part == "1":
+        return q
+    return t_part + q if t_part.startswith("(") else f"{t_part} {q}"
 
 
 def _t_monomial(coeff: int, i: int) -> str:

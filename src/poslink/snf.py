@@ -19,12 +19,14 @@ pivot divides everything: it clears its column and its row at once,
 leaving the Schur complement, and the sparsest column keeps fill-in down.
 
 The diagonal entries greater than 1 are then put in divisor-chain form by
-the exchange Z/a + Z/b = Z/gcd(a, b) + Z/lcm(a, b); the 1s go in front.
+:func:`invariant_factors`; the 1s go in front.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from math import gcd
+from typing import Iterable
 
 SparseRows = list[dict[int, int]]
 _Rows = dict[int, dict[int, int]]
@@ -78,13 +80,33 @@ def snf_divisors(matrix: SparseRows) -> list[int]:
                 _drop(rows, cols, r)
                 break
 
-    chain = [x for x in diagonal if x > 1]
-    for i in range(len(chain)):
-        for j in range(i + 1, len(chain)):
-            a, b = chain[i], chain[j]
-            g = gcd(a, b)
-            chain[i], chain[j] = g, a // g * b
+    chain = invariant_factors(diagonal)
     return [1] * (len(diagonal) - len(chain)) + chain
+
+
+def invariant_factors(orders: Iterable[int]) -> list[int]:
+    """Invariant factors of the sum of the groups Z/k, k in orders: the
+    orders > 1 of an isomorphic sum, each dividing the next.
+
+    Each x is carried down the chain by the exchange Z/a + Z/b =
+    Z/gcd(a, b) + Z/lcm(a, b), the lcm staying and the gcd going on; at
+    each prime that is insertion into a sorted list.  The entries dividing
+    x are a prefix of the chain and those x divides a suffix, which the
+    exchange leaves alone; bisection finds both, so a long run of one order
+    costs a logarithm per entry."""
+    chain: list[int] = []
+    for x in orders:
+        k = len(chain)
+        while x > 1:
+            m = bisect_left(chain, True, 0, k, key=lambda c: x % c != 0)
+            k = bisect_left(chain, True, m, k, key=lambda c: c % x == 0)
+            if k == m:
+                chain.insert(k, x)
+                break
+            k -= 1
+            g = gcd(chain[k], x)
+            chain[k], x = chain[k] // g * x, g
+    return chain
 
 
 def _reduce_column(rows: _Rows, cols: _Cols, r: int, c: int) -> None:

@@ -35,6 +35,7 @@ from poslink.errors import ColumnMissing, FileUnreadable
 
 from conftest import DATA_DIR, TREFOIL_PD
 from polygon_diagrams import polygon_diagram
+from reference import per_map_homology
 
 COLUMNS = {
     "name": "Name",
@@ -541,6 +542,36 @@ class TestPositiveCertificates:
         assert set(gammas) - {0}, gammas
 
 
+# found among random signed braids: p1 = 0 and j_lower = 1, two below
+# 2 min deg V - 1, as for 12n749
+KH_BEATS_JONES = "strands=4; -2 -3 1 2 2 3 3 -1 2 -3 1"
+KH_BEATS_JONES_KH = (
+    "(1 + t)q + q^3 + (2t^2 + t^3)q^5 + t^4 q^7 + (t^3 + t^4)q^9 + (t^5 + t^6)q^11"
+    " + t^7 q^15 + t^2 q^3 T^2 + t^3 q^7 T^2 + t^4 q^7 T^2 + t^5 q^9 T^2 + t^7 q^13 T^2"
+)
+
+
+class TestKhBeatsJones:
+    """An 11-crossing knot whose Khovanov inequality certifies that it is
+    not positive, while its Jones inequality holds: the paper's claim on a
+    computed diagram, not an ingested table."""
+
+    def test_khovanov_only_fails(self):
+        braid = parse_braid(KH_BEATS_JONES)
+        result = process_record(LinkRecord(name="s", braid=braid), run_tests=True)
+        assert result.error is None and not result.flags
+        assert result.invariants["jones"] == "t^2 + t^4 - t^5 + t^6 - t^7"
+        assert result.invariants["conway"] == "1 + 3z^2 + z^4"
+        assert result.invariants["kh"] == KH_BEATS_JONES_KH
+        verdicts = {r.test.value: (r.lhs, r.rhs, r.verdict) for r in result.reports}
+        assert verdicts["JonesTest"] == (7, 8, Verdict.PASS)
+        assert verdicts["KhovanovTest"] == (15, 9, Verdict.FAIL)
+        assert result.comparison is Strength.KHOVANOV_ONLY_FAILS
+        # the full cube, each map reduced on its own, gives the same table
+        kh = per_map_homology(braid_closure(braid))
+        assert format_kh_polynomial(kh) == KH_BEATS_JONES_KH
+
+
 class TestCli:
     def test_skein_budget_option_is_gone(self):
         with pytest.raises(SystemExit) as exc:
@@ -571,6 +602,29 @@ class TestCli:
         assert code == 0
         assert "comparison: KhovanovOnlyFails" in out
         assert "verdict: Fail" in out
+
+    @pytest.mark.parametrize("word", [
+        "strands=4; " + " ".join(["1 2 3"] * 5),  # T(4,5): Z/4
+        "strands=5; " + " ".join(["1 2 3 4"] * 6),  # T(5,6): Z/3, Z/10
+    ])
+    def test_odd_torsion_reads_back_through_test(self, word, tmp_path):
+        computed = tmp_path / "computed.jsonl"
+        assert main([
+            "compute", "--braid", word, "--jones", "--kh", "--cap", "24",
+            "--format", "record", "--out", str(computed),
+        ]) == 0
+        invariants = json.loads(computed.read_text())["invariants"]
+        table = tmp_path / "table.csv"
+        table.write_text(f'Name,Jones,Kh\nk,{invariants["jones"]},{invariants["kh"]}\n')
+        tested = tmp_path / "tested.jsonl"
+        assert main([
+            "test", "--file", str(table), "--columns", "name=Name,jones=Jones,kh=Kh",
+            "--format", "record", "--out", str(tested),
+        ]) == 0
+        record = json.loads(tested.read_text())
+        assert record["flags"] == [] and record["error"] is None
+        assert record["invariants"]["kh"] == invariants["kh"]
+        assert record["reports"]
 
     def test_ingest_subcommand(self, capsys):
         code = main(["ingest", "--file", KNOTS_CSV, "--columns", COLUMNS_FLAG])

@@ -33,15 +33,11 @@ from poslink import (
     v_to_unnormalized,
 )
 from poslink.diagram import BraidWord
-from poslink.errors import (
-    CrossingCapExceeded,
-    EmptyHomology,
-    MalformedKhPolynomial,
-    UnsupportedTorsionExponent,
-)
+from poslink.errors import CrossingCapExceeded, EmptyHomology, MalformedKhPolynomial
 from poslink import tangle
 from poslink.tangle import _deloop, _neck_cut, reduced_complex
 
+from conftest import mirror
 from polygon_diagrams import polygon_diagram
 from reference import cube_slices, per_map_homology
 
@@ -167,6 +163,46 @@ class TestLargeCubes:
         assert euler_characteristic(kh) == v_to_unnormalized(jones_V(d))
         g = extreme_gradings(kh, d)
         assert g.j_lower == g.j_min_potential
+
+
+T45 = "strands=4; " + " ".join(["1 2 3"] * 5)
+T56 = "strands=5; " + " ".join(["1 2 3 4"] * 6)
+# torsion of order other than 2, as printed by compute --kh --cap 24
+ODD_TORSION_KH = {
+    T45: (  # T(4,5), 15 crossings: a Z/4
+        "q^11 + q^13 + t^2 q^15 + t^4 q^17 + (t^3 + t^4 + t^6)q^19 + (t^5 + t^6)q^21"
+        " + (t^5 + t^7 + t^8)q^23 + t^7 q^25 + t^9 q^27 + t^3 q^17 T^2 + t^7 q^21 T^2"
+        " + t^7 q^23 T^2 + t^9 q^25 T^4 + t^10 q^27 T^2 + t^10 q^29 T^2"
+    ),
+    T56: (  # T(5,6), 24 crossings: a Z/3 and two Z/10 = Z/2 + Z/5
+        "q^19 + q^21 + t^2 q^23 + t^4 q^25 + (t^3 + t^4 + t^6)q^27 + (t^5 + t^6 + t^8)q^29"
+        " + (t^5 + t^7 + 2t^8)q^31 + (t^7 + t^9 + t^10)q^33 + (2t^9 + t^12)q^35"
+        " + (2t^11 + t^12)q^37 + t^13 q^39 + (t^12 + t^13)q^41 + t^3 q^25 T^2"
+        " + t^7 q^29 T^2 + t^7 q^31 T^2 + t^9 q^33 T^2 + t^10 q^35 T^2 + t^11 q^35 T^10"
+        " + t^10 q^37 T^2 + t^12 q^39 T^10 + t^14 q^43 T^3"
+    ),
+}
+ODD_TORSION = {
+    T45: {(9, 25): (4,)},
+    T56: {(11, 35): (10,), (12, 39): (10,), (14, 43): (3,)},
+}
+
+
+class TestOddTorsion:
+    """Positive torus knots carry torsion of orders 3, 4 and 10, which the
+    text form writes and reads back.  Two routes check each table: the
+    Euler characteristic and the homology of the mirror diagram."""
+
+    @pytest.mark.parametrize("word", [T45, T56])
+    def test_pinned_homology(self, word):
+        d = braid_closure(parse_braid(word))
+        kh = khovanov_homology(d, cap=24)
+        assert format_kh_polynomial(kh) == ODD_TORSION_KH[word]
+        assert parse_kh_polynomial(ODD_TORSION_KH[word]) == kh
+        odd = {(i, j): t for (i, j), (_, t) in kh.items() if set(t) - {2}}
+        assert odd == ODD_TORSION[word]
+        assert euler_characteristic(kh) == v_to_unnormalized(jones_V(d))
+        assert khovanov_homology(mirror(d), cap=24) == kh.mirror()
 
 
 def has_torsion(kh: BigradedGroups) -> bool:
@@ -719,10 +755,11 @@ class TestTextForm:
         assert dict(kh.items()) == {(0, -1): (1, ()), (0, 1): (1, ())}
 
     def test_unsupported_torsion(self):
-        with pytest.raises(UnsupportedTorsionExponent):
-            parse_kh_polynomial("t^2 q^5 T^3")
-        with pytest.raises(UnsupportedTorsionExponent):
-            parse_kh_polynomial("t^2 q^5 T")
+        # every order k >= 2 reads back; a bare T or k < 2 names no group
+        assert parse_kh_polynomial("t^2 q^5 T^3") == BigradedGroups({(2, 5): (0, (3,))})
+        for bad in ("t^2 q^5 T", "t^2 q^5 T^1", "t^2 q^5 T^0", "t^2 q^5 T^-2"):
+            with pytest.raises(MalformedKhPolynomial):
+                parse_kh_polynomial(bad)
 
     def test_malformed(self):
         for bad in (
@@ -755,7 +792,7 @@ class TestTextForm:
     @given(
         st.dictionaries(
             st.tuples(st.integers(-6, 6), st.integers(-9, 9)),
-            st.tuples(st.integers(0, 3), st.integers(0, 3)),
+            st.tuples(st.integers(0, 3), st.lists(st.integers(2, 12), max_size=4)),
             max_size=12,
         ),
         st.integers(0, 1),
@@ -763,7 +800,7 @@ class TestTextForm:
     @settings(max_examples=150)
     def test_roundtrip_random_groups(self, cells, parity):
         kh = BigradedGroups(
-            {(i, 2 * j + parity): (rank, (2,) * z2) for (i, j), (rank, z2) in cells.items()}
+            {(i, 2 * j + parity): group for (i, j), group in cells.items()}
         )
         assert parse_kh_polynomial(format_kh_polynomial(kh)) == kh
 
@@ -794,5 +831,16 @@ class TestTextForm:
         kh = BigradedGroups({(2, 5): (1, (3,)), (3, 7): (0, (2, 4))})
         text = format_kh_polynomial(kh)
         assert text == "t^2 q^5 + t^2 q^5 T^3 + t^3 q^7 T^2 + t^3 q^7 T^4"
-        with pytest.raises(UnsupportedTorsionExponent):
-            parse_kh_polynomial(text)
+        assert parse_kh_polynomial(text) == kh
+        # equality is isomorphism at each (i, j): groups are stored by
+        # their invariant factors, and groups given at one (i, j) are summed
+        def at(*orders, rank=0):
+            return BigradedGroups({(3, 7): (rank, orders)})
+
+        assert at(10) == at(2, 5) == parse_kh_polynomial("t^3 q^7 T^2 + t^3 q^7 T^5")
+        assert format_kh_polynomial(at(2, 5)) == "t^3 q^7 T^10"
+        assert at(3, 10) == at(30) == at(2, 3, 5) and at(3, 10).torsion(3, 7) == (30,)
+        assert at(2, 2) != at(4) and at(2, 2).torsion(3, 7) == (2, 2)
+        assert at(6, 4) == at(2, 12)
+        two_copies = BigradedGroups([((0, 1), (1, ())), ((0, 1), (1, (2,))), ((0, 1), (0, (3,)))])
+        assert two_copies.rank(0, 1) == 2 and two_copies.torsion(0, 1) == (6,)

@@ -7,7 +7,7 @@ from math import gcd, prod
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poslink.snf import snf_divisors as _snf_divisors
+from poslink.snf import invariant_factors, snf_divisors as _snf_divisors
 
 
 def sparse(matrix):
@@ -154,6 +154,30 @@ class TestProperties:
         matrix = [[2, 4, 0], [1, 0, 3], [0, -1, 5]]
         assert snf_divisors(matrix) == [1, 1, 14]
         assert snf_divisors(matrix[::-1]) == [1, 1, 14]
+
+    @given(st.lists(st.integers(1, 60), max_size=8))
+    @settings(max_examples=200)
+    def test_invariant_factors_are_the_primary_decomposition(self, orders):
+        # the k-th factor from the top holds the k-th largest power of
+        # each prime, found here by trial division
+        powers: dict[int, list[int]] = {}
+        for x in orders:
+            for p in range(2, x + 1):
+                e = 0
+                while x % p == 0:
+                    x, e = x // p, e + 1
+                if e:
+                    powers.setdefault(p, []).append(p**e)
+        depth = max((len(v) for v in powers.values()), default=0)
+        tops = [sorted(v, reverse=True) + [1] * (depth - len(v)) for v in powers.values()]
+        expected = [prod(col) for col in zip(*tops)][::-1]
+        assert invariant_factors(orders) == expected
+        assert invariant_factors(sorted(orders, reverse=True)) == expected
+
+    def test_invariant_factors_of_long_runs(self):
+        # one bisection per entry: a quadratic exchange takes minutes here
+        assert invariant_factors([2] * 50000 + [3] * 50000) == [6] * 50000
+        assert invariant_factors([4, 2] * 20000) == [2] * 20000 + [4] * 20000
 
     def test_input_rows_untouched(self):
         rows = [{0: 1, 1: 2}, {0: 1, 1: 4, 2: 0}]
