@@ -312,8 +312,10 @@ def _self_check(computed: dict[str, object]) -> str | None:
     """
     jones, nabla, kh = (computed.get(k) for k in ("jones", "conway", "kh"))
     if jones is not None and nabla is not None:
-        v_at_i = _gaussian((int(2 * e), c) for e, c in jones.terms())
-        nabla_at = _gaussian((int(e), c * (-2) ** int(e)) for e, c in nabla.terms())
+        # on half-step keys: t^(k/2) at t^(1/2) = i is i^k, and z^(k/2)
+        # at z = -2i is (-2)^(k/2) i^(k/2)
+        v_at_i = _gaussian(jones.halves())
+        nabla_at = _gaussian((k // 2, c * (-2) ** (k // 2)) for k, c in nabla.halves())
         if v_at_i != nabla_at:
             return (
                 f"self-check: V(t^(1/2) = i) = {v_at_i} but "
@@ -344,7 +346,7 @@ def _positive_check(
         degree = d.crossing_count - a_state_circles(d) + 1
         if nabla.max_deg() != degree:
             return f"positive diagram: deg nabla = {nabla.max_deg()} but c - s_A + 1 = {degree}"
-        if any(coeff < 0 for _, coeff in nabla.terms()):
+        if any(coeff < 0 for _, coeff in nabla.halves()):
             return "positive diagram: nabla has a negative coefficient"
     # gradings are set whenever homology was computed and passed the self-check
     if "kh" in computed and gradings["j_lower"] != gradings["j_min_potential"]:
@@ -363,7 +365,7 @@ def _component_count(
     (n or None, the disagreement or None)."""
     found: list[tuple[str, int]] = []
     if jones is not None:
-        v = sum(c for _, c in jones.terms())
+        v = jones.evaluate_at_one()
         n = abs(v).bit_length()
         if n == 0 or v != (-2) ** (n - 1):
             return None, f"components: V(1) = {v} is not a power of -2"
@@ -558,21 +560,42 @@ def survey_corpus(max_strands: int, max_length: int) -> list[tuple[BraidWord, Di
     The key of a word on n strands is n and the least word among the
     cyclic rotations of its letters and of their images under i -> n - i.
     Rotation conjugates by a letter and the flip by the Garside element, so
-    every dropped word closes up to the same link as a kept one.  Words of
-    one key share their length and come in lexicographic order, so the
-    kept word is the least one.
+    every word left out closes up to the same link as a kept one.  The
+    kept word is the key itself, so only words that are least among their
+    own rotations are visited (:func:`_necklaces`), in lexicographic order
+    per strand count and length, and one is kept when no rotation of its
+    flip is less.  The corpus is the least word of each key of
+    :func:`positive_braid_words`, in that function's order.
     """
-    seen: set[tuple[int, tuple[int, ...]]] = set()
     out = []
-    for word in positive_braid_words(max_strands, max_length):
-        n, letters = word.strand_count, word.letters
-        flipped = tuple(n - k for k in letters)
-        key = (n, min(w[i:] + w[:i] for w in (letters, flipped) for i in range(len(w))))
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append((word, braid_closure(word)))
+    for n in range(2, max_strands + 1):
+        for length in range(1, max_length + 1):
+            for letters in _necklaces(n - 1, length):
+                flipped = tuple(n - k for k in letters)
+                if all(letters <= flipped[i:] + flipped[:i] for i in range(length)):
+                    word = BraidWord(n, letters)
+                    out.append((word, braid_closure(word)))
     return out
+
+
+def _necklaces(size: int, length: int) -> Iterator[tuple[int, ...]]:
+    """The words of ``length`` >= 1 letters from 1..size that are least
+    among their own rotations, in lexicographic order: the
+    Fredricksen-Kessler-Maiorana algorithm (*Necklaces of beads in k
+    colors*, Discrete Math. 1978), constant amortized time per word.  It
+    steps through the prenecklaces, each the prefix of a repeated word of
+    ``period`` letters, and a prenecklace is a necklace when its period
+    divides its length."""
+    word = [0]
+    while word:
+        word[-1] += 1
+        period = len(word)
+        while len(word) < length:
+            word.append(word[-period])
+        if length % period == 0:
+            yield tuple(word)
+        while word and word[-1] == size:
+            word.pop()
 
 
 def cmd_survey(

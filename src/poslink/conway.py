@@ -41,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .diagram import Diagram, _shadow_components
+from .diagram import Diagram
 from .laurent import LaurentPoly
 
 
@@ -50,7 +50,7 @@ def conway(d: Diagram) -> LaurentPoly:
     normalized to 1 on the unknot and 0 on split links."""
     if not d.crossings:
         return LaurentPoly.one() if d.free_circles == 1 else LaurentPoly.zero()
-    if d.free_circles or _shadow_components(d.crossings) > 1:
+    if d.free_circles or d._shadow_pieces > 1:
         return LaurentPoly.zero()
     return _conway_from_seifert(seifert_matrix(d))
 
@@ -102,7 +102,7 @@ def seifert_matrix(d: Diagram, outer: int = 0) -> list[list[int]]:
     unbounded one (0 <= outer <= number of circles); every choice gives a
     Seifert matrix of the same link.
     """
-    if not d.crossings or d.free_circles or _shadow_components(d.crossings) > 1:
+    if not d.crossings or d.free_circles or d._shadow_pieces > 1:
         raise ValueError("the Seifert matrix is built for connected diagrams only")
     surface = _surface(d, outer)
     cycles = _fundamental_cycles(surface)

@@ -54,7 +54,13 @@ def smoothing_pairs(crossing: Sequence[int], label: str) -> tuple[tuple[int, int
 
 @dataclass(frozen=True)
 class Diagram:
-    """An oriented link diagram: crossing tuples plus crossing-free circles."""
+    """An oriented link diagram: crossing tuples plus crossing-free circles.
+
+    Construction also keeps, outside the compared fields, the far-end table
+    of the crossings (``_far``, see :func:`_far_ends`), which every walk
+    over the diagram reads, and the number of connected pieces of its
+    shadow (``_shadow_pieces``, see :func:`_shadow_components`).
+    """
 
     crossings: tuple[Crossing, ...] = ()
     free_circles: int = 0
@@ -77,10 +83,13 @@ class Diagram:
             raise ArcMultiplicity(
                 "arc labels must be 1..2c with each label used exactly twice"
             )
+        other = tuple(_far_ends(self.crossings))
+        pieces = _shadow_components(other)
+        object.__setattr__(self, "_far", other)
+        object.__setattr__(self, "_shadow_pieces", pieces)
         # V - E + F = 2 on the sphere for each connected piece of the
         # shadow, which has c vertices and 2c edges in all
-        faces = _face_count(self.crossings)
-        if faces - len(self.crossings) != 2 * _shadow_components(self.crossings):
+        if _face_count(other) - len(self.crossings) != 2 * pieces:
             raise MalformedPD("PD code is not planar")
 
     @property
@@ -93,7 +102,7 @@ class Diagram:
 
     @cached_property
     def _orientation(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-        return _orient(self.crossings)
+        return _orient(self.crossings, self._far)
 
     @property
     def component_cycles(self) -> tuple[tuple[int, ...], ...]:
@@ -134,6 +143,19 @@ class Diagram:
         )
 
 
+def shared_steps(chain: Sequence[tuple[Crossing, object]], crossings: Sequence[Crossing]) -> int:
+    """How many leading steps of ``chain``, one (crossing, state after
+    it) pair per step of an earlier contraction, add the same crossings as
+    ``crossings`` begins with: the steps a contraction of ``crossings``
+    can take from the chain.  The Kauffman bracket and the Khovanov tangle
+    builder each keep such a chain over :attr:`Diagram.contraction_crossings`."""
+    k = 0
+    n = min(len(chain), len(crossings))
+    while k < n and chain[k][0] == crossings[k]:
+        k += 1
+    return k
+
+
 def _far_ends(crossings: Sequence[Crossing]) -> list[int]:
     """Slot s of crossing k is position ``4 * k + s``; entry ``pos`` is the
     position at the far end of the arc at ``pos``."""
@@ -147,7 +169,9 @@ def _far_ends(crossings: Sequence[Crossing]) -> list[int]:
     return other
 
 
-def _orient(crossings: Sequence[Crossing]) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+def _orient(
+    crossings: Sequence[Crossing], other: Sequence[int]
+) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
     """Infer over-strand entry slots and oriented component cycles.
 
     Walking the link alternates a pass through a crossing (position
@@ -159,8 +183,8 @@ def _orient(crossings: Sequence[Crossing]) -> tuple[tuple[int, ...], tuple[tuple
     direction.  Components that never pass under are oriented by the label
     convention instead: prefer the direction where exit = entry + 1,
     wrapping max -> min, then the one holding the least position.
+    ``other`` is the far-end table of the crossings (:func:`_far_ends`).
     """
-    other = _far_ends(crossings)
     label = [arc for t in crossings for arc in t]
     seen = [False] * len(other)
     over_in = [0] * len(crossings)
@@ -393,7 +417,7 @@ def state_circles(d: Diagram, state: Sequence[str]) -> int:
     for k, label in enumerate(state):
         for x, y in smoothing_pairs(range(4 * k, 4 * k + 4), label):
             join[x], join[y] = y, x
-    other = _far_ends(d.crossings)
+    other = d._far
     return _orbit_count([other[j] for j in join]) // 2 + d.free_circles
 
 
@@ -448,13 +472,13 @@ def _contraction_order(crossings: Sequence[Crossing], signs: Sequence[int]) -> t
     return tuple(order)
 
 
-def _shadow_components(crossings: Sequence[Crossing]) -> int:
+def _shadow_components(other: Sequence[int]) -> int:
     """Connected pieces of the underlying curve arrangement (free circles
-    excluded): a search from crossing to crossing along their arcs."""
-    other = _far_ends(crossings)
-    seen = [False] * len(crossings)
+    excluded), from its far-end table (:func:`_far_ends`): a search from
+    crossing to crossing along their arcs."""
+    seen = [False] * (len(other) // 4)
     pieces = 0
-    for k in range(len(crossings)):
+    for k in range(len(seen)):
         if seen[k]:
             continue
         pieces += 1
@@ -469,12 +493,13 @@ def _shadow_components(crossings: Sequence[Crossing]) -> int:
     return pieces
 
 
-def _face_count(crossings: Sequence[Crossing]) -> int:
-    """Faces of the shadow drawn with the PD code's cyclic orders: the
-    orbits of "run along the arc to its far end, then turn to the next
-    slot" over the corners, the corner at position ``4 * k + s`` lying
-    between slots s - 1 and s (mod 4) of crossing k."""
-    return _orbit_count([end - end % 4 + (end + 1) % 4 for end in _far_ends(crossings)])
+def _face_count(other: Sequence[int]) -> int:
+    """Faces of the shadow drawn with the PD code's cyclic orders, from its
+    far-end table (:func:`_far_ends`): the orbits of "run along the arc to
+    its far end, then turn to the next slot" over the corners, the corner
+    at position ``4 * k + s`` lying between slots s - 1 and s (mod 4) of
+    crossing k."""
+    return _orbit_count([end - end % 4 + (end + 1) % 4 for end in other])
 
 
 def _orbit_count(step: Sequence[int]) -> int:

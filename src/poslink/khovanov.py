@@ -201,11 +201,10 @@ def euler_characteristic(kh: BigradedGroups) -> LaurentPoly:
 
     Equals the unnormalized Jones polynomial of the link.
     """
-    out = LaurentPoly.zero()
+    out: dict[int, int] = {}  # half-step key 2j -> coefficient of q^j
     for (i, j), (rank, _) in kh.items():
-        if rank:
-            out = out + LaurentPoly.term(-rank if i & 1 else rank, j)
-    return out
+        out[2 * j] = out.get(2 * j, 0) + (-rank if i & 1 else rank)
+    return LaurentPoly._raw(out)
 
 
 def kh1_rank(kh: BigradedGroups) -> int:
@@ -237,7 +236,9 @@ def parse_kh_polynomial(text: str) -> BigradedGroups:
     """Parse a homology polynomial: ``a t^i q^j`` terms give Z^a at (i, j)
     and ``a t^i q^j T^k`` terms give (Z/k)^a, for any integer k >= 2;
     coefficients may be grouped as polynomials in t, e.g. ``(1 + t)q^3``.
-    The groups at one (i, j) are summed (:class:`BigradedGroups`)."""
+    The groups at one (i, j) are summed (:class:`BigradedGroups`).  A text
+    whose torsion multiplicities add up to more than
+    :data:`MAX_TORSION_FACTORS` is malformed."""
     s = text.strip()
     if not s:
         raise MalformedKhPolynomial("empty homology polynomial")
@@ -273,6 +274,8 @@ def parse_kh_polynomial(text: str) -> BigradedGroups:
         if mult < 0:
             group = f"Z/{order}" if order else "Z"
             raise MalformedKhPolynomial(f"negative multiplicity of {group} at {(i, qj)}")
+    if sum(mult for (_, _, order), mult in counts.items() if order) > MAX_TORSION_FACTORS:
+        raise MalformedKhPolynomial(f"more than {MAX_TORSION_FACTORS} torsion factors")
     try:
         return BigradedGroups(
             ((i, qj), (0, (order,) * mult) if order else (mult, ()))
@@ -281,6 +284,10 @@ def parse_kh_polynomial(text: str) -> BigradedGroups:
     except ValueError as exc:
         raise MalformedKhPolynomial(str(exc)) from None
 
+
+# the most torsion factors a homology text may list: each is stored, so a
+# multiplicity like 10^19 is refused before anything is allocated
+MAX_TORSION_FACTORS = 10**6
 
 # one signed term: a t-part (a t-monomial, or a t-polynomial in one pair of
 # parentheses), then a power of q, then an optional torsion marker T^k; the

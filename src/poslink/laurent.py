@@ -23,6 +23,7 @@ from .diagram import (
     a_state_circles,
     b_state_circles,
     is_positive,
+    shared_steps,
     smoothing_pairs,
 )
 from .errors import (
@@ -111,6 +112,11 @@ class LaurentPoly:
         for k in sorted(self._coeffs):
             yield Fraction(k, 2), self._coeffs[k]
 
+    def halves(self) -> list[tuple[int, int]]:
+        """(exponent in half-steps, coefficient) pairs in ascending order:
+        :meth:`terms` without building a Fraction per exponent."""
+        return sorted(self._coeffs.items())
+
     def exponent_parities(self) -> set[int]:
         """Half-step parities present: 0 = integer, 1 = half-odd-integer."""
         return {k & 1 for k in self._coeffs}
@@ -185,17 +191,17 @@ def format_poly(p: LaurentPoly, var: str = "t") -> str:
     if p.is_zero:
         return "0"
     pieces = []
-    for exp, c in p.terms():
+    for key, c in p.halves():
         mag = abs(c)
-        if exp == 0:
+        if key == 0:
             body = str(mag)
         else:
-            if exp == 1:
+            if key == 2:
                 power = var
-            elif exp.denominator == 1:
-                power = f"{var}^{exp.numerator}"
+            elif key % 2 == 0:
+                power = f"{var}^{key // 2}"
             else:
-                power = f"{var}^({exp.numerator}/2)"
+                power = f"{var}^({key}/2)"
             body = power if mag == 1 else f"{mag}{power}"
         if not pieces:
             pieces.append(body if c > 0 else f"-{body}")
@@ -256,34 +262,56 @@ def kauffman_bracket(d: Diagram) -> LaurentPoly:
     """Kauffman bracket in the variable A, by tangle contraction.
 
     Normalized so a single crossing-free circle has bracket 1.  Crossings
-    join a tangle in :attr:`Diagram.contraction_order`, which the diagram
-    computes once and shares with the Khovanov tangle builder.  The
-    tangle's smoothings are summed per planar matching of its open ends:
-    each matching maps every open end to the one its strand leaves by, and
-    carries a Laurent polynomial on half-step keys.  A crossing splits
-    every matching into its A- and B-smoothing, weighted A and A^-1.  Each circle that closes multiplies
-    by delta = -A^2 - A^-2, except one circle of the last crossing, where
-    every state closes at least one: the bracket weighs a state by
-    delta^(circles - 1).  The cost is c times the live matchings.  On the
-    n-strand braid closures the tests check, up to 40 crossings, the order
-    keeps at most 2n ends open, so at most Catalan(n) matchings.
+    join a tangle as :attr:`Diagram.contraction_crossings` lists them, in
+    the order the diagram computes once and shares with the Khovanov tangle
+    builder, with the arcs renumbered.  The tangle's smoothings are summed
+    per planar matching of its open ends: each matching maps every open end
+    to the one its strand leaves by, and carries a Laurent polynomial on
+    half-step keys.  A crossing splits every matching into its A- and
+    B-smoothing, weighted A and A^-1, and each circle that closes
+    multiplies by delta = -A^2 - A^-2.  The bracket weighs a state by
+    delta^(circles - 1), and every state closes at least one circle, so
+    one delta is divided out at the end (exactly, in time linear in the
+    degree span) or one fewer taken for the free circles.  The cost is c
+    times the live matchings.  On the n-strand braid closures the tests
+    check, up to 40 crossings, the order keeps at most 2n ends open, so at
+    most Catalan(n) matchings.
+
+    The states after k steps are a function of the first k renumbered
+    crossings alone, so :data:`_CHAIN` keeps the last diagram's (crossing,
+    states after it) per step, and a call takes the steps its crossings
+    share with that chain (:func:`poslink.diagram.shared_steps`, as the
+    tangle builder does) and contracts the rest.
     """
-    order = d.contraction_order
-    if not order:
+    global _CHAIN
+    crossings = d.contraction_crossings
+    if not crossings:
         return _delta_power(d.free_circles - 1) if d.free_circles else LaurentPoly.one()
-    states: dict[tuple, dict[int, int]] = {(): {0: 1}}
-    for step, k in enumerate(order):
-        last = step == len(order) - 1
+    chain = _CHAIN
+    k = shared_steps(chain, crossings)
+    states = chain[k - 1][1] if k else {(): {0: 1}}
+    for crossing in crossings[k:]:
         joined: dict[tuple, dict[int, int]] = {}
         for matching, poly in states.items():
-            for (partner, loops), shift in zip(_smoothings(matching, d.crossings[k]), (2, -2)):
+            for (partner, loops), shift in zip(_smoothings(matching, crossing), (2, -2)):
                 acc = joined.setdefault(partner, {})
-                for f, g in _DELTAS[len(loops) - last].items():
+                for f, g in _DELTAS[len(loops)].items():
                     f += shift
                     for e, c in poly.items():
                         acc[e + f] = acc.get(e + f, 0) + c * g
         states = joined
-    return LaurentPoly._raw(states[()]) * _delta_power(d.free_circles)
+        chain = _CHAIN = chain[:k] + ((crossing, states),)
+        k += 1
+    if d.free_circles:
+        return LaurentPoly._raw(states[()]) * _delta_power(d.free_circles - 1)
+    return LaurentPoly._raw(_divide(states[()], 4, -1))
+
+
+# the last diagram's (renumbered crossing, matching -> polynomial after
+# it) per step, every closed loop weighted by delta; the chain is replaced
+# whole, never changed in place, so each value it takes is one
+# contraction's finished steps
+_CHAIN: tuple[tuple[tuple[int, ...], dict[tuple, dict[int, int]]], ...] = ()
 
 
 # the crossing's own four ends are -1..-4, so no arc label can clash
@@ -366,27 +394,34 @@ def unnormalized_to_v(j: LaurentPoly) -> LaurentPoly:
         return LaurentPoly.zero()
     if j.exponent_parities() != {0}:
         raise MixedParity("unnormalized Jones polynomials have integer exponents")
-    work = dict(j._coeffs)
-    low = min(work)
-    quotient: dict[int, int] = {}
-    while work:
-        m = max(work)
-        if m < low + 4:
-            # quotient support lives in [low+2, high-2]
-            raise NotDivisible("polynomial is not divisible by (q + q^-1)")
-        c = work.pop(m)
-        quotient[m - 2] = c
-        k = m - 4
-        rem = work.get(k, 0) - c
-        if rem:
-            work[k] = rem
-        else:
-            work.pop(k, None)
+    quotient = _divide(j._coeffs, 2, 1)  # by q + q^-1
     out: dict[int, int] = {}
     for key, coeff in quotient.items():
         exp = key // 2  # integer exponent of q
         out[key // 2] = coeff if exp % 2 == 0 else -coeff
     return LaurentPoly._raw(out)
+
+
+def _divide(coeffs: Mapping[int, int], step: int, sign: int) -> dict[int, int]:
+    """The quotient of a polynomial on half-step keys by sign * (x^e +
+    x^-e), e = step / 2 an integer (the keys +-step, each with coefficient
+    ``sign``), in one pass down the keys; NotDivisible when a remainder is
+    left."""
+    work = dict(coeffs)
+    quotient: dict[int, int] = {}
+    if not work:
+        return quotient
+    low = min(work)
+    for m in range(max(work), low + 2 * step - 1, -1):
+        c = work.pop(m, 0)
+        if c:
+            quotient[m - step] = sign * c
+            work[m - 2 * step] = work.get(m - 2 * step, 0) - c
+    if any(work.values()):
+        e = step // 2
+        divisor = f"{'-' if sign < 0 else ''}({'x' if e == 1 else f'x^{e}'} + x^-{e})"
+        raise NotDivisible(f"polynomial is not divisible by {divisor}")
+    return quotient
 
 
 # --------------------------------------------------------------------------

@@ -33,13 +33,14 @@ and each step's objects are numbered in the order of the step before.
 So :data:`_CHAIN` keeps, for the last diagram built, one (renumbered
 crossing, reduced complex after it) pair per step, and the next call
 takes the complexes of the steps its own crossings share with that
-chain, cuts the chain at the first crossing that differs and builds on
-from there.  A complex joins the chain only once its cancellation is
-done; a later step reads it to build a new complex and never hands it to
-the cancellation, which works in place, so a complex the chain holds is
-never changed, and a call that raises leaves a chain of finished steps.
-The matchings stay interned with the chain because its complexes name
-them by id.  :func:`poslink.batch.cmd_survey` builds its records in the
+chain (:func:`poslink.diagram.shared_steps`, the helper the Kauffman
+bracket's own chain matches with), cuts the chain at the first crossing
+that differs and builds on from there.  A complex joins the chain only
+once its cancellation is done; a later step reads it to build a new
+complex and never hands it to the cancellation, which works in place,
+so a complex the chain holds is never changed, and a call that raises
+leaves a chain of finished steps.  The matchings stay interned with the
+chain because its complexes name them by id.  :func:`poslink.batch.cmd_survey` builds its records in the
 sorted order of their renumbered crossings, so each one shares the
 longest prefix possible with the one built just before it.
 """
@@ -48,7 +49,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 
-from .diagram import Diagram
+from .diagram import Diagram, shared_steps
 from .laurent import _SLOT_PAIRS, _smoothings
 
 
@@ -138,9 +139,7 @@ def reduced_complex(d: Diagram) -> tuple[dict[int, tuple[int, int]], dict[int, d
     global _CHAIN
     crossings = d.contraction_crossings
     chain = _CHAIN
-    k = 0
-    while k < min(len(chain), len(crossings)) and chain[k][0] == crossings[k]:
-        k += 1
+    k = shared_steps(chain, crossings)
     objects, out = chain[k - 1][1] if k else ({0: (matchings[()], 0, 0)}, {0: {}})
     for crossing in crossings[k:]:
         objects, out = _add_crossing(objects, out, crossing, matchings, cycles)

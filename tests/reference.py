@@ -6,13 +6,16 @@
   every edge, with no cancellation.
 * :func:`per_map_homology`: homology of that cube with each boundary map
   reduced by its own ``snf_divisors`` call.
-* :func:`kauffman_bracket_states`: the bracket as a sum over all 2^c states.
+* :func:`kauffman_bracket_states`: the bracket as a sum over all 2^c states,
+  and :func:`jones_states`, the Jones polynomial from it.
 * :func:`contraction_order`: the bracket's crossing order, by rescanning
   every remaining crossing at each step.
 * :class:`Skein`: a diagram with explicit orientation, and the crossing
   switches and oriented resolutions of the skein relation.
 * :func:`conway_skein`: the Conway polynomial by the descending-diagram
   skein recursion.
+* :func:`survey_words`: the survey's words, one per conjugacy key, by
+  keying every positive word by all of its rotations and flips.
 """
 
 from __future__ import annotations
@@ -20,7 +23,8 @@ from __future__ import annotations
 from collections import Counter
 from typing import Iterator, Sequence
 
-from poslink import BigradedGroups, Diagram, LaurentPoly
+from poslink import BigradedGroups, BraidWord, Diagram, LaurentPoly
+from poslink.batch import positive_braid_words
 from poslink.conway import _DisjointLabels
 from poslink.diagram import (
     A_SMOOTHING,
@@ -201,6 +205,19 @@ def kauffman_bracket_states(d: Diagram) -> LaurentPoly:
     return result
 
 
+def jones_states(d: Diagram) -> LaurentPoly:
+    """V(t) = (-A^3)^(-w) <D> at A = t^(-1/4), the bracket taken from
+    :func:`kauffman_bracket_states`."""
+    w = crossing_signs(d).writhe
+    normalized = kauffman_bracket_states(d) * LaurentPoly.term((-1) ** w, -3 * w)
+    # A^e is t^(-e/4), and e is even: V has half-integer exponents
+    out = {}
+    for exp, coeff in normalized.terms():
+        assert exp % 2 == 0, exp
+        out[-exp / 4] = coeff
+    return LaurentPoly(out)
+
+
 def contraction_order(d: Diagram) -> list[int]:
     """The bracket's crossing order: each next crossing shares the most
     arcs with the open boundary, ties go to the one with more incoming arcs
@@ -376,7 +393,7 @@ def conway_skein(d: Diagram, *, node_budget: int = DEFAULT_NODE_BUDGET) -> Laure
         if not od.crossings:
             # crossing-free: a single circle is the unknot, more are split
             result = LaurentPoly.one() if od.free_circles == 1 else LaurentPoly.zero()
-        elif od.free_circles > 0 or _shadow_components(od.crossings) > 1:
+        elif od.free_circles > 0 or _shadow_components(_far_ends(od.crossings)) > 1:
             result = LaurentPoly.zero()
         else:
             k = od.first_defect()
@@ -396,3 +413,20 @@ def conway_skein(d: Diagram, *, node_budget: int = DEFAULT_NODE_BUDGET) -> Laure
         return result
 
     return evaluate(Skein.of(d))
+
+
+def survey_words(max_strands: int, max_length: int) -> list[BraidWord]:
+    """Every positive word of :func:`positive_braid_words`, keyed by its
+    strand count n and the least word among the rotations of its letters
+    and of their images under i -> n - i; the first word of each key, in
+    that order."""
+    seen: set[tuple[int, tuple[int, ...]]] = set()
+    out = []
+    for word in positive_braid_words(max_strands, max_length):
+        n, letters = word.strand_count, word.letters
+        flipped = tuple(n - k for k in letters)
+        key = (n, min(w[i:] + w[:i] for w in (letters, flipped) for i in range(len(w))))
+        if key not in seen:
+            seen.add(key)
+            out.append(word)
+    return out

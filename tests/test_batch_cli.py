@@ -35,7 +35,7 @@ from poslink.errors import ColumnMissing, FileUnreadable
 
 from conftest import DATA_DIR, TREFOIL_PD
 from polygon_diagrams import polygon_diagram
-from reference import per_map_homology
+from reference import per_map_homology, survey_words
 
 COLUMNS = {
     "name": "Name",
@@ -92,6 +92,23 @@ class TestIngest:
         assert records[1].conway == parse_poly("z", "z")
         assert any("jones" in f for f in records[1].flags)
 
+
+    @pytest.mark.parametrize("mult", [10**19, 10**9])
+    def test_oversized_kh_cell_is_flagged_not_fatal(self, tmp_path, capsys, mult):
+        path = tmp_path / "kh.csv"
+        path.write_text(
+            "Name,Jones,Kh\n"
+            f"big,t + t^3 - t^4,{mult} t^3 q^7 T^2\n"
+            "trefoil,t + t^3 - t^4,q + q^3 + t^2 q^5 + t^3 q^9 + t^3 q^7 T^2\n"
+        )
+        records = ingest_csv(str(path), {"name": "Name", "jones": "Jones", "kh": "Kh"})
+        assert [r.name for r in records] == ["big", "trefoil"]
+        assert records[0].kh is None and records[1].kh is not None
+        assert records[0].flags == ["kh: cell parse error: more than 1000000 torsion factors"]
+        code = main(["test", "--file", str(path), "--columns", "name=Name,jones=Jones,kh=Kh"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "more than 1000000 torsion factors" in out and "trefoil" in out
 
     def test_misread_kh_cell_is_flagged_not_tested(self, tmp_path):
         # text between a group and its q: this cell was once read as
@@ -309,6 +326,15 @@ class TestSurvey:
         for word in positive_braid_words(3, 6):
             assert self.conjugates(word) & kept_keys, word
 
+    @pytest.mark.parametrize(
+        "max_strands, max_length", [(5, 7), (4, 7), (3, 7), (2, 7), (5, 1), (1, 4), (4, 0)]
+    )
+    def test_corpus_is_the_least_word_of_each_key(self, max_strands, max_length):
+        # the necklace walk against keying every word by all its rotations
+        corpus = survey_corpus(max_strands, max_length)
+        assert [word for word, _ in corpus] == survey_words(max_strands, max_length)
+        assert all(d == braid_closure(word) for word, d in corpus)
+
     def test_empty_bounds(self):
         assert len(cmd_survey(1, 0)) == 0
         assert len(cmd_survey(0, 5)) == 0
@@ -326,6 +352,29 @@ class TestSurvey:
         assert batch.all_ok
         assert len(built) == len(batch) == len(survey_corpus(3, 5))
         assert {r.source for r in batch} == {"braid"}
+
+    def test_records_do_not_depend_on_the_chains(self, monkeypatch):
+        # the bracket's and the tangle builder's chains, empty and then
+        # holding diagrams outside the survey, some of which share a prefix
+        # with its records
+        from poslink import laurent, tangle
+
+        monkeypatch.setattr(tangle, "_MATCHINGS", tangle._Interned())
+        monkeypatch.setattr(tangle, "_CHAIN", ())
+        monkeypatch.setattr(laurent, "_CHAIN", ())
+        fresh = [{**r.to_dict(), "timing_ms": 0} for r in cmd_survey(3, 7)]
+        rng = random.Random(3)
+        for text in ("strands=3; 1 2 1 2 1 2 1 2 1 2", "strands=3; 1 1 2 -1 2", "strands=4; 1 -2 3 1 2"):
+            d = braid_closure(parse_braid(text))
+            jones_V(d)
+            khovanov_homology(d)
+        for _ in range(5):
+            d = polygon_diagram(rng, max_crossings=8)
+            jones_V(d)
+            khovanov_homology(d)
+        assert laurent._CHAIN and tangle._CHAIN
+        again = [{**r.to_dict(), "timing_ms": 0} for r in cmd_survey(3, 7)]
+        assert again == fresh
 
     def test_build_order_does_not_reach_the_output(self, monkeypatch):
         from poslink import tangle

@@ -21,7 +21,6 @@ from poslink import (
 )
 from poslink.batch import _conway_mirror
 from poslink.conway import _conway_from_seifert, _surface, seifert_matrix
-from poslink.diagram import _shadow_components
 
 from conftest import DATA_DIR, lucas, mirror
 from polygon_diagrams import polygon_diagram
@@ -35,7 +34,7 @@ def agrees_with_skein_at_every_outer_region(d: Diagram) -> None:
     determinant for every choice of the outer region."""
     expected = conway_skein(d)
     assert conway(d) == expected
-    if d.crossings and not d.free_circles and _shadow_components(d.crossings) == 1:
+    if d.crossings and not d.free_circles and d._shadow_pieces == 1:
         regions = len(_surface(d, 0).length) + 1
         for outer in range(regions):
             assert _conway_from_seifert(seifert_matrix(d, outer)) == expected, outer
@@ -195,7 +194,7 @@ class TestAgainstSkein:
         nested = side_by_side = 0
         for _ in range(40):
             d = polygon_diagram(rng)
-            if d.free_circles or _shadow_components(d.crossings) > 1:
+            if d.free_circles or d._shadow_pieces > 1:
                 continue
             ramps = _surface(d, 0).ramp
             nested += any(r is not None for r in ramps)

@@ -23,7 +23,7 @@ from poslink import (
     state_circles,
     writhe,
 )
-from poslink.diagram import _shadow_components, smoothing_pairs
+from poslink.diagram import _far_ends, _shadow_components, smoothing_pairs
 from poslink.errors import (
     ArcMultiplicity,
     ArityError,
@@ -426,20 +426,22 @@ def shadow_pieces(crossings):
 
 
 class TestShadowComponents:
-    """The Seifert geometry behind ``conway`` reads _shadow_components; a
-    union-find over each crossing's four arcs is the reference."""
+    """The Seifert geometry behind ``conway`` reads the piece count that a
+    Diagram keeps from _shadow_components; a union-find over each
+    crossing's four arcs is the reference."""
 
     @pytest.mark.parametrize(
         "text",
         ["PD[X[1,1,2,2]]", "PD[X[2,1,1,2]]", TREFOIL_PD[:-1] + ",O[]]", SEVEN4_PD],
     )
     def test_matches_union_find(self, text):
-        crossings = parse_pd(text).crossings
-        assert _shadow_components(crossings) == shadow_pieces(crossings)
+        d = parse_pd(text)
+        assert d._shadow_pieces == shadow_pieces(d.crossings)
+        assert _shadow_components(_far_ends(d.crossings)) == d._shadow_pieces
 
     def test_matches_union_find_on_polygon_diagrams(self):
         for d in seeded_polygon_diagrams():
-            assert _shadow_components(d.crossings) == shadow_pieces(d.crossings), d
+            assert d._shadow_pieces == shadow_pieces(d.crossings), d
 
     @given(
         strands=st.integers(2, 5),
@@ -449,7 +451,7 @@ class TestShadowComponents:
     def test_matches_union_find_on_braids(self, strands, letters):
         word = tuple(min(g, strands - 1) * (1 if up else -1) for g, up in letters)
         d = braid_closure(BraidWord(strands, word))
-        assert _shadow_components(d.crossings) == shadow_pieces(d.crossings), d
+        assert d._shadow_pieces == shadow_pieces(d.crossings), d
 
 
 class TestKinks:

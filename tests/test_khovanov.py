@@ -754,6 +754,25 @@ class TestTextForm:
         kh = parse_kh_polynomial("q^-1 + q")
         assert dict(kh.items()) == {(0, -1): (1, ()), (0, 1): (1, ())}
 
+    @pytest.mark.parametrize("mult", [10**19, 10**9])
+    def test_oversized_torsion_multiplicity_is_malformed(self, mult):
+        # 10^19 factors once ended a batch with an OverflowError, and 10^9
+        # would have been a list of a billion orders
+        with pytest.raises(MalformedKhPolynomial, match="torsion factors"):
+            parse_kh_polynomial(f"{mult} t^3 q^7 T^2")
+
+    def test_torsion_ceiling_counts_the_whole_table(self, monkeypatch):
+        from poslink import khovanov
+
+        monkeypatch.setattr(khovanov, "MAX_TORSION_FACTORS", 4)
+        assert parse_kh_polynomial("4 q T^2").torsion(0, 1) == (2, 2, 2, 2)
+        assert parse_kh_polynomial("2 q T^2 + 2 t q^3 T^3").torsion(1, 3) == (3, 3)
+        for bad in ("5 q T^2", "3 q T^2 + 2 t q^3 T^3", "(2 + 3t)q T^2"):
+            with pytest.raises(MalformedKhPolynomial, match="more than 4 torsion factors"):
+                parse_kh_polynomial(bad)
+        # a free rank is one number whatever its size
+        assert parse_kh_polynomial(f"{10**19} q + 4 q T^2").rank(0, 1) == 10**19
+
     def test_unsupported_torsion(self):
         # every order k >= 2 reads back; a bare T or k < 2 names no group
         assert parse_kh_polynomial("t^2 q^5 T^3") == BigradedGroups({(2, 5): (0, (3,))})

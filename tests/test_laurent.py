@@ -24,6 +24,8 @@ from poslink import (
     unnormalized_to_v,
     v_to_unnormalized,
 )
+from poslink import laurent
+from poslink.batch import survey_corpus
 from poslink.errors import (
     MalformedPolynomial,
     MixedParity,
@@ -34,7 +36,7 @@ from poslink.errors import (
 
 from conftest import TREFOIL_PD, lucas, mirror
 from polygon_diagrams import polygon_diagram
-from reference import contraction_order, kauffman_bracket_states
+from reference import contraction_order, jones_states, kauffman_bracket_states
 
 TREFOIL_V = parse_poly("t + t^3 - t^4")
 SEVEN4_V = parse_poly("t - 2t^2 + 3t^3 - 2t^4 + 3t^5 - 2t^6 + t^7 - t^8")
@@ -401,3 +403,87 @@ class TestLickorishBounds:
             s = jones_summary(jones_V(d))
             assert s.min_deg == lo
             assert s.max_deg <= hi
+
+
+def chain_corpus() -> list:
+    """Diagrams whose contractions share prefixes: survey closures, random
+    mixed braids, polygon diagrams, free circles and kinks."""
+    rng = random.Random(11)
+    corpus = [d for _, d in survey_corpus(3, 6)]
+    for _ in range(40):
+        n = rng.randint(2, 4)
+        word = tuple(rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(rng.randint(1, 9)))
+        corpus.append(braid_closure(BraidWord(n, word)))
+    corpus += [polygon_diagram(rng, max_crossings=8) for _ in range(20)]
+    texts = ["strands=5; 1 1 1", "strands=3; 1 1 1 2", "strands=3; 1 -1 -1 -2"]
+    corpus += [braid_closure(parse_braid(t)) for t in texts]
+    corpus += [parse_pd("PD[X[1,1,2,2]]"), parse_pd(TREFOIL_PD[:-1] + ",O[]]"), parse_pd("PD[O[]]")]
+    return corpus
+
+
+class TestBracketChain:
+    """kauffman_bracket takes from the chain of the last diagram contracted
+    every step that its own renumbered crossings share with it, so a run
+    of diagrams in sorted order contracts each prefix once, and no result
+    depends on what the chain holds."""
+
+    def test_any_order_matches_the_state_sum(self, monkeypatch):
+        monkeypatch.setattr(laurent, "_CHAIN", ())
+        corpus = chain_corpus()
+        expected = {id(d): jones_states(d) for d in corpus}
+        shuffled = corpus[:]
+        random.Random(5).shuffle(shuffled)
+        in_survey_order = sorted(corpus, key=lambda d: d.contraction_crossings)
+        twice = [d for d in corpus for _ in range(2)]
+        for order in (shuffled, in_survey_order, twice, corpus[::-1]):
+            for d in order:
+                assert jones_V(d) == expected[id(d)], d
+
+    def test_sorted_run_contracts_each_prefix_once(self, monkeypatch):
+        monkeypatch.setattr(laurent, "_CHAIN", ())
+        shared = laurent.shared_steps
+        steps = []
+
+        def counting(chain, crossings):
+            k = shared(chain, crossings)
+            steps.append(len(crossings) - k)
+            return k
+
+        monkeypatch.setattr(laurent, "shared_steps", counting)
+        corpus = sorted((d for _, d in survey_corpus(3, 8)), key=lambda d: d.contraction_crossings)
+        for d in corpus:
+            kauffman_bracket(d)
+        runs = [d.contraction_crossings for d in corpus]
+        prefixes = {c[:k] for c in runs for k in range(1, len(c) + 1)}
+        assert sum(steps) == len(prefixes) < sum(map(len, runs))
+
+    @pytest.mark.parametrize("fail_at", [0, 2, 5])
+    def test_failed_contraction_leaves_an_exact_chain(self, monkeypatch, fail_at):
+        monkeypatch.setattr(laurent, "_CHAIN", ())
+        smoothings = laurent._smoothings
+
+        def failing(matching, crossing):
+            # the chain holds one entry per finished step
+            if len(laurent._CHAIN) == fail_at:
+                raise RuntimeError("contraction stopped")
+            return smoothings(matching, crossing)
+
+        monkeypatch.setattr(laurent, "_smoothings", failing)
+        d = braid_closure(parse_braid("strands=4; 1 -2 3 -1 -2 3 1 2"))
+        with pytest.raises(RuntimeError, match="contraction stopped"):
+            kauffman_bracket(d)
+        assert len(laurent._CHAIN) == fail_at
+        assert [c for c, _ in laurent._CHAIN] == list(d.contraction_crossings[:fail_at])
+        monkeypatch.setattr(laurent, "_smoothings", smoothings)
+        texts = ["strands=4; 1 -2 3 -1 -2 3 1 2", "strands=4; 1 -2 3 -1", "strands=4; 1 -2 3 -1 -2 3 1 2"]
+        for text in texts:
+            e = braid_closure(parse_braid(text))
+            assert kauffman_bracket(e) == kauffman_bracket_states(e), text
+
+    def test_delta_division_is_exact(self):
+        for exps in ({4: 1}, {4: -1, -4: 2}, {8: 3, 0: -1, -12: 5}):
+            q = LaurentPoly._raw(exps)
+            delta = LaurentPoly({2: -1, -2: -1})
+            assert laurent._divide((delta * q)._coeffs, 4, -1) == exps
+        with pytest.raises(NotDivisible):
+            laurent._divide({4: 1}, 4, -1)
