@@ -266,8 +266,9 @@ def records_from_lines(lines: Iterable[str]) -> list[LinkRecord]:
 
 
 def _conway_mirror(p: LaurentPoly) -> LaurentPoly:
-    # mirror image sends z -> -z
-    return LaurentPoly({exp: -c if exp.numerator % 2 else c for exp, c in p.terms()})
+    # mirror image sends z -> -z, which flips the odd powers: half-step
+    # keys k with k % 4 == 2
+    return LaurentPoly._raw({k: -c if k % 4 == 2 else c for k, c in p.halves()})
 
 
 def _reconcile(name, computed, ingested, mirror_fn, mode, flags):

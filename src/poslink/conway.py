@@ -17,9 +17,12 @@ taken exactly: integer determinants by Bareiss elimination at a few
 points, then interpolation.  Everything is polynomial in the crossing
 count.
 
-Geometry.  The regions between the circles are the classes of (circle,
-side) pairs glued at each crossing; with any region taken as the outer
-one they form a tree, which fixes whether each circle runs clockwise and
+Geometry.  The circles are walked on the diagram's far-end table
+(``Diagram._far``).  Node 2C + side stands for the region on the left
+(side 0) or right (side 1) of circle C; a band joins two nodes of one
+region, and the two sides of a circle lie in adjacent regions.  With any
+node's region taken as the outer one, the regions form a tree, and a
+level-order walk out from it fixes whether each circle runs clockwise and
 which bands reach it from the inside.  The PD order a, b, c, d is read
 clockwise seen from above, the frame in which a crossing whose
 over-strand runs b -> d is right-handed, matching :func:`crossing_signs`.
@@ -38,7 +41,6 @@ homology classes alone, so each may use its own drawing of the curves:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .diagram import Diagram
@@ -64,54 +66,27 @@ def lead_coeff_conway(d: Diagram) -> int:
 # Seifert surface
 
 
-@dataclass(frozen=True)
-class _Surface:
-    """The canonical Seifert surface of a connected diagram.
-
-    Crossing k is a band from circle ``first[k]`` (through its incoming
-    under-arc) to circle ``second[k]``; ``slot[k][C]`` is its place in the
-    cyclic order of bands along circle C, and ``ramp[k]`` the circle it
-    reaches from the inside, if any.  ``turn[C]`` is +1 when C runs
-    counterclockwise.
-    """
-
-    sign: tuple[int, ...]
-    first: tuple[int, ...]
-    second: tuple[int, ...]
-    slot: tuple[dict[int, int], ...]
-    ramp: tuple[int | None, ...]
-    length: tuple[int, ...]
-    turn: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class _Cycle:
-    """A closed curve on the surface: ``bands[k]`` is +1 when it crosses
-    band k from ``first[k]`` to ``second[k]``; ``visits[C]`` is the
-    (incoming, outgoing) band pair of its path across the disk of C."""
-
-    bands: dict[int, int]
-    visits: dict[int, tuple[int, int]]
-
-
 def seifert_matrix(d: Diagram, outer: int = 0) -> list[list[int]]:
     """Seifert matrix of the canonical Seifert surface of a connected
     diagram, on the fundamental cycles of its Seifert graph.
 
-    ``outer`` picks which region between the Seifert circles is the
-    unbounded one (0 <= outer <= number of circles); every choice gives a
-    Seifert matrix of the same link.
+    ``outer`` picks the unbounded region between the Seifert circles: the
+    one on side ``outer & 1`` of circle ``outer >> 1`` (0 <= outer < 2m
+    for m circles, see :func:`_surface`).  Every choice gives a Seifert
+    matrix of the same link.
     """
     if not d.crossings or d.free_circles or d._shadow_pieces > 1:
         raise ValueError("the Seifert matrix is built for connected diagrams only")
     surface = _surface(d, outer)
+    sign = surface[0]
     cycles = _fundamental_cycles(surface)
     n = len(cycles)
     matrix = [[0] * n for _ in range(n)]
     for i, x in enumerate(cycles):
+        bands, _ = x
         # a fundamental cycle meets each circle once, so it crosses its
         # push-offs only in the half twists of its own bands
-        matrix[i][i] = -sum(surface.sign[k] for k in x.bands) // 2
+        matrix[i][i] = -sum(sign[k] for k in bands) // 2
         for j in range(i):
             s, cut = _pair_form(surface, x, cycles[j])
             matrix[i][j] = (s + cut) // 2
@@ -119,118 +94,97 @@ def seifert_matrix(d: Diagram, outer: int = 0) -> list[list[int]]:
     return matrix
 
 
-class _DisjointLabels:
-    """Union-find over arc labels with minimum-label representatives."""
+def _surface(d: Diagram, outer: int) -> tuple:
+    """The canonical Seifert surface of a connected diagram, as the tuple
+    ``(sign, first, second, slot, ramp, length, turn)``.
 
-    def __init__(self) -> None:
-        self._parent: dict[int, int] = {}
+    Crossing k is a band from circle ``first[k]`` (through its incoming
+    under-strand) to circle ``second[k]`` (through its incoming
+    over-strand); ``slot[k]`` is the pair of its places in the cyclic order
+    of bands along those two circles, and ``ramp[k]`` the circle it reaches
+    from the inside, if any.  ``length[C]`` counts the bands along circle
+    C, and ``turn[C]`` is +1 when C runs counterclockwise.
 
-    def find(self, x: int) -> int:
-        parent = self._parent
-        root = x
-        while parent.get(root, root) != root:
-            root = parent[root]
-        while parent.get(x, x) != x:
-            parent[x], x = root, parent[x]
-        return root
-
-    def union(self, x: int, y: int) -> None:
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            # keep the smaller label as representative: deterministic output
-            if rx > ry:
-                rx, ry = ry, rx
-            self._parent[ry] = rx
-
-
-def _surface(d: Diagram, outer: int) -> _Surface:
+    The circles are walked on the far-end table ``d._far`` over incoming
+    positions: 4k is the under-strand of crossing k and 4k + over_in[k] its
+    over-strand.  The Seifert smoothing sends slot 0 out at slot
+    over_in[k] ^ 2 and the over-strand out at slot 2, and the far end of
+    the outgoing arc is the next incoming position.  Side 0 of a circle is
+    its left, side 1 its right, and node 2C + side stands for the region
+    on that side of circle C; ``outer`` is the node whose region is the
+    unbounded one.
+    """
+    far = d._far
     over_in = d._orientation[0]
-    succ: dict[int, int] = {}  # incoming arc -> outgoing arc of its smoothing
-    head: dict[int, int] = {}  # arc -> crossing it enters
-    entries: list[tuple[int, int]] = []  # (under-strand in, over-strand in)
-    sign = []
-    for k, ((a, b, c, e), oi) in enumerate(zip(d.crossings, over_in)):
-        if oi == 1:
-            succ[a], succ[b] = e, c
-            entries.append((a, b))
-        else:
-            succ[a], succ[e] = b, c
-            entries.append((a, e))
-        sign.append(1 if oi == 1 else -1)
-        for arc in entries[-1]:
-            head[arc] = k
-
-    circle_of: dict[int, int] = {}
-    slot: list[dict[int, int]] = [{} for _ in d.crossings]
+    step = [0] * len(far)  # incoming position -> the next one on its circle
+    for k, oi in enumerate(over_in):
+        step[4 * k] = far[4 * k + (oi ^ 2)]
+        step[4 * k + oi] = far[4 * k + 2]
+    circle_at = [-1] * len(far)
+    place_at = [0] * len(far)
     length: list[int] = []
-    for start in sorted(succ):
-        if start in circle_of:
-            continue
-        circle = len(length)
-        arc, place = start, 0
-        while arc not in circle_of:
-            circle_of[arc] = circle
-            slot[head[arc]][circle] = place
-            place += 1
-            arc = succ[arc]
-        length.append(place)
+    for k, oi in enumerate(over_in):
+        for start in (4 * k, 4 * k + oi):
+            pos, place = start, 0
+            while circle_at[pos] < 0:
+                circle_at[pos], place_at[pos] = len(length), place
+                place += 1
+                pos = step[pos]
+            if place:
+                length.append(place)
     m = len(length)
-    if not 0 <= outer <= m:
-        raise ValueError(f"outer region must be in 0..{m}, got {outer}")
-    first = tuple(circle_of[u] for u, _ in entries)
-    second = tuple(circle_of[o] for _, o in entries)
+    if not 0 <= outer < 2 * m:
+        raise ValueError(f"outer must be a node in 0..{2 * m - 1}, got {outer}")
+    sign = tuple(1 if oi == 1 else -1 for oi in over_in)
+    first = tuple(circle_at[4 * k] for k in range(len(over_in)))
+    second = tuple(circle_at[4 * k + oi] for k, oi in enumerate(over_in))
+    slot = tuple((place_at[4 * k], place_at[4 * k + oi]) for k, oi in enumerate(over_in))
 
-    # A band lies on the left (side 0) of the circle through its incoming
-    # under-arc when the crossing is positive, and on the right otherwise;
-    # it lies on the other side of the other circle.
-    sides = [(0, 1) if s > 0 else (1, 0) for s in sign]
-    joined = _DisjointLabels()  # over (circle, side) = 2 * circle + side
-    for k, (s1, s2) in enumerate(sides):
-        joined.union(2 * first[k] + s1, 2 * second[k] + s2)
-    roots = sorted({joined.find(x) for x in range(2 * m)})
-    number = {r: i for i, r in enumerate(roots)}
-    region = [number[joined.find(x)] for x in range(2 * m)]
-    circles_at: list[list[int]] = [[] for _ in roots]
-    for x, r in enumerate(region):
-        circles_at[r].append(x >> 1)
+    # A band lies on the left (side 0) of its first circle when the
+    # crossing is positive, and on the right otherwise; it lies on the
+    # other side of its second circle.  Both ends face one region.
+    ends = [
+        (2 * u + (s < 0), 2 * v + (s > 0)) for s, u, v in zip(sign, first, second)
+    ]
+    joined: list[list[int]] = [[] for _ in range(2 * m)]
+    for x, y in ends:
+        joined[x].append(y)
+        joined[y].append(x)
+    # level-order walk out from the outer region: a band stays in its
+    # region, and crossing a circle steps to the adjacent one, so the side
+    # of each circle at the higher level is its inside
+    level = [-1] * (2 * m)
+    level[outer] = 0
+    region = [outer]
+    while region:
+        for x in region:  # the list grows to the whole level as it is read
+            for y in joined[x]:
+                if level[y] < 0:
+                    level[y] = level[x]
+                    region.append(y)
+        region = [x ^ 1 for x in region if level[x ^ 1] < 0]
+        for x in region:
+            level[x] = level[x ^ 1] + 1
 
-    # walk the region tree from the outer region: the side of each circle
-    # facing away from it is the inside
-    inside: list[int | None] = [None] * m
-    queue = [outer]
-    for r in queue:
-        for circle in circles_at[r]:
-            if inside[circle] is not None:
-                continue
-            inside[circle] = 1 if region[2 * circle] == r else 0
-            queue.append(region[2 * circle + inside[circle]])
-
-    ramp = []
-    for k, (s1, s2) in enumerate(sides):
-        if inside[first[k]] == s1:
-            ramp.append(first[k])
-        elif inside[second[k]] == s2:
-            ramp.append(second[k])
-        else:
-            ramp.append(None)
-    return _Surface(
-        sign=tuple(sign),
-        first=first,
-        second=second,
-        slot=tuple(slot),
-        ramp=tuple(ramp),
-        length=tuple(length),
-        # inside on the left means counterclockwise
-        turn=tuple(1 if side == 0 else -1 for side in inside),
+    ramp = tuple(
+        u if level[x] > level[x ^ 1] else v if level[y] > level[y ^ 1] else None
+        for (x, y), u, v in zip(ends, first, second)
     )
+    # inside on the left means counterclockwise
+    turn = tuple(1 if level[2 * c] > level[2 * c + 1] else -1 for c in range(m))
+    return sign, first, second, slot, ramp, tuple(length), turn
 
 
-def _fundamental_cycles(surface: _Surface) -> list[_Cycle]:
+def _fundamental_cycles(surface: tuple) -> list[tuple[dict, dict]]:
     """One cycle per crossing outside a breadth-first spanning tree of the
-    Seifert graph, in crossing order."""
-    m = len(surface.length)
+    Seifert graph, in crossing order.  A cycle is the pair (bands, visits):
+    ``bands[k]`` is +1 when it crosses band k from ``first[k]`` to
+    ``second[k]``, and ``visits[C]`` is the (incoming, outgoing) band pair
+    of its path across the disk of C."""
+    _, first, second, _, _, length, _ = surface
+    m = len(length)
     neighbours: list[list[tuple[int, int]]] = [[] for _ in range(m)]
-    for k, (u, v) in enumerate(zip(surface.first, surface.second)):
+    for k, (u, v) in enumerate(zip(first, second)):
         neighbours[u].append((k, v))
         neighbours[v].append((k, u))
     up: list[tuple[int, int] | None] = [None] * m  # circle -> (band, parent circle)
@@ -248,7 +202,7 @@ def _fundamental_cycles(surface: _Surface) -> list[_Cycle]:
                 order.append(other)
 
     cycles = []
-    for k, (u, v) in enumerate(zip(surface.first, surface.second)):
+    for k, (u, v) in enumerate(zip(first, second)):
         if k in in_tree:
             continue
         # cross band k from u to v, then return to u through the tree
@@ -264,54 +218,56 @@ def _fundamental_cycles(surface: _Surface) -> list[_Cycle]:
                 descend.append((band, p, y))
                 y = p
         steps = [(k, u, v)] + climb + descend[::-1]
-        bands = {b: 1 if frm == surface.first[b] else -1 for b, frm, _ in steps}
+        bands = {b: 1 if frm == first[b] else -1 for b, frm, _ in steps}
         visits = {
             to: (b, steps[(i + 1) % len(steps)][0])
             for i, (b, _, to) in enumerate(steps)
         }
-        cycles.append(_Cycle(bands, visits))
+        cycles.append((bands, visits))
     return cycles
 
 
-def _pair_form(surface: _Surface, x: _Cycle, y: _Cycle) -> tuple[int, int]:
+def _pair_form(surface: tuple, x: tuple[dict, dict], y: tuple[dict, dict]) -> tuple[int, int]:
     """(S(x, y), I(x, y)) for two distinct cycles, so that
     lk(x, y^+) = (S + I) / 2 and lk(y, x^+) = (S - I) / 2."""
-    shared = x.bands.keys() & y.bands.keys()
-    curves = (x, y)
+    sign, first, _, slot, ramp, length, turn = surface
+    (x_bands, x_visits), (y_bands, y_visits) = curves = (x, y)
+    shared = x_bands.keys() & y_bands.keys()
 
     def point(which: int, k: int, circle: int) -> int:
         # In a band both curves cross, x comes before y along the band's
         # first circle and after it along the second, whose boundary runs
         # the other way across the band.
-        lane = which ^ (circle != surface.first[k]) if k in shared else 0
-        return 2 * surface.slot[k][circle] + lane
+        other_end = circle != first[k]
+        lane = which ^ other_end if k in shared else 0
+        return 2 * slot[k][other_end] + lane
 
-    s = sum(-surface.sign[k] * x.bands[k] * y.bands[k] for k in shared)
+    s = sum(-sign[k] * x_bands[k] * y_bands[k] for k in shared)
 
     # a band reaching a circle from the inside passes over the paths along
     # that circle, each drawn forward from its incoming to its outgoing band;
     # stacking nested disks below instead would flip the sign of these
     # crossings and give another Seifert matrix of the same link
     for which in (0, 1):
-        over, under = curves[which], curves[1 - which]
-        for k, direction in over.bands.items():
-            circle = surface.ramp[k]
-            if circle is None or circle not in under.visits:
+        (over, _), (_, under) = curves[which], curves[1 - which]
+        for k, direction in over.items():
+            circle = ramp[k]
+            if circle is None or circle not in under:
                 continue
-            enter, leave = under.visits[circle]
+            enter, leave = under[circle]
             start = point(1 - which, enter, circle)
-            span = 2 * surface.length[circle]
+            span = 2 * length[circle]
             offset = (point(which, k, circle) - start) % span
             if 0 < offset < (point(1 - which, leave, circle) - start) % span:
-                inward = 1 if (direction > 0) == (circle == surface.first[k]) else -1
-                s -= surface.turn[circle] * inward
+                inward = 1 if (direction > 0) == (circle == first[k]) else -1
+                s -= turn[circle] * inward
 
     cut = 0
-    for circle, (x_in, x_out) in x.visits.items():
-        if circle not in y.visits:
+    for circle, (x_in, x_out) in x_visits.items():
+        if circle not in y_visits:
             continue
-        y_in, y_out = y.visits[circle]
-        span = 2 * surface.length[circle]
+        y_in, y_out = y_visits[circle]
+        span = 2 * length[circle]
         start = point(0, x_in, circle)
         end = (point(0, x_out, circle) - start) % span
         y_from = (point(1, y_in, circle) - start) % span

@@ -264,10 +264,10 @@ def parse_kh_polynomial(text: str) -> BigradedGroups:
             raise MalformedKhPolynomial(f"torsion markers are T^k, k >= 2: {m[0].strip()!r}")
         sign = -1 if m["sign"] == "-" else 1
         qj = 1 if j is None else _grading(j)
-        for exp, coeff in tpoly.terms():
-            if exp.denominator != 1:
-                raise MalformedKhPolynomial(f"homological grading {exp} is not an integer")
-            key = (int(exp), qj, order)
+        for half, coeff in tpoly.halves():
+            if half & 1:
+                raise MalformedKhPolynomial(f"homological grading {half}/2 is not an integer")
+            key = (half // 2, qj, order)
             counts[key] = counts.get(key, 0) + sign * coeff
         pos = m.end()
     for (i, qj, order), mult in counts.items():

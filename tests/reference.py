@@ -25,7 +25,6 @@ from typing import Iterator, Sequence
 
 from poslink import BigradedGroups, BraidWord, Diagram, LaurentPoly
 from poslink.batch import positive_braid_words
-from poslink.conway import _DisjointLabels
 from poslink.diagram import (
     A_SMOOTHING,
     B_SMOOTHING,
@@ -341,19 +340,20 @@ class Skein:
     def resolve(self, k: int) -> "Skein":
         """Oriented resolution: both strands continue, the crossing is gone."""
         a, b, c, d = self.crossings[k]
-        pairs = ((a, d), (b, c)) if self.over_in[k] == 1 else ((a, b), (c, d))
-        dj = _DisjointLabels()
-        for x, y in pairs:
-            dj.union(x, y)
+        joins = [{a, d}, {b, c}] if self.over_in[k] == 1 else [{a, b}, {c, d}]
+        # a kink such as X[3,3,4,2] chains both joins through one arc
+        if joins[0] & joins[1]:
+            joins = [joins[0] | joins[1]]
+        ren = {v: min(arcs) for arcs in joins for v in arcs}
         xs = []
         oi = []
         for i, (t, o) in enumerate(zip(self.crossings, self.over_in)):
             if i == k:
                 continue
-            xs.append(tuple(dj.find(v) for v in t))
+            xs.append(tuple(ren.get(v, v) for v in t))
             oi.append(o)
         used = {v for t in xs for v in t}
-        closed = {dj.find(v) for v in self.crossings[k]} - used
+        closed = set(ren.values()) - used
         return Skein(xs, oi, self.free_circles + len(closed))
 
 

@@ -10,14 +10,18 @@ from poslink import (
     BraidWord,
     Diagram,
     LaurentPoly,
+    a_state_circles,
     braid_closure,
     components,
     conway,
+    crossing_signs,
     ingest_csv,
+    is_positive,
     lead_coeff_conway,
     parse_braid,
     parse_pd,
     parse_poly,
+    state_circles,
 )
 from poslink.batch import _conway_mirror
 from poslink.conway import _conway_from_seifert, _surface, seifert_matrix
@@ -29,14 +33,20 @@ from reference import RecursionBudgetExceeded, Skein, conway_skein
 Z = parse_poly("z", "z")
 
 
+def circle_count(d: Diagram) -> int:
+    """Seifert circles that :func:`_surface` walks."""
+    _, _, _, _, _, length, _ = _surface(d, 0)
+    return len(length)
+
+
 def agrees_with_skein_at_every_outer_region(d: Diagram) -> None:
     """conway(d) equals the skein recursion, and so does the Seifert
-    determinant for every choice of the outer region."""
+    determinant for every choice of the outer region: the region on
+    either side of each Seifert circle."""
     expected = conway_skein(d)
     assert conway(d) == expected
     if d.crossings and not d.free_circles and d._shadow_pieces == 1:
-        regions = len(_surface(d, 0).length) + 1
-        for outer in range(regions):
+        for outer in range(2 * circle_count(d)):
             assert _conway_from_seifert(seifert_matrix(d, outer)) == expected, outer
 
 
@@ -136,7 +146,7 @@ class TestSeifertMatrix:
         # surface of a positive diagram has minimal genus, so the size is
         # also the degree of nabla
         for d, circles in ((trefoil, 2), (seven4, 6)):
-            assert len(_surface(d, 0).length) == circles
+            assert circle_count(d) == circles
             size = len(seifert_matrix(d))
             assert size == d.crossing_count - circles + 1
             assert conway(d).max_deg() == size
@@ -145,8 +155,41 @@ class TestSeifertMatrix:
         with pytest.raises(ValueError):
             seifert_matrix(parse_pd("PD[O[]]"))
         assert conway(braid_closure(parse_braid("strands=4; 1 1 3 3"))).is_zero
-        with pytest.raises(ValueError):
-            seifert_matrix(hopf, outer=3)
+        # the Hopf link has two Seifert circles, so nodes 0..3
+        for outer in (-1, 2 * circle_count(hopf)):
+            with pytest.raises(ValueError):
+                seifert_matrix(hopf, outer=outer)
+
+
+class TestCirclesAgainstStateEngine:
+    """The Seifert circles that :func:`_surface` walks are the circles of
+    the Seifert state, which smooths positive crossings A and negative
+    ones B, as the diagram's state engine counts them."""
+
+    @staticmethod
+    def check(d: Diagram) -> bool:
+        if not d.crossings or d.free_circles or d._shadow_pieces > 1:
+            return False
+        seifert = tuple("A" if s > 0 else "B" for s in crossing_signs(d).signs)
+        assert circle_count(d) == state_circles(d, seifert)
+        if is_positive(d):
+            assert circle_count(d) == a_state_circles(d)
+        return True
+
+    def test_polygon_diagrams(self):
+        rng = random.Random(7)
+        checked = sum(self.check(polygon_diagram(rng)) for _ in range(60))
+        positive = sum(self.check(polygon_diagram(rng, positive=True)) for _ in range(60))
+        assert checked >= 30 and positive >= 30
+
+    def test_mixed_sign_braids(self):
+        rng = random.Random(7)
+        checked = 0
+        for _ in range(200):
+            n = rng.randint(2, 5)
+            word = tuple(rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(rng.randint(1, 12)))
+            checked += self.check(braid_closure(BraidWord(n, word)))
+        assert checked >= 100
 
 
 class TestAgainstSkein:
@@ -196,7 +239,7 @@ class TestAgainstSkein:
             d = polygon_diagram(rng)
             if d.free_circles or d._shadow_pieces > 1:
                 continue
-            ramps = _surface(d, 0).ramp
+            _, _, _, _, ramps, _, _ = _surface(d, 0)
             nested += any(r is not None for r in ramps)
             side_by_side += any(r is None for r in ramps)
         assert nested >= 10 and side_by_side >= 10

@@ -788,7 +788,7 @@ class TestTextForm:
             # unbalanced or mismatched exponent brackets, the empty group
             "q^3)", "q^(3]", "(t^2/2 + q^3)", "()q^5",
             # runs of signs, a half-integer grading, the t-part's own errors
-            "- + q^3", "q^3 -+ q", "q^(4/2)", "(z)q",
+            "- + q^3", "q^3 -+ q", "q^(4/2)", "t^(1/2) q^3", "(z)q",
         ):
             with pytest.raises(MalformedKhPolynomial):
                 parse_kh_polynomial(bad)
