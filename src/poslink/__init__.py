@@ -5,7 +5,9 @@ diagram-independent inequalities that every positive link with second
 Jones coefficient of absolute value 0, 1, or 2 must satisfy.
 
 The homology and obstruction exports are loaded on first access, so a run
-that computes only polynomials never compiles them.
+that computes only polynomials never compiles them.  The record and value
+classes are written out by hand, so an import generates no class code and
+never loads ``inspect``.
 """
 
 from importlib import import_module

@@ -17,7 +17,6 @@ from __future__ import annotations
 import io
 import itertools
 import time
-from dataclasses import dataclass, field
 from importlib import import_module
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
@@ -50,8 +49,7 @@ from .laurent import (
 )
 
 if TYPE_CHECKING:
-    from .khovanov import BigradedGroups
-    from .obstruction import ObstructionReport, Strength
+    from .obstruction import ObstructionReport
 
 
 def _deferred(module: str, name: str) -> Callable:
@@ -83,7 +81,6 @@ COLUMN_ROLES = ("name", "pd", "braid", "jones", "conway", "kh", "components")
 INPUT_ROLES = ("pd", "braid", "jones", "conway", "kh")
 
 
-@dataclass
 class LinkRecord:
     """One link worth of input: a diagram, ingested invariants, or both.
 
@@ -91,21 +88,36 @@ class LinkRecord:
     and its result reports that error.
     """
 
-    name: str
-    pd: Diagram | None = None
-    braid: BraidWord | None = None
-    jones: LaurentPoly | None = None
-    conway: LaurentPoly | None = None
-    kh: BigradedGroups | None = None
-    components: int | None = None
-    flags: list[str] = field(default_factory=list)
-    error: str | None = None
-    # the braid's closure, built on first use or handed over by the survey
-    closure: Diagram | None = field(default=None, repr=False)
+    __slots__ = (
+        "name", "pd", "braid", "jones", "conway", "kh", "components", "flags", "error", "closure",
+    )
 
-    def __post_init__(self) -> None:
-        if self.error is None and all(getattr(self, role) is None for role in INPUT_ROLES):
-            raise ValueError(f"record {self.name!r} carries no diagram and no invariants")
+    def __init__(
+        self,
+        name,
+        pd=None,
+        braid=None,
+        jones=None,
+        conway=None,
+        kh=None,
+        components=None,
+        flags=None,
+        error=None,
+        closure=None,
+    ):
+        self.name = name
+        self.pd = pd
+        self.braid = braid
+        self.jones = jones
+        self.conway = conway
+        self.kh = kh
+        self.components = components
+        self.flags = [] if flags is None else flags
+        self.error = error
+        # the braid's closure, built on first use or handed over by the survey
+        self.closure = closure
+        if error is None and all(getattr(self, role) is None for role in INPUT_ROLES):
+            raise ValueError(f"record {name!r} carries no diagram and no invariants")
 
     def diagram(self) -> Diagram | None:
         if self.pd is not None:
@@ -115,19 +127,35 @@ class LinkRecord:
         return self.closure
 
 
-@dataclass
 class RecordResult:
     """Outcome for one record; error is None unless something hard failed."""
 
-    name: str
-    source: str
-    flags: list[str]
-    error: str | None
-    invariants: dict[str, str]
-    gradings: dict[str, int | None] | None
-    reports: list[ObstructionReport]
-    comparison: Strength | None
-    timing_ms: float
+    __slots__ = (
+        "name", "source", "flags", "error", "invariants", "gradings", "reports", "comparison",
+        "timing_ms",
+    )
+
+    def __init__(
+        self,
+        name,
+        source,
+        flags,
+        error,
+        invariants,
+        gradings,
+        reports,
+        comparison,
+        timing_ms,
+    ):
+        self.name = name
+        self.source = source
+        self.flags = flags
+        self.error = error
+        self.invariants = invariants
+        self.gradings = gradings
+        self.reports = reports
+        self.comparison = comparison
+        self.timing_ms = timing_ms
 
     def to_dict(self) -> dict:
         return {
@@ -144,9 +172,11 @@ class RecordResult:
         }
 
 
-@dataclass
 class BatchResult:
-    results: list[RecordResult]
+    __slots__ = ("results",)
+
+    def __init__(self, results: list[RecordResult]):
+        self.results = results
 
     @property
     def all_ok(self) -> bool:

@@ -21,10 +21,9 @@ from __future__ import annotations
 import heapq
 import re
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, repeat
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import (
     ArcMultiplicity,
@@ -52,31 +51,31 @@ def smoothing_pairs(crossing: Sequence[int], label: str) -> tuple[tuple[int, int
     raise ValueError(f"state labels must be {A_SMOOTHING!r} or {B_SMOOTHING!r}, got {label!r}")
 
 
-@dataclass(frozen=True)
 class Diagram:
     """An oriented link diagram: crossing tuples plus crossing-free circles.
 
+    Diagrams compare and hash by ``crossings`` and ``free_circles``.
     Construction also keeps, outside the compared fields, the far-end table
     of the crossings (``_far``, see :func:`_far_ends`), which every walk
     over the diagram reads, and the number of connected pieces of its
-    shadow (``_shadow_pieces``, see :func:`_shadow_components`).
+    shadow (``_shadow_pieces``, see :func:`_shadow_components`).  The
+    class has no ``__slots__``: the tables derived later are cached
+    properties, kept in the instance ``__dict__``.
     """
 
-    crossings: tuple[Crossing, ...] = ()
-    free_circles: int = 0
-
-    def __post_init__(self) -> None:
+    def __init__(self, crossings: Iterable[Sequence[int]] = (), free_circles: int = 0):
         normalized = []
-        for t in self.crossings:
+        for t in crossings:
             t = tuple(t)
             if len(t) != 4:
                 raise ArityError(f"crossing {t!r} must list exactly 4 arcs")
             if not all(isinstance(v, int) and v >= 1 for v in t):
                 raise MalformedPD(f"arc labels must be positive integers: {t!r}")
             normalized.append(t)
-        object.__setattr__(self, "crossings", tuple(normalized))
-        if not isinstance(self.free_circles, int) or self.free_circles < 0:
+        self.crossings: tuple[Crossing, ...] = tuple(normalized)
+        if not isinstance(free_circles, int) or free_circles < 0:
             raise MalformedPD("free_circles must be a nonnegative integer")
+        self.free_circles = free_circles
         counts = Counter(lab for t in self.crossings for lab in t)
         expected = range(1, 2 * len(self.crossings) + 1)
         if sorted(counts) != list(expected) or any(v != 2 for v in counts.values()):
@@ -85,12 +84,23 @@ class Diagram:
             )
         other = tuple(_far_ends(self.crossings))
         pieces = _shadow_components(other)
-        object.__setattr__(self, "_far", other)
-        object.__setattr__(self, "_shadow_pieces", pieces)
+        self._far = other
+        self._shadow_pieces = pieces
         # V - E + F = 2 on the sphere for each connected piece of the
         # shadow, which has c vertices and 2c edges in all
         if _face_count(other) - len(self.crossings) != 2 * pieces:
             raise MalformedPD("PD code is not planar")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Diagram):
+            return NotImplemented
+        return self.crossings == other.crossings and self.free_circles == other.free_circles
+
+    def __hash__(self) -> int:
+        return hash((self.crossings, self.free_circles))
+
+    def __repr__(self) -> str:
+        return f"Diagram(crossings={self.crossings!r}, free_circles={self.free_circles!r})"
 
     @property
     def crossing_count(self) -> int:
@@ -273,24 +283,34 @@ _BRACKET_STEP = {"[": 1, "]": -1}
 _PD_ITEM = r"\s*(?:O\[\s*\]|X\[(?P<arcs>[^\[\]]*)\])\s*(?:,|\Z)"
 
 
-@dataclass(frozen=True)
 class BraidWord:
     """A braid word: letter k stands for sigma_|k| with sign(k) the crossing sign."""
 
-    strand_count: int
-    letters: tuple[int, ...] = ()
+    __slots__ = ("strand_count", "letters")
 
-    def __post_init__(self) -> None:
-        if self.strand_count < 1:
+    def __init__(self, strand_count: int, letters: Iterable[int] = ()):
+        if strand_count < 1:
             raise MalformedBraid("strand count must be >= 1")
-        object.__setattr__(self, "letters", tuple(self.letters))
+        self.strand_count = strand_count
+        self.letters: tuple[int, ...] = tuple(letters)
         for k in self.letters:
             if k == 0:
                 raise ZeroLetter("0 names no braid generator")
-            if abs(k) >= self.strand_count:
+            if abs(k) >= strand_count:
                 raise GeneratorOutOfRange(
-                    f"letter {k} needs at least {abs(k) + 1} strands, have {self.strand_count}"
+                    f"letter {k} needs at least {abs(k) + 1} strands, have {strand_count}"
                 )
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, BraidWord):
+            return NotImplemented
+        return self.strand_count == other.strand_count and self.letters == other.letters
+
+    def __hash__(self) -> int:
+        return hash((self.strand_count, self.letters))
+
+    def __repr__(self) -> str:
+        return f"BraidWord(strand_count={self.strand_count!r}, letters={self.letters!r})"
 
 
 def parse_braid(text: str) -> BraidWord:
@@ -352,11 +372,24 @@ def braid_closure(b: BraidWord) -> Diagram:
 # diagram operations
 
 
-@dataclass(frozen=True)
 class CrossingSigns:
     """Per-crossing signs of an oriented diagram."""
 
-    signs: tuple[int, ...]
+    __slots__ = ("signs",)
+
+    def __init__(self, signs: tuple[int, ...]):
+        self.signs = signs
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CrossingSigns):
+            return NotImplemented
+        return self.signs == other.signs
+
+    def __hash__(self) -> int:
+        return hash((self.signs,))
+
+    def __repr__(self) -> str:
+        return f"CrossingSigns(signs={self.signs!r})"
 
     @property
     def writhe(self) -> int:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .diagram import Diagram, a_state_circles, b_state_circles, crossing_signs
@@ -104,28 +103,42 @@ class BigradedGroups:
         return f"BigradedGroups({format_kh_polynomial(self)!r})"
 
 
-@dataclass(frozen=True)
 class GradingSummary:
     """Extreme quantum gradings of the homology next to the diagram-level
     potential window that must contain them."""
 
-    j_lower: int
-    j_upper: int
-    j_min_potential: int
-    j_max_potential: int
+    __slots__ = ("j_lower", "j_upper", "j_min_potential", "j_max_potential")
 
-    def __post_init__(self) -> None:
-        if not (
-            self.j_min_potential <= self.j_lower <= self.j_upper <= self.j_max_potential
-        ):
+    def __init__(self, j_lower: int, j_upper: int, j_min_potential: int, j_max_potential: int):
+        if not j_min_potential <= j_lower <= j_upper <= j_max_potential:
             raise ValueError(
                 "potential gradings must sandwich the realized gradings: "
-                f"{self.j_min_potential} <= {self.j_lower} <= "
-                f"{self.j_upper} <= {self.j_max_potential}"
+                f"{j_min_potential} <= {j_lower} <= {j_upper} <= {j_max_potential}"
             )
+        self.j_lower = j_lower
+        self.j_upper = j_upper
+        self.j_min_potential = j_min_potential
+        self.j_max_potential = j_max_potential
+
+    def _fields(self) -> tuple:
+        return (self.j_lower, self.j_upper, self.j_min_potential, self.j_max_potential)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, GradingSummary):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return (
+            f"GradingSummary(j_lower={self.j_lower!r}, j_upper={self.j_upper!r}, "
+            f"j_min_potential={self.j_min_potential!r}, "
+            f"j_max_potential={self.j_max_potential!r})"
+        )
 
 
-@dataclass
 class ChainSlice:
     """The subcomplex at one quantum grading: generator counts per
     homological degree and the boundary maps between them.
@@ -137,9 +150,17 @@ class ChainSlice:
     no nonzero entry is absent, so every map present holds one.
     """
 
-    quantum_grading: int
-    generator_counts: dict[int, int]
-    boundaries: dict[int, SparseRows]
+    __slots__ = ("quantum_grading", "generator_counts", "boundaries")
+
+    def __init__(
+        self,
+        quantum_grading: int,
+        generator_counts: dict[int, int],
+        boundaries: dict[int, SparseRows],
+    ):
+        self.quantum_grading = quantum_grading
+        self.generator_counts = generator_counts
+        self.boundaries = boundaries
 
 
 def chain_slices(d: Diagram, *, cap: int = DEFAULT_CROSSING_CAP) -> dict[int, ChainSlice]:

@@ -11,7 +11,6 @@ Coefficients are arbitrary-precision integers.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping
 
@@ -428,20 +427,37 @@ def _divide(coeffs: Mapping[int, int], step: int, sign: int) -> dict[int, int]:
 # summaries and degree bounds
 
 
-@dataclass(frozen=True)
 class JonesSummary:
     """Degree data of a Jones polynomial; p1 is |second coefficient|."""
 
-    min_deg: Fraction
-    max_deg: Fraction
-    second_coeff: int
-    p1: int
+    __slots__ = ("min_deg", "max_deg", "second_coeff", "p1")
 
-    def __post_init__(self) -> None:
-        if self.min_deg > self.max_deg:
+    def __init__(self, min_deg: Fraction, max_deg: Fraction, second_coeff: int, p1: int):
+        if min_deg > max_deg:
             raise ValueError("min_deg must not exceed max_deg")
-        if self.p1 != abs(self.second_coeff):
+        if p1 != abs(second_coeff):
             raise ValueError("p1 must equal |second_coeff|")
+        self.min_deg = min_deg
+        self.max_deg = max_deg
+        self.second_coeff = second_coeff
+        self.p1 = p1
+
+    def _fields(self) -> tuple:
+        return (self.min_deg, self.max_deg, self.second_coeff, self.p1)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, JonesSummary):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return (
+            f"JonesSummary(min_deg={self.min_deg!r}, max_deg={self.max_deg!r}, "
+            f"second_coeff={self.second_coeff!r}, p1={self.p1!r})"
+        )
 
 
 def jones_summary(v: LaurentPoly) -> JonesSummary:

@@ -24,7 +24,6 @@ every test reports NotApplicable.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -66,7 +65,6 @@ def gamma(p1: int, lead_conway: int) -> int:
     raise NotApplicableError(f"no obstruction case for p1 = {p1}")
 
 
-@dataclass(frozen=True)
 class ObstructionInput:
     """Everything the two inequalities consume.
 
@@ -75,45 +73,99 @@ class ObstructionInput:
     (or ingested data) than the Jones side.
     """
 
-    p1: int
-    n: int
-    lead_conway: int | None = None
-    jones_min: Fraction | None = None
-    jones_max: Fraction | None = None
-    j_lower: int | None = None
-    j_upper: int | None = None
+    __slots__ = ("p1", "n", "lead_conway", "jones_min", "jones_max", "j_lower", "j_upper")
 
-    def __post_init__(self) -> None:
-        if self.p1 < 0:
+    def __init__(
+        self,
+        p1: int,
+        n: int,
+        lead_conway: int | None = None,
+        jones_min: Fraction | None = None,
+        jones_max: Fraction | None = None,
+        j_lower: int | None = None,
+        j_upper: int | None = None,
+    ):
+        if p1 < 0:
             raise ValueError("p1 is an absolute value, must be >= 0")
-        if self.n < 1:
+        if n < 1:
             raise ValueError("component count must be >= 1")
-        if (
-            self.jones_min is not None
-            and self.jones_max is not None
-            and self.jones_min > self.jones_max
-        ):
+        if jones_min is not None and jones_max is not None and jones_min > jones_max:
             raise ValueError("jones_min must not exceed jones_max")
-        if (
-            self.j_lower is not None
-            and self.j_upper is not None
-            and self.j_lower > self.j_upper
-        ):
+        if j_lower is not None and j_upper is not None and j_lower > j_upper:
             raise ValueError("j_lower must not exceed j_upper")
+        self.p1 = p1
+        self.n = n
+        self.lead_conway = lead_conway
+        self.jones_min = jones_min
+        self.jones_max = jones_max
+        self.j_lower = j_lower
+        self.j_upper = j_upper
+
+    def _fields(self) -> tuple:
+        return (
+            self.p1, self.n, self.lead_conway, self.jones_min, self.jones_max,
+            self.j_lower, self.j_upper,
+        )
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ObstructionInput):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return (
+            f"ObstructionInput(p1={self.p1!r}, n={self.n!r}, lead_conway={self.lead_conway!r}, "
+            f"jones_min={self.jones_min!r}, jones_max={self.jones_max!r}, "
+            f"j_lower={self.j_lower!r}, j_upper={self.j_upper!r})"
+        )
 
 
-@dataclass(frozen=True)
 class ObstructionReport:
     """One inequality evaluation, auditable from its own fields:
     verdict is Fail exactly when applicable and lhs > rhs."""
 
-    test: TestKind
-    applicable: bool
-    lhs: Fraction | None
-    rhs: Fraction | None
-    gamma: int | None
-    verdict: Verdict
-    note: str = ""
+    __slots__ = ("test", "applicable", "lhs", "rhs", "gamma", "verdict", "note")
+
+    def __init__(
+        self,
+        test: TestKind,
+        applicable: bool,
+        lhs: Fraction | None,
+        rhs: Fraction | None,
+        gamma: int | None,
+        verdict: Verdict,
+        note: str = "",
+    ):
+        self.test = test
+        self.applicable = applicable
+        self.lhs = lhs
+        self.rhs = rhs
+        self.gamma = gamma
+        self.verdict = verdict
+        self.note = note
+
+    def _fields(self) -> tuple:
+        return (
+            self.test, self.applicable, self.lhs, self.rhs, self.gamma, self.verdict, self.note,
+        )
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ObstructionReport):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return (
+            f"ObstructionReport(test={self.test!r}, applicable={self.applicable!r}, "
+            f"lhs={self.lhs!r}, rhs={self.rhs!r}, gamma={self.gamma!r}, "
+            f"verdict={self.verdict!r}, note={self.note!r})"
+        )
 
     @property
     def equality_attained(self) -> bool:
@@ -231,9 +283,11 @@ def khovanov_test_from_kh1(
     inp = ObstructionInput(
         p1=kh.total_rank_at(1), n=n, lead_conway=lead_conway, j_lower=j_lower, j_upper=j_upper
     )
-    report = khovanov_test(inp)
-    note = KH1_CAVEAT if not report.note else f"{report.note}; {KH1_CAVEAT}"
-    return replace(report, test=TestKind.KHOVANOV_FROM_KH1, note=note)
+    r = khovanov_test(inp)
+    note = KH1_CAVEAT if not r.note else f"{r.note}; {KH1_CAVEAT}"
+    return ObstructionReport(
+        TestKind.KHOVANOV_FROM_KH1, r.applicable, r.lhs, r.rhs, r.gamma, r.verdict, note
+    )
 
 
 def strength_comparison(jr: ObstructionReport, kr: ObstructionReport) -> Strength:

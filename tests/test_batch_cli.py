@@ -4,6 +4,7 @@ import itertools
 import json
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -341,13 +342,13 @@ class TestSurvey:
 
     def test_each_closure_is_built_once(self, monkeypatch):
         built = []
-        check = Diagram.__post_init__
+        init = Diagram.__init__
 
-        def counted(d):
+        def counted(d, *args, **kwargs):
             built.append(d)
-            check(d)
+            init(d, *args, **kwargs)
 
-        monkeypatch.setattr(Diagram, "__post_init__", counted)
+        monkeypatch.setattr(Diagram, "__init__", counted)
         batch = cmd_survey(3, 5)
         assert batch.all_ok
         assert len(built) == len(batch) == len(survey_corpus(3, 5))
@@ -600,25 +601,51 @@ KH_BEATS_JONES_KH = (
 )
 
 
+# a 12-crossing two-component link from the same search: V = -t^(7/2) -
+# t^(11/2), so p1 = 0, and Kh reaches q^0 while (q + q^-1)V starts at q^6
+KH_BEATS_JONES_LINK = "strands=4; -1 3 -2 3 2 -3 1 -3 -3 1 3 2"
+KH_BEATS_JONES_LINK_KH = (
+    "(1 + t)q^0 + (1 + t)q^2 + (t^2 + t^3)q^4 + t^2 q^6 + t^4 q^8 + t^6 q^10"
+    " + t^6 q^12 + t^4 q^6 T^2"
+)
+
+
 class TestKhBeatsJones:
-    """An 11-crossing knot whose Khovanov inequality certifies that it is
-    not positive, while its Jones inequality holds: the paper's claim on a
-    computed diagram, not an ingested table."""
+    """Diagrams whose Khovanov inequality certifies that they are not
+    positive, while their Jones inequality holds: the paper's claim on
+    computed diagrams, not ingested tables."""
+
+    @staticmethod
+    def khovanov_only_fails(word: str) -> tuple[dict[str, str], dict]:
+        """The record's invariants and each test's (lhs, rhs, verdict)."""
+        result = process_record(LinkRecord(name="s", braid=parse_braid(word)), run_tests=True)
+        assert result.error is None and not result.flags
+        assert result.comparison is Strength.KHOVANOV_ONLY_FAILS
+        return result.invariants, {r.test.value: (r.lhs, r.rhs, r.verdict) for r in result.reports}
 
     def test_khovanov_only_fails(self):
-        braid = parse_braid(KH_BEATS_JONES)
-        result = process_record(LinkRecord(name="s", braid=braid), run_tests=True)
-        assert result.error is None and not result.flags
-        assert result.invariants["jones"] == "t^2 + t^4 - t^5 + t^6 - t^7"
-        assert result.invariants["conway"] == "1 + 3z^2 + z^4"
-        assert result.invariants["kh"] == KH_BEATS_JONES_KH
-        verdicts = {r.test.value: (r.lhs, r.rhs, r.verdict) for r in result.reports}
+        invariants, verdicts = self.khovanov_only_fails(KH_BEATS_JONES)
+        assert invariants["jones"] == "t^2 + t^4 - t^5 + t^6 - t^7"
+        assert invariants["conway"] == "1 + 3z^2 + z^4"
+        assert invariants["kh"] == KH_BEATS_JONES_KH
         assert verdicts["JonesTest"] == (7, 8, Verdict.PASS)
         assert verdicts["KhovanovTest"] == (15, 9, Verdict.FAIL)
-        assert result.comparison is Strength.KHOVANOV_ONLY_FAILS
         # the full cube, each map reduced on its own, gives the same table
-        kh = per_map_homology(braid_closure(braid))
+        kh = per_map_homology(braid_closure(parse_braid(KH_BEATS_JONES)))
         assert format_kh_polynomial(kh) == KH_BEATS_JONES_KH
+
+    def test_khovanov_only_fails_on_a_link(self):
+        # the link's full-cube check takes about 5 s: CI runs it in a step
+        # of its own
+        invariants, verdicts = self.khovanov_only_fails(KH_BEATS_JONES_LINK)
+        assert invariants["jones"] == "-t^(7/2) - t^(11/2)"
+        assert invariants["conway"] == "3z + z^3"
+        assert invariants["kh"] == KH_BEATS_JONES_LINK_KH
+        assert verdicts == {
+            "JonesTest": (Fraction(11, 2), Fraction(29, 2), Verdict.PASS),
+            "KhovanovTest": (12, 6, Verdict.FAIL),
+            "KhovanovFromKh1": (12, 8, Verdict.FAIL),
+        }
 
 
 class TestCli:

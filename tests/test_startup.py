@@ -1,4 +1,5 @@
-"""Each command loads only the layers its records use.
+"""Each command loads only the layers its records use, and no module that
+generates class code.
 
 Every check runs in a fresh interpreter, because this test session has
 long since imported the whole package.
@@ -12,6 +13,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 KNOTS = Path(__file__).resolve().parent / "data" / "knots.csv"
 # no kh column: the homology and the obstruction tests are first loaded
@@ -21,6 +24,9 @@ KNOTS_COLUMNS = (
     "jones=Jones,conway=Conway"
 )
 HEAVY = {"poslink.khovanov", "poslink.tangle", "poslink.snf", "poslink.obstruction"}
+# ``dataclasses`` writes and execs source for every class it decorates, and
+# imports ``inspect`` (with ``ast``, ``dis`` and ``tokenize``) to do it
+CLASS_CODEGEN = {"dataclasses", "inspect"}
 # the benchmark's tracer wraps poslink.batch.<name> before the first record:
 # every call must still reach the wrapper once the module behind it loads
 WRAPPED = ["khovanov_homology", "extreme_gradings", "ObstructionInput", "jones_test"]
@@ -42,7 +48,7 @@ for argv in json.loads(sys.argv[1]):
         code = cli.main(argv)
     assert code == 0, (argv, code)
 print(json.dumps({
-    "modules": sorted(m for m in sys.modules if m.startswith("poslink")),
+    "modules": sorted(sys.modules),
     "output": out.getvalue(),
     "calls": calls,
 }))
@@ -50,8 +56,8 @@ print(json.dumps({
 
 
 def run_fresh(*commands: list[str]) -> dict:
-    """``cli.main`` on each argv in a new interpreter: the poslink modules
-    loaded afterwards, everything the commands wrote, and the calls made
+    """``cli.main`` on each argv in a new interpreter: the modules loaded
+    afterwards, everything the commands wrote, and the calls made
     through the ``WRAPPED`` names of ``poslink.batch``."""
     proc = subprocess.run(
         [sys.executable, "-c", RUN_COMMANDS, json.dumps(commands)],
@@ -98,3 +104,15 @@ def test_table_records_load_deferred_layers():
     records = [json.loads(line) for line in run["output"].splitlines()]
     assert len(records) == 4
     assert sum(1 for r in records if r["reports"]) >= 2
+
+
+@pytest.mark.parametrize("commands", [
+    [],  # import poslink.cli alone
+    [["compute", "--braid", "strands=2; 1 1 1", "--kh"]],
+    [["test", "--braid", "strands=3; 1 2 1 2"]],
+    [["survey", "--strands", "2", "--max-length", "3"]],
+], ids=["import", "compute-kh", "test", "survey"])
+def test_no_class_code_is_generated(commands):
+    run = run_fresh(*commands)
+    assert "poslink.cli" in run["modules"]
+    assert CLASS_CODEGEN.isdisjoint(run["modules"])
