@@ -5,17 +5,30 @@ crossing along the orientation gives the Seifert circles (X[a,b,c,d]
 joins a to d and b to c when positive, a to b and c to d when negative).
 Each circle bounds a disk, a circle nested inside another is stacked
 above it, and every crossing becomes a half-twisted band joining its two
-circles.  H_1 of that surface has as a basis the fundamental cycles of
-the Seifert graph (circles as vertices, crossings as edges): c - m + 1
-cycles for m circles.  The Seifert form V[i][j] = lk(g_i, g_j^+) is
-assembled from the crossings of the projected curves, and
+circles.  H_1 of that surface has rank c - m + 1 for m circles, one
+cycle per band outside a spanning tree of the Seifert graph (circles as
+vertices, crossings as edges).  The cycle of such a band returns through
+the latest earlier band joining the same two circles, and through the
+tree only when there is none.  On a braid closure every cycle is then
+two bands between the same two strands, next to each other along the
+braid, and meets only the cycles of nearby bands: in the closures of
+random 3- and 4-braids each row of V + V^T has at most 5 and 7 nonzeros,
+where a spanning-tree basis fills every row.  The Seifert
+form V[i][j] = lk(g_i, g_j^+) is assembled from the crossings of the
+projected curves, and
 
     nabla(z) = det(t^(-1/2) V - t^(1/2) V^T),   z = t^(1/2) - t^(-1/2)
 
 (Lickorish, *An Introduction to Knot Theory*, ch. 6).  The determinant is
-taken exactly: integer determinants by Bareiss elimination at a few
-points, then interpolation.  Everything is polynomial in the crossing
-count.
+taken exactly: integer determinants at a few points, then interpolation.
+Each determinant is fraction-free elimination (Bareiss, *Sylvester's
+identity and multistep integer-preserving Gaussian elimination*, Math.
+Comp. 1968) on sparse rows, which rewrites only the rows with a nonzero
+in the pivot column.  On n rows with the nonzeros within b columns of
+the diagonal that is about n b^2 products of integers of O(n) digits,
+where dense elimination takes n^3, at each of the n // 2 + 1 points: the
+closure of the 120-crossing (1 -2)^60 takes about 0.3 s.  Everything is
+polynomial in the crossing count.
 
 Geometry.  The circles are walked on the diagram's far-end table
 (``Diagram._far``).  Node 2C + side stands for the region on the left
@@ -68,7 +81,7 @@ def lead_coeff_conway(d: Diagram) -> int:
 
 def seifert_matrix(d: Diagram, outer: int = 0) -> list[list[int]]:
     """Seifert matrix of the canonical Seifert surface of a connected
-    diagram, on the fundamental cycles of its Seifert graph.
+    diagram, on the cycles of :func:`_cycle_basis`, in crossing order.
 
     ``outer`` picks the unbounded region between the Seifert circles: the
     one on side ``outer & 1`` of circle ``outer >> 1`` (0 <= outer < 2m
@@ -79,12 +92,12 @@ def seifert_matrix(d: Diagram, outer: int = 0) -> list[list[int]]:
         raise ValueError("the Seifert matrix is built for connected diagrams only")
     surface = _surface(d, outer)
     sign = surface[0]
-    cycles = _fundamental_cycles(surface)
+    cycles = _cycle_basis(surface)
     n = len(cycles)
     matrix = [[0] * n for _ in range(n)]
     for i, x in enumerate(cycles):
         bands, _ = x
-        # a fundamental cycle meets each circle once, so it crosses its
+        # a cycle meets each circle at most once, so it crosses its
         # push-offs only in the half twists of its own bands
         matrix[i][i] = -sum(sign[k] for k in bands) // 2
         for j in range(i):
@@ -175,12 +188,22 @@ def _surface(d: Diagram, outer: int) -> tuple:
     return sign, first, second, slot, ramp, tuple(length), turn
 
 
-def _fundamental_cycles(surface: tuple) -> list[tuple[dict, dict]]:
-    """One cycle per crossing outside a breadth-first spanning tree of the
-    Seifert graph, in crossing order.  A cycle is the pair (bands, visits):
-    ``bands[k]`` is +1 when it crosses band k from ``first[k]`` to
-    ``second[k]``, and ``visits[C]`` is the (incoming, outgoing) band pair
-    of its path across the disk of C."""
+def _cycle_basis(surface: tuple) -> list[tuple[dict, dict]]:
+    """A basis of H_1 of the surface, one cycle per crossing outside a
+    breadth-first spanning tree of the Seifert graph, in crossing order.
+
+    The cycle of band k from circle u to circle v returns to u through the
+    latest earlier band joining the same two circles, and through the tree
+    only when there is none.  It is the fundamental cycle of k minus that
+    of the earlier band, so the change of basis is unimodular, and each
+    cycle still meets each circle at most once.  On a braid closure every
+    cycle is two bands between the same two strands, so the Seifert matrix
+    is banded.
+
+    A cycle is the pair (bands, visits): ``bands[k]`` is +1 when it
+    crosses band k from ``first[k]`` to ``second[k]``, and ``visits[C]``
+    is the (incoming, outgoing) band pair of its path across the disk of
+    C."""
     _, first, second, _, _, length, _ = surface
     m = len(length)
     neighbours: list[list[tuple[int, int]]] = [[] for _ in range(m)]
@@ -201,23 +224,30 @@ def _fundamental_cycles(surface: tuple) -> list[tuple[dict, dict]]:
                 in_tree.add(k)
                 order.append(other)
 
+    latest: dict[tuple[int, int], int] = {}  # pair of circles -> band
     cycles = []
     for k, (u, v) in enumerate(zip(first, second)):
+        pair = (u, v) if u < v else (v, u)
+        back = latest.get(pair)
+        latest[pair] = k
         if k in in_tree:
             continue
-        # cross band k from u to v, then return to u through the tree
-        climb, descend = [], []
-        x, y = v, u
-        while x != y:
-            if depth[x] >= depth[y]:
-                band, p = up[x]
-                climb.append((band, x, p))
-                x = p
-            else:
-                band, p = up[y]
-                descend.append((band, p, y))
-                y = p
-        steps = [(k, u, v)] + climb + descend[::-1]
+        # cross band k from u to v, then return to u
+        if back is not None:
+            steps = [(k, u, v), (back, v, u)]
+        else:
+            climb, descend = [], []
+            x, y = v, u
+            while x != y:
+                if depth[x] >= depth[y]:
+                    band, p = up[x]
+                    climb.append((band, x, p))
+                    x = p
+                else:
+                    band, p = up[y]
+                    descend.append((band, p, y))
+                    y = p
+            steps = [(k, u, v)] + climb + descend[::-1]
         bands = {b: 1 if frm == first[b] else -1 for b, frm, _ in steps}
         visits = {
             to: (b, steps[(i + 1) % len(steps)][0])
@@ -293,12 +323,16 @@ def _conway_from_seifert(v: list[list[int]]) -> LaurentPoly:
     """
     n = len(v)
     odd = n % 2
+    # V - u V^T is nonzero only where V or V^T is, for every u
+    pattern = [[j for j in range(n) if row[j] or v[j][i]] for i, row in enumerate(v)]
     nodes: list[Fraction] = []
     values: list[Fraction] = []
     s = 1 + odd
     while len(nodes) <= n // 2:
         u = s * s
-        det = _bareiss_det([[v[i][j] - u * v[j][i] for j in range(n)] for i in range(n)])
+        det = _bareiss_det([
+            {j: x for j in cols if (x := v[i][j] - u * v[j][i])} for i, cols in enumerate(pattern)
+        ])
         z = Fraction(u - 1, s)
         nodes.append(z * z)
         values.append(Fraction(det, s**n) / z**odd)
@@ -324,25 +358,54 @@ def _conway_from_seifert(v: list[list[int]]) -> LaurentPoly:
     return LaurentPoly(terms)
 
 
-def _bareiss_det(rows: list[list[int]]) -> int:
-    """Exact determinant of an integer matrix by fraction-free elimination."""
+def _bareiss_det(rows: list[dict[int, int]]) -> int:
+    """Exact determinant of the integer matrix whose row i holds its
+    nonzero entries as ``rows[i] = {column: value}``, by fraction-free
+    elimination.  The rows are consumed.
+
+    Step k rewrites only the rows below k with a nonzero in column k:
+
+        a'[i][j] = (a[i][j] * p_k - a[i][k] * a[k][j]) / p_(k-1)
+
+    for the pivots p_k, with p_(-1) = 1.  A row with a zero in column k
+    would only be scaled by p_k / p_(k-1), so it is left as it is and
+    remembers the step t it was last rewritten at: its entries are those
+    of step k times p_(t-1) / p_(k-1), and it divides by p_(t-1) instead
+    when it is next rewritten.  Every entry of every step is a minor of the
+    matrix (Sylvester's identity), so each division is exact.  A zero pivot
+    swaps in the first row below with a nonzero in its column.
+    """
     n = len(rows)
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if rows[k][k] == 0:
+    pivots = [1]  # pivots[k] = p_(k-1)
+    level = [0] * n  # step at which each row was last rewritten
+    sign = 1
+    for k in range(n):
+        if not rows[k].get(k):
             for r in range(k + 1, n):
-                if rows[r][k]:
+                if rows[r].get(k):
                     rows[k], rows[r] = rows[r], rows[k]
+                    level[k], level[r] = level[r], level[k]
                     sign = -sign
                     break
             else:
                 return 0
-        pivot_row = rows[k]
-        pivot = pivot_row[k]
-        tail = pivot_row[k + 1:]
+        tail = rows[k]
+        if level[k] < k:
+            scale, old = pivots[k], pivots[level[k]]
+            tail = {j: x * scale // old for j, x in tail.items()}
+        pivot = tail.pop(k)
         for i in range(k + 1, n):
             row = rows[i]
-            a = row[k]
-            row[k + 1:] = [(x * pivot - a * y) // prev for x, y in zip(row[k + 1:], tail)]
-        prev = pivot
-    return sign * rows[-1][-1] if n else 1
+            a = row.pop(k, 0)
+            if not a:
+                continue
+            old = pivots[level[i]]
+            new = {j: x * pivot // old for j, x in row.items() if j not in tail}
+            for j, y in tail.items():
+                x = (row.get(j, 0) * pivot - a * y) // old
+                if x:
+                    new[j] = x
+            rows[i] = new
+            level[i] = k + 1
+        pivots.append(pivot)
+    return sign * pivots[n]

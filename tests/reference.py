@@ -14,6 +14,8 @@
   switches and oriented resolutions of the skein relation.
 * :func:`conway_skein`: the Conway polynomial by the descending-diagram
   skein recursion.
+* :func:`bareiss_det`: the determinant of a dense integer matrix by
+  fraction-free elimination that rewrites every row below the pivot.
 * :func:`survey_words`: the survey's words, one per conjugacy key, by
   keying every positive word by all of its rotations and flips.
 """
@@ -413,6 +415,31 @@ def conway_skein(d: Diagram, *, node_budget: int = DEFAULT_NODE_BUDGET) -> Laure
         return result
 
     return evaluate(Skein.of(d))
+
+
+def bareiss_det(rows: list[list[int]]) -> int:
+    """Exact determinant of a dense integer matrix by fraction-free
+    elimination (Bareiss); the rows are consumed."""
+    n = len(rows)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if rows[k][k] == 0:
+            for r in range(k + 1, n):
+                if rows[r][k]:
+                    rows[k], rows[r] = rows[r], rows[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pivot_row = rows[k]
+        pivot = pivot_row[k]
+        tail = pivot_row[k + 1:]
+        for i in range(k + 1, n):
+            row = rows[i]
+            a = row[k]
+            row[k + 1:] = [(x * pivot - a * y) // prev for x, y in zip(row[k + 1:], tail)]
+        prev = pivot
+    return sign * rows[-1][-1] if n else 1
 
 
 def survey_words(max_strands: int, max_length: int) -> list[BraidWord]:

@@ -24,11 +24,11 @@ from poslink import (
     state_circles,
 )
 from poslink.batch import _conway_mirror
-from poslink.conway import _conway_from_seifert, _surface, seifert_matrix
+from poslink.conway import _bareiss_det, _conway_from_seifert, _surface, seifert_matrix
 
 from conftest import DATA_DIR, lucas, mirror
 from polygon_diagrams import polygon_diagram
-from reference import RecursionBudgetExceeded, Skein, conway_skein
+from reference import RecursionBudgetExceeded, Skein, bareiss_det, conway_skein
 
 Z = parse_poly("z", "z")
 
@@ -161,6 +161,96 @@ class TestSeifertMatrix:
                 seifert_matrix(hopf, outer=outer)
 
 
+class TestBandedBasis:
+    """Each cycle returns through the latest earlier band joining the same
+    two circles, so on a 3-braid closure a cycle meets at most four others
+    and every row of V + V^T has at most five nonzeros (a spanning-tree
+    basis fills every row)."""
+
+    @pytest.mark.parametrize("k", (5, 10, 20, 40))
+    @pytest.mark.parametrize("letters", ((1, 2), (1, -2)))
+    def test_rows_of_the_symmetrized_form(self, letters, k):
+        v = seifert_matrix(braid_closure(BraidWord(3, letters * k)))
+        n = len(v)
+        assert n == 2 * k - 2
+        assert max(sum(1 for j in range(n) if v[i][j] + v[j][i]) for i in range(n)) <= 5
+
+
+def sparse_rows(rows: list[list[int]]) -> list[dict[int, int]]:
+    return [{j: x for j, x in enumerate(row) if x} for row in rows]
+
+
+@st.composite
+def integer_matrices(draw):
+    """Square matrices of size 0-12 with entries -3..3: dense, with a zero
+    diagonal (every pivot needs a swap unless an earlier step filled it),
+    singular (one row the sum of two others), or banded with entries in
+    the first and last columns, whose rows are rewritten in the first steps
+    and then go untouched until the band reaches them."""
+    n = draw(st.integers(0, 12))
+    kind = draw(st.sampled_from(("dense", "zero diagonal", "singular", "banded")))
+    entry = st.integers(-3, 3)
+    width = draw(st.integers(0, 2))
+    rows = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    for i, row in enumerate(rows):
+        if kind == "zero diagonal":
+            row[i] = 0
+        elif kind == "banded":
+            for j in range(1, n - 1):
+                if abs(i - j) > width:
+                    row[j] = 0
+    if kind == "singular" and n >= 3:
+        a, b, c = draw(st.permutations(range(n)))[:3]
+        rows[c] = [x + y for x, y in zip(rows[a], rows[b])]
+    return rows
+
+
+class TestDeterminant:
+    """The sparse elimination against the dense Bareiss elimination of
+    :func:`reference.bareiss_det`."""
+
+    @given(integer_matrices())
+    @settings(max_examples=300, deadline=None)
+    def test_random_matrices(self, rows):
+        assert _bareiss_det(sparse_rows(rows)) == bareiss_det([list(r) for r in rows])
+
+    def test_rows_left_behind(self):
+        # step 0 rewrites row 5, steps 1-3 leave it alone and step 4
+        # rewrites it again; step 1 swaps in row 2, which no step rewrote
+        rows = [
+            [2, 0, 0, 0, 0, 1],
+            [0, 0, 1, 0, 0, 0],
+            [0, 1, 2, 1, 0, 0],
+            [0, 0, 1, 2, 1, 0],
+            [0, 0, 0, 1, 2, 1],
+            [1, 0, 0, 0, 1, 3],
+        ]
+        assert _bareiss_det(sparse_rows(rows)) == bareiss_det([list(r) for r in rows]) == -11
+
+    def test_empty_and_zero_rows(self):
+        assert _bareiss_det([]) == 1
+        assert _bareiss_det([{0: 2, 1: 1}, {}]) == 0
+        assert _bareiss_det([{1: 5}, {1: 7}]) == 0
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_every_interpolation_node(self, seed, trefoil, seven4, hopf):
+        # det(V - u V^T) at each u = s^2 that _conway_from_seifert reads
+        rng = random.Random(seed)
+        diagrams = [trefoil, seven4, hopf, braid_closure(BraidWord(3, (1, -2) * 6))]
+        diagrams += [polygon_diagram(rng, max_crossings=14) for _ in range(10)]
+        checked = 0
+        for d in diagrams:
+            if not d.crossings or d.free_circles or d._shadow_pieces > 1:
+                continue
+            v = seifert_matrix(d)
+            n = len(v)
+            for s in range(1 + n % 2, 2 + n % 2 + n // 2):
+                rows = [[v[i][j] - s * s * v[j][i] for j in range(n)] for i in range(n)]
+                assert _bareiss_det(sparse_rows(rows)) == bareiss_det(rows)
+            checked += 1
+        assert checked >= 5
+
+
 class TestCirclesAgainstStateEngine:
     """The Seifert circles that :func:`_surface` walks are the circles of
     the Seifert state, which smooths positive crossings A and negative
@@ -246,12 +336,21 @@ class TestAgainstSkein:
 
 
 class TestLargeDiagrams:
-    def test_alternating_40_crossing_3_braid(self):
-        # (1 -2)^20 was out of reach of the skein recursion's node budget
-        nabla = conway(braid_closure(BraidWord(3, (1, -2) * 20)))
+    @staticmethod
+    def check_alternating_3_braid(k: int) -> None:
+        # a knot, whose determinant |nabla(2i)| is the Lucas number L_2k - 2
+        nabla = conway(braid_closure(BraidWord(3, (1, -2) * k)))
         assert nabla.coeff(0) == 1
         at_2i = sum(c * (-4) ** (int(e) // 2) for e, c in nabla.terms())
-        assert abs(at_2i) == lucas(40) - 2
+        assert abs(at_2i) == lucas(2 * k) - 2
+
+    def test_alternating_40_crossing_3_braid(self):
+        # (1 -2)^20 was out of reach of the skein recursion's node budget
+        self.check_alternating_3_braid(20)
+
+    def test_alternating_80_crossing_3_braid(self):
+        # a dense elimination of its 78-row Seifert matrix takes seconds
+        self.check_alternating_3_braid(40)
 
     def test_torus_knot_3_11(self):
         # the skein recursion's value
