@@ -4,8 +4,13 @@ Compute Jones and Conway polynomials, integral Khovanov homology, and the
 diagram-independent inequalities that every positive link with second
 Jones coefficient of absolute value 0, 1, or 2 must satisfy.
 
-The homology and obstruction exports are loaded on first access, so a run
-that computes only polynomials never compiles them.  The record and value
+Importing the package loads the diagram layer and the batch and record
+classes (``diagram``, ``batch``, ``errors``).  Every other export is
+loaded from its submodule on first access: ``laurent`` (Jones polynomial
+and polynomial text), ``seifert`` (Conway polynomial), ``khovanov`` (with
+``tangle`` and ``snf``) and ``obstruction``.  So a run that computes only
+polynomials never compiles the homology, and one that computes only
+homology never compiles the polynomial layers.  The record and value
 classes are written out by hand, so an import generates no class code and
 never loads ``inspect``.
 """
@@ -29,19 +34,6 @@ from .diagram import (
     state_circles,
     writhe,
 )
-from .laurent import (
-    JonesSummary,
-    LaurentPoly,
-    format_poly,
-    jones_summary,
-    jones_V,
-    kauffman_bracket,
-    lickorish_bounds,
-    parse_poly,
-    unnormalized_to_v,
-    v_to_unnormalized,
-)
-from .conway import conway, lead_coeff_conway
 from .batch import (
     BatchResult,
     LinkRecord,
@@ -54,10 +46,21 @@ from .batch import (
     survey_corpus,
 )
 
-# export -> submodule, imported on first access (PEP 562); ``conway`` stays
-# eager because it is both a submodule and the function exported here, and
-# once the submodule is imported the package attribute would be the module
+# export -> submodule, imported on first access (PEP 562); no submodule is
+# named after an export, so importing one never rebinds an exported name
 _DEFERRED = {
+    "JonesSummary": "laurent",
+    "LaurentPoly": "laurent",
+    "format_poly": "laurent",
+    "jones_summary": "laurent",
+    "jones_V": "laurent",
+    "kauffman_bracket": "laurent",
+    "lickorish_bounds": "laurent",
+    "parse_poly": "laurent",
+    "unnormalized_to_v": "laurent",
+    "v_to_unnormalized": "laurent",
+    "conway": "seifert",
+    "lead_coeff_conway": "seifert",
     "BigradedGroups": "khovanov",
     "ChainSlice": "khovanov",
     "GradingSummary": "khovanov",

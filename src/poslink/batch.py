@@ -4,12 +4,13 @@ obstruction runs, and the positive-braid survey.
 Records run one after another, in input order.  The work is pure Python
 and holds the interpreter lock, so a thread pool gave no speed-up.
 
-The Khovanov stack (``khovanov``, ``tangle``, ``snf``) and ``obstruction``
-are imported on the first call that needs them, not with this module: a
-``compute --jones`` or ``--conway`` run never calls them, and compiling
-them took about a quarter of its import time.  Their names stay bindings
-of this module, looked up when called, because the benchmark's tracer
-wraps ``poslink.batch.<name>`` by name to time each layer.
+Each computing layer is imported on the first call that needs it:
+``laurent`` and ``seifert`` for the Jones and Conway polynomials, the
+Khovanov stack (``khovanov``, ``tangle``, ``snf``) for homology, and
+``obstruction`` for the tests.  So ``compute --kh`` compiles no
+polynomial layer and ``compute --jones`` no homology.  The names stay
+bindings of this module, looked up when called, because the benchmark's
+tracer wraps ``poslink.batch.<name>`` by name to time each layer.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import time
 from importlib import import_module
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
-from .conway import conway
 from .diagram import (
     BraidWord,
     Diagram,
@@ -38,31 +38,35 @@ from .errors import (
     FileUnreadable,
     PoslinkError,
 )
-from .laurent import (
-    LaurentPoly,
-    format_poly,
-    jones_V,
-    jones_summary,
-    lickorish_bounds,
-    parse_poly,
-    v_to_unnormalized,
-)
 
 if TYPE_CHECKING:
+    from .khovanov import BigradedGroups
+    from .laurent import LaurentPoly
     from .obstruction import ObstructionReport
 
 
 def _deferred(module: str, name: str) -> Callable:
     """A stand-in for ``poslink.<module>.<name>`` that imports the module
-    on its first call; later calls find it in ``sys.modules``."""
+    on its first call and keeps the function it finds there."""
+    target = None
 
     def call(*args, **kwargs):
-        return getattr(import_module(f".{module}", __package__), name)(*args, **kwargs)
+        nonlocal target
+        if target is None:
+            target = getattr(import_module(f".{module}", __package__), name)
+        return target(*args, **kwargs)
 
     call.__name__ = call.__qualname__ = name
     return call
 
 
+format_poly = _deferred("laurent", "format_poly")
+jones_V = _deferred("laurent", "jones_V")
+jones_summary = _deferred("laurent", "jones_summary")
+lickorish_bounds = _deferred("laurent", "lickorish_bounds")
+parse_poly = _deferred("laurent", "parse_poly")
+v_to_unnormalized = _deferred("laurent", "v_to_unnormalized")
+conway = _deferred("seifert", "conway")
 euler_characteristic = _deferred("khovanov", "euler_characteristic")
 extreme_gradings = _deferred("khovanov", "extreme_gradings")
 format_kh_polynomial = _deferred("khovanov", "format_kh_polynomial")
@@ -298,10 +302,20 @@ def records_from_lines(lines: Iterable[str]) -> list[LinkRecord]:
 def _conway_mirror(p: LaurentPoly) -> LaurentPoly:
     # mirror image sends z -> -z, which flips the odd powers: half-step
     # keys k with k % 4 == 2
+    from .laurent import LaurentPoly
+
     return LaurentPoly._raw({k: -c if k % 4 == 2 else c for k, c in p.halves()})
 
 
-def _reconcile(name, computed, ingested, mirror_fn, mode, flags):
+# each invariant of the mirror image, from the invariant
+_MIRRORS = {
+    "jones": lambda p: p.substitute_inverse(),
+    "conway": _conway_mirror,
+    "kh": lambda g: g.mirror(),
+}
+
+
+def _reconcile(name, computed, ingested, mode, flags):
     """Prefer computed values; cross-check ingested ones, normalizing the
     mirror convention when allowed.  Returns (value, hard_error)."""
     if computed is None:
@@ -310,9 +324,9 @@ def _reconcile(name, computed, ingested, mirror_fn, mode, flags):
         return computed, None
     candidates = [(ingested, False)]
     if mode == "always":
-        candidates = [(mirror_fn(ingested), True)]
+        candidates = [(_MIRRORS[name](ingested), True)]
     elif mode == "auto":
-        candidates.append((mirror_fn(ingested), True))
+        candidates.append((_MIRRORS[name](ingested), True))
     for value, mirrored in candidates:
         if value == computed:
             if mirrored:
@@ -334,27 +348,52 @@ def _gaussian(terms: Iterable[tuple[int, int]]) -> tuple[int, int]:
     return re, im
 
 
-def _self_check(computed: dict[str, object]) -> str | None:
-    """Compare invariants computed from one diagram by independent routes.
+def _mismatch(name: str, jones: LaurentPoly, value: LaurentPoly | BigradedGroups) -> str | None:
+    """Check a record's nabla or Kh against its Jones polynomial V.
 
     At t^(1/2) = i the Jones skein relation becomes Conway's with
-    z = -2i, so V(t^(1/2) = i) = nabla(-2i); and the graded Euler
-    characteristic of Kh is (q + q^-1) V.
+    z = -2i, so V(t^(1/2) = i) = nabla(-2i).  On n components nabla has
+    only powers z^k with k = n - 1 (mod 2), and V has integer exponents
+    exactly when n is odd.  The graded Euler characteristic of Kh is
+    (q + q^-1) V.
     """
-    jones, nabla, kh = (computed.get(k) for k in ("jones", "conway", "kh"))
-    if jones is not None and nabla is not None:
-        # on half-step keys: t^(k/2) at t^(1/2) = i is i^k, and z^(k/2)
-        # at z = -2i is (-2)^(k/2) i^(k/2)
-        v_at_i = _gaussian(jones.halves())
-        nabla_at = _gaussian((k // 2, c * (-2) ** (k // 2)) for k, c in nabla.halves())
-        if v_at_i != nabla_at:
-            return (
-                f"self-check: V(t^(1/2) = i) = {v_at_i} but "
-                f"nabla(-2i) = {nabla_at} (real, imaginary)"
-            )
-    if jones is not None and kh is not None:
-        if euler_characteristic(kh) != v_to_unnormalized(jones):
+    if name == "kh":
+        if euler_characteristic(value) != v_to_unnormalized(jones):
             return "self-check: the Euler characteristic of Kh is not (q + q^-1) V"
+        return None
+    # on half-step keys: t^(k/2) at t^(1/2) = i is i^k, and z^(k/2) at
+    # z = -2i is (-2)^(k/2) i^(k/2); z^k has key 2k, even with V's keys
+    # when n is odd
+    v_at_i = _gaussian(jones.halves())
+    nabla_at = _gaussian((k // 2, c * (-2) ** (k // 2)) for k, c in value.halves())
+    if v_at_i != nabla_at:
+        return (
+            f"self-check: V(t^(1/2) = i) = {v_at_i} but "
+            f"nabla(-2i) = {nabla_at} (real, imaginary)"
+        )
+    if any((k - 2 * h) % 4 for k, _ in value.halves() for h in jones.exponent_parities()):
+        return "self-check: nabla has a power z^k whose parity is not that of n - 1"
+    return None
+
+
+def _self_check(
+    values: dict[str, object], mirrorable: Iterable[str] = (), flags: list[str] | None = None
+) -> str | None:
+    """The first mismatch (:func:`_mismatch`) in a record's invariants,
+    computed or ingested; a record that has one gets no verdict.  A nabla
+    or Kh named in ``mirrorable`` that fails while its mirror image
+    passes is replaced by the mirror in ``values``, and flagged."""
+    jones = values.get("jones")
+    for name in ("conway", "kh") if jones is not None else ():
+        value = values.get(name)
+        problem = value is not None and _mismatch(name, jones, value)
+        if problem and name in mirrorable:
+            mirrored = _MIRRORS[name](value)
+            if _mismatch(name, jones, mirrored) is None:
+                values[name], problem = mirrored, None
+                flags.append(f"{name}: ingested value fits V after mirror normalization")
+        if problem:
+            return problem
     return None
 
 
@@ -461,21 +500,19 @@ def process_record(
                 except CrossingCapExceeded as exc:
                     flags.append(f"kh: skipped: {exc}")
 
-        jones, err1 = _reconcile(
-            "jones", computed.get("jones"), record.jones,
-            lambda p: p.substitute_inverse(), mirror, flags,
-        )
-        conway_poly, err2 = _reconcile(
-            "conway", computed.get("conway"), record.conway,
-            _conway_mirror, mirror, flags,
-        )
-        kh, err3 = _reconcile(
-            "kh", computed.get("kh"), record.kh,
-            lambda g: g.mirror(), mirror, flags,
-        )
-        inconsistent = _self_check(computed)
+        values: dict[str, object] = {}
+        disagreements = []
+        for name in ("jones", "conway", "kh"):
+            values[name], err = _reconcile(
+                name, computed.get(name), getattr(record, name), mirror, flags
+            )
+            disagreements.append(err)
+        # under --mirror auto, an ingested nabla or Kh may be mirrored to fit V
+        mirrorable = values.keys() - computed.keys() if mirror == "auto" else ()
+        inconsistent = _self_check(values, mirrorable, flags)
+        jones, conway_poly, kh = values["jones"], values["conway"], values["kh"]
         n, err4 = _component_count(jones, record.components, d)
-        error = inconsistent or err1 or err2 or err3 or err4
+        error = inconsistent or next(filter(None, disagreements), None) or err4
 
         if jones is not None:
             invariants["jones"] = format_poly(jones, "t")

@@ -7,6 +7,7 @@ Exit codes: 0 all records processed, 1 any hard error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -24,6 +25,9 @@ from .diagram import parse_braid, parse_pd
 from .errors import DEFAULT_CROSSING_CAP, ColumnMissing, FileUnreadable, PoslinkError
 
 
+# built once per process: parsing leaves the parser unchanged, and argparse
+# copies an ``append`` option's list default before it adds to it
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="poslink",

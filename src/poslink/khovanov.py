@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .diagram import Diagram, a_state_circles, b_state_circles, crossing_signs
 from .errors import (
@@ -28,9 +28,11 @@ from .errors import (
     MalformedKhPolynomial,
     MalformedPolynomial,
 )
-from .laurent import EXPONENT, LaurentPoly, exponent_halves, parse_poly
 from .snf import SparseRows, invariant_factors, snf_divisors
 from .tangle import reduced_complex
+
+if TYPE_CHECKING:
+    from .laurent import LaurentPoly
 
 
 class BigradedGroups:
@@ -222,6 +224,8 @@ def euler_characteristic(kh: BigradedGroups) -> LaurentPoly:
 
     Equals the unnormalized Jones polynomial of the link.
     """
+    from .laurent import LaurentPoly  # computing homology needs no polynomial
+
     out: dict[int, int] = {}  # half-step key 2j -> coefficient of q^j
     for (i, j), (rank, _) in kh.items():
         out[2 * j] = out.get(2 * j, 0) + (-rank if i & 1 else rank)
@@ -265,9 +269,11 @@ def parse_kh_polynomial(text: str) -> BigradedGroups:
         raise MalformedKhPolynomial("empty homology polynomial")
     if s == "0":
         return BigradedGroups({})
+    from .laurent import EXPONENT, parse_poly
+
     # (i, j, k) -> multiplicity of Z/k at (i, j), with k = 0 for Z
     counts: dict[tuple[int, int, int], int] = {}
-    term = re.compile(_KH_TERM, re.X).match
+    term = re.compile(_KH_TERM.format(exponent=EXPONENT), re.X).match
     pos = 0
     while pos < len(s):
         m = term(s, pos)
@@ -314,15 +320,18 @@ MAX_TORSION_FACTORS = 10**6
 # parentheses), then a power of q, then an optional torsion marker T^k; the
 # t-monomial takes a '*' only when the rest needs it, so '*q' is q.  Each
 # token takes the spaces after it, so a run of spaces splits only one way.
-# Compiled on first use, through re's cache: computed homology reads no text.
-_KH_TERM = rf"""(?:(?P<sign>[+-])\s*)?
+# {exponent} is :data:`poslink.laurent.EXPONENT`, filled in and compiled on
+# first use, through re's cache: computed homology reads no text.
+_KH_TERM = r"""(?:(?P<sign>[+-])\s*)?
     (?:\((?P<group>(?:[^()]|\([^()]*\))*)\)\s*
-      |(?P<mono>(?:\d+\s*)?(?:\*\s*)??(?:t\s*(?:\^\s*{EXPONENT}\s*)?)?))
-    (?:\*\s*)?q\s*(?:\^\s*(?P<j>{EXPONENT})\s*)?
-    (?:(?P<tors>T)\s*(?:\^\s*(?P<texp>{EXPONENT})\s*)?)?"""
+      |(?P<mono>(?:\d+\s*)?(?:\*\s*)??(?:t\s*(?:\^\s*{exponent}\s*)?)?))
+    (?:\*\s*)?q\s*(?:\^\s*(?P<j>{exponent})\s*)?
+    (?:(?P<tors>T)\s*(?:\^\s*(?P<texp>{exponent})\s*)?)?"""
 
 
 def _grading(token: str) -> int:
+    from .laurent import exponent_halves
+
     if "/" in token:
         raise MalformedKhPolynomial(f"grading {token!r} is not an integer")
     return exponent_halves(token) // 2

@@ -15,15 +15,13 @@ from fractions import Fraction
 from typing import Iterator, Mapping
 
 from .diagram import (
-    A_SMOOTHING,
-    B_SMOOTHING,
     Diagram,
+    _smoothings,
     crossing_signs,
     a_state_circles,
     b_state_circles,
     is_positive,
     shared_steps,
-    smoothing_pairs,
 )
 from .errors import (
     MalformedPolynomial,
@@ -311,34 +309,6 @@ def kauffman_bracket(d: Diagram) -> LaurentPoly:
 # whole, never changed in place, so each value it takes is one
 # contraction's finished steps
 _CHAIN: tuple[tuple[tuple[int, ...], dict[tuple, dict[int, int]]], ...] = ()
-
-
-# the crossing's own four ends are -1..-4, so no arc label can clash
-_SLOT_PAIRS = [smoothing_pairs((-1, -2, -3, -4), label) for label in (A_SMOOTHING, B_SMOOTHING)]
-
-
-def _smoothings(matching: tuple, crossing) -> list[tuple[tuple, list[int]]]:
-    """The matchings (sorted (end, partner) items) left when one crossing
-    joins a tangle's open ends, for its A- and its B-smoothing, each with
-    one slot (-1..-4) on every loop that closes.  An open crossing arc
-    joins the tangle there; a new arc stays open at its label."""
-    ends = dict(matching)
-    for slot, arc in enumerate(crossing):
-        far = ends.pop(arc, arc)
-        ends[-1 - slot] = far
-        ends[far] = -1 - slot
-    out = []
-    for pairs in _SLOT_PAIRS:
-        partner = dict(ends)
-        loops = []
-        for x, y in pairs:
-            u, v = partner.pop(x), partner.pop(y)
-            if u == y:
-                loops.append(x)
-            else:
-                partner[u], partner[v] = v, u
-        out.append((tuple(sorted(partner.items())), loops))
-    return out
 
 
 def _delta_power(n: int) -> LaurentPoly:

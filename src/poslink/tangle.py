@@ -49,8 +49,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 
-from .diagram import Diagram, shared_steps
-from .laurent import _SLOT_PAIRS, _smoothings
+from .diagram import _SLOT_PAIRS, Diagram, _smoothings, shared_steps
 
 
 class _Interned(dict):

@@ -16,6 +16,8 @@
   skein recursion.
 * :func:`bareiss_det`: the determinant of a dense integer matrix by
   fraction-free elimination that rewrites every row below the pivot.
+* :func:`burau_conway`: the Conway polynomial of a braid closure from its
+  reduced Burau matrix, with no diagram and no Seifert surface.
 * :func:`survey_words`: the survey's words, one per conjugacy key, by
   keying every positive word by all of its rotations and flips.
 """
@@ -23,6 +25,7 @@
 from __future__ import annotations
 
 from collections import Counter
+from math import comb
 from typing import Iterator, Sequence
 
 from poslink import BigradedGroups, BraidWord, Diagram, LaurentPoly
@@ -457,3 +460,122 @@ def survey_words(max_strands: int, max_length: int) -> list[BraidWord]:
             seen.add(key)
             out.append(word)
     return out
+
+
+# Laurent polynomials in t as {exponent: coefficient}, zero terms left out
+
+
+def _poly_sum(polys: Iterator[dict[int, int]]) -> dict[int, int]:
+    out: dict[int, int] = {}
+    for p in polys:
+        for e, c in p.items():
+            out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def _poly_mul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    return _poly_sum({e + f: c * g} for e, c in a.items() for f, g in b.items())
+
+
+def _poly_sub(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    return _poly_sum((a, {e: -c for e, c in b.items()}))
+
+
+def _poly_div(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    """The exact quotient a / b in Z[t, t^-1], by long division from the
+    top degree; ArithmeticError when b does not divide a."""
+    work, quotient = dict(a), {}
+    top, low = max(b), min(a, default=0) - min(b)
+    while work:
+        e = max(work) - top
+        q, r = divmod(work[max(work)], b[top])
+        if r or e < low:
+            raise ArithmeticError("inexact Laurent polynomial division")
+        quotient[e] = q
+        work = _poly_sub(work, {f + e: c * q for f, c in b.items()})
+    return quotient
+
+
+def _identity(size: int) -> list[list[dict[int, int]]]:
+    return [[{0: 1} if r == k else {} for k in range(size)] for r in range(size)]
+
+
+def _reduced_burau(n: int, letter: int) -> list[list[dict[int, int]]]:
+    """The reduced Burau matrix of sigma_|letter| on n strands, or of its
+    inverse when the letter is negative: the identity except in column
+    c = |letter| - 1, which is (t, -t, 1) in rows c - 1, c, c + 1 for the
+    generator and (1, -t^-1, t^-1) for its inverse, cut to the n - 1 rows."""
+    c = abs(letter) - 1
+    column = {c - 1: {1: 1}, c: {1: -1}, c + 1: {0: 1}}
+    if letter < 0:
+        column = {c - 1: {0: 1}, c: {-1: -1}, c + 1: {-1: 1}}
+    m = _identity(n - 1)
+    for r, entry in column.items():
+        if 0 <= r < n - 1:
+            m[r][c] = entry
+    return m
+
+
+def _laurent_det(rows: list[list[dict[int, int]]]) -> dict[int, int]:
+    """Determinant over Z[t, t^-1] by Bareiss elimination, every division
+    exact; the rows are consumed."""
+    n = len(rows)
+    sign, prev = 1, {0: 1}
+    for k in range(n - 1):
+        if not rows[k][k]:
+            for r in range(k + 1, n):
+                if rows[r][k]:
+                    rows[k], rows[r] = rows[r], rows[k]
+                    sign = -sign
+                    break
+            else:
+                return {}
+        pivot = rows[k][k]
+        for i in range(k + 1, n):
+            a = rows[i][k]
+            rows[i][k + 1:] = [
+                _poly_div(_poly_sub(_poly_mul(x, pivot), _poly_mul(a, y)), prev)
+                for x, y in zip(rows[i][k + 1:], rows[k][k + 1:])
+            ]
+        prev = pivot
+    det = rows[-1][-1] if n else {0: 1}
+    return {e: sign * c for e, c in det.items()}
+
+
+def burau_conway(word: BraidWord) -> LaurentPoly:
+    """Conway polynomial of the closure of ``word`` from its reduced Burau
+    matrix B (Burau 1935; Kassel-Turaev, *Braid Groups*, ch. 3).
+
+    det(I - B) is 1 + t + ... + t^(n-1) times the Alexander polynomial up
+    to a unit.  Dividing, substituting t -> t^-1 and multiplying by
+    t^((w - n + 1)/2), w the exponent sum of the word, gives the
+    Conway-normalized Delta(t) = nabla(t^(1/2) - t^(-1/2)), symmetric in
+    t^(1/2), which is then expanded in z.  A split closure has
+    det(I - B) = 0, and a Delta that is not symmetric raises
+    ArithmeticError."""
+    n = word.strand_count
+    size = range(n - 1)
+    product = _identity(n - 1)
+    for letter in word.letters:
+        b = _reduced_burau(n, letter)
+        product = [
+            [_poly_sum(_poly_mul(row[j], b[j][k]) for j in size) for k in size] for row in product
+        ]
+    minor = [
+        [_poly_sub(one, entry) for one, entry in zip(i_row, p_row)]
+        for i_row, p_row in zip(_identity(n - 1), product)
+    ]
+    delta = _poly_div(_laurent_det(minor), {e: 1 for e in range(n)})
+    # on half-step keys: t^e -> t^-e, times t^((w - n + 1)/2)
+    shift = sum(1 if k > 0 else -1 for k in word.letters) - n + 1
+    halves = {shift - 2 * e: c for e, c in delta.items()}
+    nabla: dict[int, int] = {}
+    while halves:
+        top = max(halves)
+        if top < 0 or min(halves) != -top:
+            raise ArithmeticError(f"{word!r}: Delta is not symmetric in t^(1/2)")
+        c = nabla[2 * top] = halves[top]  # the coefficient of z^top
+        # less c (t^(1/2) - t^(-1/2))^top, by the binomial theorem
+        power = {top - 2 * j: c * comb(top, j) * (-1) ** j for j in range(top + 1)}
+        halves = _poly_sub(halves, power)
+    return LaurentPoly._raw(nabla)

@@ -31,7 +31,7 @@ from poslink import (
     survey_corpus,
 )
 from poslink.batch import _self_check, process_record, records_from_lines
-from poslink.cli import main
+from poslink.cli import _build_parser, main
 from poslink.errors import ColumnMissing, FileUnreadable
 
 from conftest import DATA_DIR, TREFOIL_PD
@@ -49,6 +49,9 @@ COLUMNS = {
 }
 COLUMNS_FLAG = ",".join(f"{k}={v}" for k, v in COLUMNS.items())
 KNOTS_CSV = str(DATA_DIR / "knots.csv")
+# rows whose ingested invariants do not fit together as written
+INCONSISTENT_CSV = str(DATA_DIR / "inconsistent.csv")
+INCONSISTENT_COLUMNS = {"name": "Name", "jones": "Jones", "conway": "Conway", "kh": "Kh"}
 
 
 class TestIngest:
@@ -159,6 +162,73 @@ class TestCrossValidation:
         # with normalization off the same table is a hard error
         batch = cmd_compute(records, mirror="never")
         assert not batch.all_ok
+
+
+
+class TestIngestedSelfChecks:
+    """Ingested invariants are checked against the Jones polynomial too,
+    so a table whose cells do not fit together gets no verdict."""
+
+    def results(self, mirror):
+        records = ingest_csv(INCONSISTENT_CSV, INCONSISTENT_COLUMNS)
+        return {r.name: r for r in cmd_test(records, mirror=mirror)}
+
+    def test_kh_whose_euler_characteristic_is_not_jones_is_the_record_error(self):
+        # chi of this kh is q^-9 + q^-7 + q^23, and its j_upper = 23 alone
+        # would make the Khovanov test fail
+        for mirror in ("auto", "never", "always"):
+            bogus = self.results(mirror)["bogus"]
+            assert bogus.error == "self-check: the Euler characteristic of Kh is not (q + q^-1) V"
+            assert bogus.reports == [] and bogus.comparison is None and bogus.gradings is None
+
+    def test_mirrored_kh_and_conway_are_normalized_under_auto(self):
+        results = self.results("auto")
+        left = results["left_V_right_Kh"]
+        assert left.error is None
+        assert left.flags == ["kh: ingested value fits V after mirror normalization"]
+        assert left.invariants["kh"] == (
+            "t^-3 q^-9 + t^-2 q^-5 + q^-3 + q^-1 + t^-2 q^-7 T^2"
+        )
+        assert left.gradings["j_upper"] == -1 and left.reports
+        hopf = results["negative_V_positive_nabla"]
+        assert hopf.error is None and hopf.invariants["conway"] == "-z"
+        assert hopf.flags == ["conway: ingested value fits V after mirror normalization"]
+
+    def test_conway_with_powers_of_both_parities_is_the_record_error(self):
+        # 1 + 4z + z^2 + z^3 passes V(t^(1/2) = i) = nabla(-2i) with the
+        # trefoil's V, but a knot's nabla has even powers only
+        for mirror in ("auto", "never", "always"):
+            row = self.results(mirror)["odd_powers_on_a_knot"]
+            assert row.error == (
+                "self-check: nabla has a power z^k whose parity is not that of n - 1"
+            )
+            assert row.reports == []
+
+    @pytest.mark.parametrize("mirror", ["never", "always"])
+    def test_mirrored_cells_are_record_errors_without_auto(self, mirror):
+        results = self.results(mirror)
+        assert results["left_V_right_Kh"].error.startswith("self-check: the Euler")
+        assert results["negative_V_positive_nabla"].error == (
+            "self-check: V(t^(1/2) = i) = (0, 2) but nabla(-2i) = (0, -2) (real, imaginary)"
+        )
+        assert all(not r.reports and not r.flags for r in results.values())
+
+    def test_cli_exits_1_and_prints_no_verdict(self, capsys):
+        code = main([
+            "test", "--file", INCONSISTENT_CSV, "--columns", "name=Name,jones=Jones,kh=Kh",
+        ])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "KhovanovOnlyFails" not in out
+        assert out.count("error: self-check") == 1
+
+    def test_knots_table_is_consistent_as_ingested(self):
+        # every cell of the shipped table, no diagram: nothing is mirrored
+        columns = {k: v for k, v in COLUMNS.items() if k not in ("pd", "braid")}
+        for mirror in ("auto", "never"):
+            for result in cmd_test(ingest_csv(KNOTS_CSV, columns), mirror=mirror):
+                assert result.error is None and result.reports, result.name
+                assert not any("mirror" in flag for flag in result.flags), result.name
 
 
 class TestCmdTest:
@@ -662,6 +732,15 @@ class TestCli:
         assert "conway: 1 + z^2" in out
         assert "t^3 q^7 T^2" in out
         assert "j_lower=1" in out and "j_upper=9" in out
+
+    def test_parser_is_built_once_and_keeps_no_input(self, capsys):
+        # the second call gives no --pd: the first call's must not leak
+        assert main(["compute", "--pd", TREFOIL_PD, "--jones"]) == 0
+        assert main(["compute", "--braid", "strands=2; 1 1", "--jones"]) == 0
+        out = capsys.readouterr().out
+        assert out.count("== ") == 2 and out.count("source: pd") == 1
+        assert _build_parser() is _build_parser()
+        assert _build_parser().parse_args(["compute"]).pd == []
 
     def test_compute_selection(self, capsys):
         code = main(["compute", "--braid", "strands=2; 1 1", "--jones"])

@@ -24,11 +24,11 @@ from poslink import (
     state_circles,
 )
 from poslink.batch import _conway_mirror
-from poslink.conway import _bareiss_det, _conway_from_seifert, _surface, seifert_matrix
+from poslink.seifert import _bareiss_det, _conway_from_seifert, _surface, seifert_matrix
 
 from conftest import DATA_DIR, lucas, mirror
 from polygon_diagrams import polygon_diagram
-from reference import RecursionBudgetExceeded, Skein, bareiss_det, conway_skein
+from reference import RecursionBudgetExceeded, Skein, bareiss_det, burau_conway, conway_skein
 
 Z = parse_poly("z", "z")
 
@@ -333,6 +333,58 @@ class TestAgainstSkein:
             nested += any(r is not None for r in ramps)
             side_by_side += any(r is None for r in ramps)
         assert nested >= 10 and side_by_side >= 10
+
+
+class TestAgainstBurau:
+    """The reduced Burau route reads only the braid word, so it shares no
+    code with the Seifert matrix of the closure."""
+
+    @pytest.mark.parametrize("text, expected", [
+        ("strands=1;", "1"),
+        ("strands=2; 1 1 1", "1 + z^2"),
+        ("strands=2; -1 -1 -1", "1 + z^2"),
+        ("strands=2; 1 1", "z"),
+        ("strands=2; -1 -1", "-z"),
+        ("strands=3; 1 -2 1 -2", "1 - z^2"),
+        ("strands=3; 1 1 2 2 2", "z + z^3"),
+        ("strands=3; 1 1", "0"),
+        ("strands=4;", "0"),
+    ])
+    def test_values(self, text, expected):
+        word = parse_braid(text)
+        assert burau_conway(word) == parse_poly(expected, "z")
+        assert conway(braid_closure(word)) == parse_poly(expected, "z")
+
+    @given(
+        strands=st.integers(1, 6),
+        letters=st.lists(st.tuples(st.integers(1, 5), st.booleans()), max_size=14),
+        split_at=st.integers(0, 5),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_mixed_sign_braids(self, strands, letters, split_at):
+        # a split_at in 1 .. strands - 1 leaves that generator out of the
+        # word, so no strand crosses from one side of it to the other and
+        # the closure is split
+        word = tuple(
+            min(g, strands - 1) * (1 if up else -1)
+            for g, up in letters
+            if strands > 1 and min(g, strands - 1) != split_at
+        )
+        braid = BraidWord(strands, word)
+        assert conway(braid_closure(braid)) == burau_conway(braid)
+
+    def test_split_closures_vanish(self):
+        rng = random.Random(3)
+        for _ in range(50):
+            n = rng.randint(3, 6)
+            gap = rng.randint(1, n - 1)
+            gens = [g for g in range(1, n) if g != gap]
+            braid = BraidWord(n, tuple(rng.choice((1, -1)) * rng.choice(gens) for _ in range(10)))
+            assert burau_conway(braid) == LaurentPoly.zero() == conway(braid_closure(braid))
+
+    def test_alternating_40_crossing_3_braid(self):
+        braid = BraidWord(3, (1, -2) * 20)
+        assert burau_conway(braid) == conway(braid_closure(braid))
 
 
 class TestLargeDiagrams:

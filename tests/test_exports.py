@@ -47,11 +47,3 @@ def test_dir_lists_every_export_before_it_is_loaded():
 
 def test_unknown_attribute_is_an_attribute_error():
     assert not hasattr(poslink, "no_such_export")
-
-
-def test_conway_stays_the_function_once_submodules_are_imported():
-    import poslink.conway
-    import poslink.khovanov  # noqa: F401
-
-    assert inspect.isfunction(poslink.conway)
-    assert poslink.conway is sys.modules["poslink.conway"].conway

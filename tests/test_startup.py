@@ -24,6 +24,9 @@ KNOTS_COLUMNS = (
     "jones=Jones,conway=Conway"
 )
 HEAVY = {"poslink.khovanov", "poslink.tangle", "poslink.snf", "poslink.obstruction"}
+# the polynomial layers, and the rationals that their degrees and the
+# Conway interpolation use
+POLYNOMIAL = {"poslink.laurent", "poslink.seifert", "fractions"}
 # ``dataclasses`` writes and execs source for every class it decorates, and
 # imports ``inspect`` (with ``ast``, ``dis`` and ``tokenize``) to do it
 CLASS_CODEGEN = {"dataclasses", "inspect"}
@@ -55,17 +58,22 @@ print(json.dumps({
 """ % WRAPPED
 
 
-def run_fresh(*commands: list[str]) -> dict:
-    """``cli.main`` on each argv in a new interpreter: the modules loaded
-    afterwards, everything the commands wrote, and the calls made
-    through the ``WRAPPED`` names of ``poslink.batch``."""
+def python_fresh(script: str, *args: str) -> str:
+    """What ``script`` prints, run with ``args`` in a new interpreter."""
     proc = subprocess.run(
-        [sys.executable, "-c", RUN_COMMANDS, json.dumps(commands)],
+        [sys.executable, "-c", script, *args],
         env={**os.environ, "PYTHONPATH": str(SRC)},
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout)
+    return proc.stdout
+
+
+def run_fresh(*commands: list[str]) -> dict:
+    """``cli.main`` on each argv in a new interpreter: the modules loaded
+    afterwards, everything the commands wrote, and the calls made
+    through the ``WRAPPED`` names of ``poslink.batch``."""
+    return json.loads(python_fresh(RUN_COMMANDS, json.dumps(commands)))
 
 
 def test_polynomials_load_no_homology_and_no_obstruction():
@@ -82,6 +90,42 @@ def test_homology_loads_no_obstruction():
     run = run_fresh(["compute", "--braid", "strands=2; 1 1 1", "--kh"])
     assert "poslink.khovanov" in run["modules"]
     assert "poslink.obstruction" not in run["modules"]
+
+
+def test_homology_loads_no_polynomial_layer():
+    run = run_fresh([
+        "compute", "--kh", "--braid", "strands=2; 1 1 1",
+        "--pd", "PD[X[1,4,2,5],X[3,6,4,1],X[5,2,6,3]]",
+    ])
+    assert "poslink.khovanov" in run["modules"]
+    assert POLYNOMIAL.isdisjoint(run["modules"])
+    assert run["output"].count("kh: q + q^3 + t^2 q^5") == 2
+
+
+def test_jones_loads_no_seifert_module():
+    run = run_fresh(["compute", "--braid", "strands=2; 1 1 1", "--jones"])
+    assert "poslink.laurent" in run["modules"]
+    assert "poslink.seifert" not in run["modules"]
+    assert "jones: t + t^3 - t^4" in run["output"]
+
+
+@pytest.mark.parametrize("first", [
+    "import poslink.seifert",
+    # the batch layer loads the module through its own stand-in
+    "from poslink import batch, braid_closure, parse_braid;"
+    " batch.conway(braid_closure(parse_braid('strands=2; 1 1 1')))",
+], ids=["import", "batch"])
+def test_conway_stays_the_function_once_its_module_is_loaded(first):
+    script = first + """
+import inspect, sys
+import poslink
+assert inspect.isfunction(poslink.conway), poslink.conway
+assert poslink.conway is sys.modules["poslink.seifert"].conway
+from poslink import conway
+assert conway is poslink.conway
+print("ok")
+"""
+    assert python_fresh(script) == "ok\n"
 
 
 def test_ingested_polynomials_load_no_homology():
