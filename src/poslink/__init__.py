@@ -7,12 +7,14 @@ Jones coefficient of absolute value 0, 1, or 2 must satisfy.
 Importing the package loads the diagram layer and the batch and record
 classes (``diagram``, ``batch``, ``errors``).  Every other export is
 loaded from its submodule on first access: ``laurent`` (Jones polynomial
-and polynomial text), ``seifert`` (Conway polynomial), ``khovanov`` (with
-``tangle`` and ``snf``) and ``obstruction``.  So a run that computes only
-polynomials never compiles the homology, and one that computes only
-homology never compiles the polynomial layers.  The record and value
-classes are written out by hand, so an import generates no class code and
-never loads ``inspect``.
+and polynomial text), ``burau`` (Conway polynomial, read off the word of a
+braid closure; it loads ``seifert`` for a Seifert matrix of any other
+diagram), ``khovanov`` (with ``tangle`` and ``snf``) and
+``obstruction``.  So a run that computes only polynomials never compiles
+the homology, one that computes only homology never compiles the
+polynomial layers, and one whose braid words all take the Burau route
+never compiles ``seifert``.  The record and value classes are written out by hand, so
+an import generates no class code and never loads ``inspect``.
 """
 
 from importlib import import_module
@@ -59,8 +61,8 @@ _DEFERRED = {
     "parse_poly": "laurent",
     "unnormalized_to_v": "laurent",
     "v_to_unnormalized": "laurent",
-    "conway": "seifert",
-    "lead_coeff_conway": "seifert",
+    "conway": "burau",
+    "lead_coeff_conway": "burau",
     "BigradedGroups": "khovanov",
     "ChainSlice": "khovanov",
     "GradingSummary": "khovanov",

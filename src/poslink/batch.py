@@ -5,12 +5,13 @@ Records run one after another, in input order.  The work is pure Python
 and holds the interpreter lock, so a thread pool gave no speed-up.
 
 Each computing layer is imported on the first call that needs it:
-``laurent`` and ``seifert`` for the Jones and Conway polynomials, the
-Khovanov stack (``khovanov``, ``tangle``, ``snf``) for homology, and
-``obstruction`` for the tests.  So ``compute --kh`` compiles no
-polynomial layer and ``compute --jones`` no homology.  The names stay
-bindings of this module, looked up when called, because the benchmark's
-tracer wraps ``poslink.batch.<name>`` by name to time each layer.
+``laurent`` and ``burau`` (with ``seifert`` for PD codes) for the Jones
+and Conway polynomials, the Khovanov stack (``khovanov``, ``tangle``,
+``snf``) for homology, and ``obstruction`` for the tests.  So
+``compute --kh`` compiles no polynomial layer and ``compute --jones`` no
+homology.  The names stay bindings of this module, looked up when
+called, because the benchmark's tracer wraps ``poslink.batch.<name>`` by
+name to time each layer.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ jones_summary = _deferred("laurent", "jones_summary")
 lickorish_bounds = _deferred("laurent", "lickorish_bounds")
 parse_poly = _deferred("laurent", "parse_poly")
 v_to_unnormalized = _deferred("laurent", "v_to_unnormalized")
-conway = _deferred("seifert", "conway")
+conway = _deferred("burau", "conway")
 euler_characteristic = _deferred("khovanov", "euler_characteristic")
 extreme_gradings = _deferred("khovanov", "extreme_gradings")
 format_kh_polynomial = _deferred("khovanov", "format_kh_polynomial")
@@ -317,19 +318,20 @@ _MIRRORS = {
 
 def _reconcile(name, computed, ingested, mode, flags):
     """Prefer computed values; cross-check ingested ones, normalizing the
-    mirror convention when allowed.  Returns (value, hard_error)."""
-    if computed is None:
-        return ingested, None
+    mirror convention when allowed (``always`` mirrors each one).
+    Returns (value, hard_error)."""
     if ingested is None:
         return computed, None
-    candidates = [(ingested, False)]
-    if mode == "always":
-        candidates = [(_MIRRORS[name](ingested), True)]
-    elif mode == "auto":
-        candidates.append((_MIRRORS[name](ingested), True))
-    for value, mirrored in candidates:
+    candidates = [] if mode == "always" else [ingested]
+    if mode != "never":
+        candidates.append(_MIRRORS[name](ingested))
+    if computed is None:
+        if mode == "always":
+            flags.append(f"{name}: ingested value mirrored")
+        return candidates[0], None
+    for value in candidates:
         if value == computed:
-            if mirrored:
+            if value is not ingested:
                 flags.append(f"{name}: ingested value matched after mirror normalization")
             return computed, None
     return computed, f"{name}: computed and ingested values disagree"
@@ -560,11 +562,12 @@ def process_record(
                 )
                 jr = jones_test(inp)
                 kr = khovanov_test(inp)
+                # a Jones-only failure raises before any report is kept
+                if jr.applicable and kr.applicable:
+                    comparison = strength_comparison(jr, kr)
                 reports = [jr, kr]
                 if kh is not None:
                     reports.append(khovanov_test_from_kh1(kh, n, lead))
-                if jr.applicable and kr.applicable:
-                    comparison = strength_comparison(jr, kr)
                 for r in reports:
                     if r.equality_attained:
                         flags.append(f"{r.test.value}: bound attained with equality")

@@ -87,9 +87,11 @@ class Diagram:
     Construction also keeps, outside the compared fields, the far-end table
     of the crossings (``_far``, see :func:`_far_ends`), which every walk
     over the diagram reads, and the number of connected pieces of its
-    shadow (``_shadow_pieces``, see :func:`_shadow_components`).  The
-    class has no ``__slots__``: the tables derived later are cached
-    properties, kept in the instance ``__dict__``.
+    shadow (``_shadow_pieces``, see :func:`_shadow_components`).  A
+    diagram made by :func:`braid_closure` keeps its word as ``braid``,
+    also outside the compared fields, and None otherwise.  The class has
+    no ``__slots__``: the tables derived later are cached properties, kept
+    in the instance ``__dict__``.
     """
 
     def __init__(self, crossings: Iterable[Sequence[int]] = (), free_circles: int = 0):
@@ -115,6 +117,7 @@ class Diagram:
         pieces = _shadow_components(other)
         self._far = other
         self._shadow_pieces = pieces
+        self.braid: BraidWord | None = None
         # V - E + F = 2 on the sphere for each connected piece of the
         # shadow, which has c vertices and 2c edges in all
         if _face_count(other) - len(self.crossings) != 2 * pieces:
@@ -366,7 +369,8 @@ def braid_closure(b: BraidWord) -> Diagram:
     negative one takes the left strand from 0 to 2 and the right from 3 to
     1, so the over-strand runs b -> d exactly when the letter is positive.
     The arcs of each component get consecutive labels from its first visit,
-    and a position that no letter touches closes to a free circle.
+    and a position that no letter touches closes to a free circle.  The
+    diagram keeps the word as ``braid``.
     """
     # (entry, exit) slots of the left and of the right strand, at a
     # negative letter and at a positive one
@@ -394,7 +398,9 @@ def braid_closure(b: BraidWord) -> Diagram:
             t[entry] = label + v
             t[out] = label + (v + 1) % len(visits)
         label += len(visits)
-    return Diagram(tuple(map(tuple, crossings)), free)
+    d = Diagram(tuple(map(tuple, crossings)), free)
+    d.braid = b
+    return d
 
 
 # --------------------------------------------------------------------------

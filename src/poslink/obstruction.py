@@ -27,7 +27,7 @@ import enum
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .errors import NotApplicableError
+from .errors import NotApplicableError, PoslinkError
 
 if TYPE_CHECKING:
     from .khovanov import BigradedGroups
@@ -47,8 +47,13 @@ class TestKind(enum.Enum):
     KHOVANOV_FROM_KH1 = "KhovanovFromKh1"
 
 
+class InconsistentInvariants(PoslinkError, ValueError):
+    """The reports of one link contradict each other, so its invariants
+    cannot all belong to one link.  Kept here rather than in ``errors``,
+    which every command loads: only the tests raise it."""
+
+
 class Strength(enum.Enum):
-    JONES_ONLY_FAILS = "JonesOnlyFails"
     KHOVANOV_ONLY_FAILS = "KhovanovOnlyFails"
     BOTH_FAIL = "BothFail"
     NEITHER_FAILS = "NeitherFails"
@@ -291,13 +296,29 @@ def khovanov_test_from_kh1(
 
 
 def strength_comparison(jr: ObstructionReport, kr: ObstructionReport) -> Strength:
-    """Classify which of the two tests detects non-positivity."""
+    """Classify which of the two tests detects non-positivity, given the
+    Jones and the Khovanov report of one input.
+
+    The Jones test never fails alone on consistent invariants.  The graded
+    Euler characteristic of Kh is (q + q^-1) V(q^2), so Kh is nonzero in
+    the top and the bottom quantum grading of that polynomial:
+    j_upper >= 2M + 1 and j_lower <= 2m - 1 for M = max deg V and
+    m = min deg V.  With the same p1, n and gamma, a Jones violation
+    M > 4m + (n-1)/2 + gamma then gives
+
+        j_upper >= 2M + 1 > 8m + n + 2 gamma
+                = 4 (2m - 1) + n + 4 + 2 gamma >= 4 j_lower + n + 4 + 2 gamma,
+
+    a Khovanov violation.  Every record's V and Kh pass the check
+    chi(Kh) = (q + q^-1) V before its tests run, so a Jones-only failure
+    raises InconsistentInvariants instead of giving a verdict.
+    """
     if not (jr.applicable and kr.applicable):
         raise NotApplicableError("both reports must be applicable to compare")
     if jr.failed and kr.failed:
         return Strength.BOTH_FAIL
     if jr.failed:
-        return Strength.JONES_ONLY_FAILS
+        raise InconsistentInvariants("the Jones test fails but the Khovanov test passes")
     if kr.failed:
         return Strength.KHOVANOV_ONLY_FAILS
     return Strength.NEITHER_FAILS

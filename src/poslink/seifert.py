@@ -1,5 +1,8 @@
 """Conway polynomial from a Seifert matrix.
 
+This is the route of :func:`poslink.conway` for PD codes, and for braid
+words whose reduced Burau matrix would be larger than the Seifert matrix
+(:mod:`poslink.burau`, which imports this module on first use).
 :func:`conway` runs Seifert's algorithm on the PD code.  Smoothing every
 crossing along the orientation gives the Seifert circles (X[a,b,c,d]
 joins a to d and b to c when positive, a to b and c to d when negative).
@@ -15,20 +18,21 @@ braid, and meets only the cycles of nearby bands: in the closures of
 random 3- and 4-braids each row of V + V^T has at most 5 and 7 nonzeros,
 where a spanning-tree basis fills every row.  The Seifert
 form V[i][j] = lk(g_i, g_j^+) is assembled from the crossings of the
-projected curves, and
+projected curves (only for pairs of cycles that visit a common circle:
+every other pair has a zero form), and
 
     nabla(z) = det(t^(-1/2) V - t^(1/2) V^T),   z = t^(1/2) - t^(-1/2)
 
 (Lickorish, *An Introduction to Knot Theory*, ch. 6).  The determinant is
 taken exactly: integer determinants at a few points, then interpolation.
-Each determinant is fraction-free elimination (Bareiss, *Sylvester's
-identity and multistep integer-preserving Gaussian elimination*, Math.
-Comp. 1968) on sparse rows, which rewrites only the rows with a nonzero
-in the pivot column.  On n rows with the nonzeros within b columns of
-the diagonal that is about n b^2 products of integers of O(n) digits,
-where dense elimination takes n^3, at each of the n // 2 + 1 points: the
-closure of the 120-crossing (1 -2)^60 takes about 0.3 s.  Everything is
-polynomial in the crossing count.
+Each determinant is the fraction-free elimination on sparse rows that
+the Burau route also runs (:func:`poslink.burau._bareiss_det`), which
+rewrites only the rows with a nonzero in the pivot column.  On n rows
+with the nonzeros within b columns of the diagonal that is about n b^2
+products of integers of O(n) digits, where dense elimination takes n^3,
+at each of the n // 2 + 1 points: the closure of the 120-crossing
+(1 -2)^60 takes about 0.3 s.  Everything is polynomial in the crossing
+count.
 
 Geometry.  The circles are walked on the diagram's far-end table
 (``Diagram._far``).  Node 2C + side stands for the region on the left
@@ -56,23 +60,20 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .burau import _bareiss_det
 from .diagram import Diagram
 from .laurent import LaurentPoly
 
 
 def conway(d: Diagram) -> LaurentPoly:
-    """Conway polynomial in z: nabla(L+) - nabla(L-) = z * nabla(L0),
-    normalized to 1 on the unknot and 0 on split links."""
+    """Conway polynomial in z of any diagram, from its Seifert matrix:
+    nabla(L+) - nabla(L-) = z * nabla(L0), normalized to 1 on the unknot
+    and 0 on split links."""
     if not d.crossings:
         return LaurentPoly.one() if d.free_circles == 1 else LaurentPoly.zero()
     if d.free_circles or d._shadow_pieces > 1:
         return LaurentPoly.zero()
     return _conway_from_seifert(seifert_matrix(d))
-
-
-def lead_coeff_conway(d: Diagram) -> int:
-    """Top-degree coefficient of the Conway polynomial."""
-    return conway(d).lead_coeff()
 
 
 # --------------------------------------------------------------------------
@@ -95,12 +96,20 @@ def seifert_matrix(d: Diagram, outer: int = 0) -> list[list[int]]:
     cycles = _cycle_basis(surface)
     n = len(cycles)
     matrix = [[0] * n for _ in range(n)]
+    on_circle: dict[int, list[int]] = {}  # circle -> the earlier cycles visiting it
     for i, x in enumerate(cycles):
-        bands, _ = x
+        bands, visits = x
         # a cycle meets each circle at most once, so it crosses its
         # push-offs only in the half twists of its own bands
         matrix[i][i] = -sum(sign[k] for k in bands) // 2
-        for j in range(i):
+        # two cycles that visit no circle in common share no band, no
+        # ramp of one passes over the other's path and no chords
+        # interleave, so their form is (0, 0)
+        met = set()
+        for circle in visits:
+            met.update(on_circle.setdefault(circle, []))
+            on_circle[circle].append(i)
+        for j in met:
             s, cut = _pair_form(surface, x, cycles[j])
             matrix[i][j] = (s + cut) // 2
             matrix[j][i] = (s - cut) // 2
@@ -356,56 +365,3 @@ def _conway_from_seifert(v: list[list[int]]) -> LaurentPoly:
             raise ArithmeticError("Seifert determinant did not interpolate to integers")
         terms[2 * j + odd] = c.numerator
     return LaurentPoly(terms)
-
-
-def _bareiss_det(rows: list[dict[int, int]]) -> int:
-    """Exact determinant of the integer matrix whose row i holds its
-    nonzero entries as ``rows[i] = {column: value}``, by fraction-free
-    elimination.  The rows are consumed.
-
-    Step k rewrites only the rows below k with a nonzero in column k:
-
-        a'[i][j] = (a[i][j] * p_k - a[i][k] * a[k][j]) / p_(k-1)
-
-    for the pivots p_k, with p_(-1) = 1.  A row with a zero in column k
-    would only be scaled by p_k / p_(k-1), so it is left as it is and
-    remembers the step t it was last rewritten at: its entries are those
-    of step k times p_(t-1) / p_(k-1), and it divides by p_(t-1) instead
-    when it is next rewritten.  Every entry of every step is a minor of the
-    matrix (Sylvester's identity), so each division is exact.  A zero pivot
-    swaps in the first row below with a nonzero in its column.
-    """
-    n = len(rows)
-    pivots = [1]  # pivots[k] = p_(k-1)
-    level = [0] * n  # step at which each row was last rewritten
-    sign = 1
-    for k in range(n):
-        if not rows[k].get(k):
-            for r in range(k + 1, n):
-                if rows[r].get(k):
-                    rows[k], rows[r] = rows[r], rows[k]
-                    level[k], level[r] = level[r], level[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        tail = rows[k]
-        if level[k] < k:
-            scale, old = pivots[k], pivots[level[k]]
-            tail = {j: x * scale // old for j, x in tail.items()}
-        pivot = tail.pop(k)
-        for i in range(k + 1, n):
-            row = rows[i]
-            a = row.pop(k, 0)
-            if not a:
-                continue
-            old = pivots[level[i]]
-            new = {j: x * pivot // old for j, x in row.items() if j not in tail}
-            for j, y in tail.items():
-                x = (row.get(j, 0) * pivot - a * y) // old
-                if x:
-                    new[j] = x
-            rows[i] = new
-            level[i] = k + 1
-        pivots.append(pivot)
-    return sign * pivots[n]

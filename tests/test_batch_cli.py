@@ -206,12 +206,20 @@ class TestIngestedSelfChecks:
 
     @pytest.mark.parametrize("mirror", ["never", "always"])
     def test_mirrored_cells_are_record_errors_without_auto(self, mirror):
+        # always mirrors every cell of a row, V included, so the cells
+        # still disagree, with the two values at i swapped
         results = self.results(mirror)
+        at_i = ("(0, 2)", "(0, -2)") if mirror == "never" else ("(0, -2)", "(0, 2)")
         assert results["left_V_right_Kh"].error.startswith("self-check: the Euler")
         assert results["negative_V_positive_nabla"].error == (
-            "self-check: V(t^(1/2) = i) = (0, 2) but nabla(-2i) = (0, -2) (real, imaginary)"
+            "self-check: V(t^(1/2) = i) = {} but nabla(-2i) = {} (real, imaginary)".format(*at_i)
         )
-        assert all(not r.reports and not r.flags for r in results.values())
+        assert all(not r.reports for r in results.values())
+        for r in results.values():
+            if mirror == "never":
+                assert not r.flags
+            else:
+                assert r.flags and all(f.endswith(": ingested value mirrored") for f in r.flags)
 
     def test_cli_exits_1_and_prints_no_verdict(self, capsys):
         code = main([
@@ -229,6 +237,63 @@ class TestIngestedSelfChecks:
             for result in cmd_test(ingest_csv(KNOTS_CSV, columns), mirror=mirror):
                 assert result.error is None and result.reports, result.name
                 assert not any("mirror" in flag for flag in result.flags), result.name
+
+
+class TestMirrorAlways:
+    """``--mirror always`` reads every ingested invariant as its mirror
+    image, also when nothing computed is there to compare it with."""
+
+    ARGS = [
+        "test", "--file", str(DATA_DIR / "left_trefoil_jones.csv"),
+        "--columns", "name=Name,jones=Jones",
+    ]
+    LEFT = [
+        "== left_trefoil ==",
+        "source: invariants",
+        "jones: -t^-4 + t^-3 + t^-1",
+        "unnormalized_jones: -q^-9 + q^-5 + q^-3 + q^-1",
+    ] + [
+        line
+        for test in ("JonesTest", "KhovanovTest")
+        for line in (
+            "report:", f"  test: {test}", "  applicable: false", "  lhs: -", "  rhs: -",
+            "  gamma: -", "  verdict: NotApplicable",
+            "  note: p1 = 1 needs the leading Conway coefficient",
+        )
+    ]
+    RIGHT = [
+        "== left_trefoil ==",
+        "source: invariants",
+        "jones: t + t^3 - t^4",
+        "unnormalized_jones: q + q^3 + q^5 - q^9",
+        "report:", "  test: JonesTest", "  applicable: true", "  lhs: 4", "  rhs: 4",
+        "  gamma: 0", "  verdict: Pass",
+        "report:", "  test: KhovanovTest", "  applicable: false", "  lhs: -", "  rhs: -",
+        "  gamma: -", "  verdict: NotApplicable", "  note: extreme quantum gradings unavailable",
+        "flag: jones: ingested value mirrored",
+        "flag: JonesTest: bound attained with equality",
+    ]
+
+    @pytest.mark.parametrize("mirror", ["never", "auto", "always"])
+    def test_ingested_only_jones(self, mirror, capsys):
+        assert main(self.ARGS + ["--mirror", mirror]) == 0
+        expected = self.RIGHT if mirror == "always" else self.LEFT
+        assert capsys.readouterr().out.splitlines() == expected
+
+    def test_every_ingested_value_is_mirrored_and_flagged(self):
+        columns = {k: v for k, v in COLUMNS.items() if k not in ("pd", "braid")}
+        records = ingest_csv(KNOTS_CSV, columns)
+        plain = {r.name: r for r in cmd_compute(records, mirror="never")}
+        for result in cmd_compute(records, mirror="always"):
+            assert result.error is None, result.name
+            assert result.flags == [
+                f"{name}: ingested value mirrored"
+                for name in ("jones", "conway", "kh")
+                if name in plain[result.name].invariants
+            ]
+        hopf = {r.name: r for r in cmd_compute(records, mirror="always")}["hopf_plus"]
+        assert hopf.invariants["conway"] == "-z"
+        assert hopf.invariants["jones"] == "-t^(-5/2) - t^(-1/2)"
 
 
 class TestCmdTest:

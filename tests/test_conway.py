@@ -23,12 +23,21 @@ from poslink import (
     parse_poly,
     state_circles,
 )
+from poslink import burau, seifert
 from poslink.batch import _conway_mirror
+from poslink.burau import _destabilized, _expand_in_z, _Laurent, burau_conway as library_burau
 from poslink.seifert import _bareiss_det, _conway_from_seifert, _surface, seifert_matrix
 
 from conftest import DATA_DIR, lucas, mirror
 from polygon_diagrams import polygon_diagram
-from reference import RecursionBudgetExceeded, Skein, bareiss_det, burau_conway, conway_skein
+from reference import (
+    RecursionBudgetExceeded,
+    Skein,
+    _laurent_det,
+    bareiss_det,
+    burau_conway,
+    conway_skein,
+)
 
 Z = parse_poly("z", "z")
 
@@ -336,8 +345,11 @@ class TestAgainstSkein:
 
 
 class TestAgainstBurau:
-    """The reduced Burau route reads only the braid word, so it shares no
-    code with the Seifert matrix of the closure."""
+    """The reference's reduced Burau route reads only the braid word, so it
+    shares no code with the Seifert matrix of the closure, and it shares
+    none with the library's Burau route either.  Every check here calls
+    the Seifert route by name: :func:`poslink.conway` takes braid closures
+    through the library's Burau route."""
 
     @pytest.mark.parametrize("text, expected", [
         ("strands=1;", "1"),
@@ -353,7 +365,7 @@ class TestAgainstBurau:
     def test_values(self, text, expected):
         word = parse_braid(text)
         assert burau_conway(word) == parse_poly(expected, "z")
-        assert conway(braid_closure(word)) == parse_poly(expected, "z")
+        assert seifert.conway(braid_closure(word)) == parse_poly(expected, "z")
 
     @given(
         strands=st.integers(1, 6),
@@ -371,7 +383,7 @@ class TestAgainstBurau:
             if strands > 1 and min(g, strands - 1) != split_at
         )
         braid = BraidWord(strands, word)
-        assert conway(braid_closure(braid)) == burau_conway(braid)
+        assert seifert.conway(braid_closure(braid)) == burau_conway(braid)
 
     def test_split_closures_vanish(self):
         rng = random.Random(3)
@@ -380,11 +392,138 @@ class TestAgainstBurau:
             gap = rng.randint(1, n - 1)
             gens = [g for g in range(1, n) if g != gap]
             braid = BraidWord(n, tuple(rng.choice((1, -1)) * rng.choice(gens) for _ in range(10)))
-            assert burau_conway(braid) == LaurentPoly.zero() == conway(braid_closure(braid))
+            assert burau_conway(braid) == LaurentPoly.zero() == seifert.conway(braid_closure(braid))
 
     def test_alternating_40_crossing_3_braid(self):
         braid = BraidWord(3, (1, -2) * 20)
-        assert burau_conway(braid) == conway(braid_closure(braid))
+        assert burau_conway(braid) == seifert.conway(braid_closure(braid))
+
+
+@st.composite
+def braid_words(draw):
+    """Signed words on 1-10 strands: using every generator, or leaving
+    some out (a split closure) or the top ones out (untouched strands);
+    optionally stabilized once more at the top or at the bottom, so that
+    destabilization has work to do.  Short words on many strands fall on
+    the Seifert side of the 2n <= c + 2 rule, long ones on few strands on
+    the Burau side."""
+    n = draw(st.integers(1, 10))
+    gens = list(range(1, n))
+    kind = draw(st.sampled_from(("all", "subset", "lower")))
+    if kind == "subset" and gens:
+        gens = sorted(draw(st.sets(st.sampled_from(gens))))
+    elif kind == "lower" and gens:
+        gens = gens[: draw(st.integers(0, len(gens)))]
+    letters = draw(st.lists(st.sampled_from(gens), max_size=18)) if gens else []
+    letters = [k * draw(st.sampled_from((1, -1))) for k in letters]
+    stabilize = draw(st.sampled_from((None, "top", "bottom")))
+    if stabilize is not None:
+        at = draw(st.integers(0, len(letters)))
+        if stabilize == "top":
+            letters.insert(at, draw(st.sampled_from((n, -n))))
+        else:
+            letters = [k + 1 if k > 0 else k - 1 for k in letters]
+            letters.insert(at, draw(st.sampled_from((1, -1))))
+        n += 1
+    return BraidWord(n, letters)
+
+
+class TestBurauRoute:
+    """:func:`poslink.conway` on a braid closure against the Seifert route
+    of the same diagram."""
+
+    @given(braid_words())
+    @settings(max_examples=400, deadline=None)
+    def test_random_braids(self, braid):
+        d = braid_closure(braid)
+        expected = seifert.conway(d)
+        assert conway(d) == expected
+        reduced = _destabilized(braid)
+        if reduced is None:
+            assert expected.is_zero
+        else:
+            # the Burau route itself, on either side of the size rule
+            assert library_burau(*reduced) == expected
+
+    @pytest.mark.parametrize("text, reduced", [
+        ("strands=1;", (1, [])),
+        ("strands=2; -1", (1, [])),
+        # every generator once: the unknot
+        ("strands=24; " + " ".join(str(k) for k in range(1, 24)), (1, [])),
+        ("strands=4; 1 1 2 3", (2, [1, 1])),
+        ("strands=3; 2 1 -2 -2", (2, [1, -1, -1])),
+        ("strands=4; -1 2 2 3 3", (3, [1, 1, 2, 2])),
+        ("strands=3; 1 -2 1 -2", (3, [1, -2, 1, -2])),
+        ("strands=4; 1 1 3 3", None),
+        ("strands=3; 1 1", None),
+        ("strands=3;", None),
+    ])
+    def test_destabilized(self, text, reduced):
+        assert _destabilized(parse_braid(text)) == reduced
+
+    def test_the_route_follows_the_size_rule(self, monkeypatch):
+        seen = []
+
+        def seifert_route(d):
+            seen.append(d)
+            return LaurentPoly.zero()
+
+        monkeypatch.setattr(seifert, "conway", seifert_route)
+        # 3 strands and 4 letters: a 2-row Burau matrix, a 2-row Seifert matrix
+        assert conway(braid_closure(parse_braid("strands=3; 1 -2 1 -2"))) == parse_poly(
+            "1 - z^2", "z"
+        )
+        assert conway(braid_closure(parse_braid("strands=4; 1 1 3 3"))).is_zero
+        assert seen == []
+        # 4 strands and 5 letters: 3 rows against 2; and every PD code
+        wide = braid_closure(parse_braid("strands=4; 1 1 2 3 3"))
+        trefoil = parse_pd("PD[X[1,4,2,5],X[3,6,4,1],X[5,2,6,3]]")
+        conway(wide)
+        conway(trefoil)
+        assert seen == [wide, trefoil]
+        assert seen[0].braid is not None and seen[1].braid is None
+
+    def test_large_words(self):
+        braid = BraidWord(3, (1, -2) * 30)
+        assert conway(braid_closure(braid)) == burau_conway(braid)
+        rng = random.Random(11)
+        braid = BraidWord(5, tuple(rng.choice((1, -1)) * rng.randint(1, 4) for _ in range(60)))
+        assert conway(braid_closure(braid)) == burau_conway(braid)
+
+    def test_inexact_division_and_asymmetry_raise(self):
+        with pytest.raises(ArithmeticError):
+            _Laurent({0: 1, 1: 1}) // _Laurent({0: 2})
+        with pytest.raises(ArithmeticError):
+            _Laurent({0: 1, 2: 1}) // _Laurent({0: 1, 1: 1})
+        assert _Laurent({0: 1, 2: -1}) // _Laurent({0: 1, 1: 1}) == {0: 1, 1: -1}
+        with pytest.raises(ArithmeticError):
+            _expand_in_z({2: 1})  # t alone
+        assert _expand_in_z({2: 1, 0: -1, -2: 1}) == parse_poly("1 + z^2", "z")
+
+
+@st.composite
+def laurent_matrices(draw):
+    """Square matrices of size 0-5 over Z[t, t^-1], entries of up to three
+    terms with exponents -2..2, about half of them zero."""
+    n = draw(st.integers(0, 5))
+    entry = st.one_of(
+        st.just({}),
+        st.dictionaries(st.integers(-2, 2), st.integers(-3, 3).filter(bool), max_size=3),
+    )
+    return [[draw(entry) for _ in range(n)] for _ in range(n)]
+
+
+class TestLaurentDeterminant:
+    """The shared sparse elimination over Z[t, t^-1] against the dense
+    Bareiss elimination of :func:`reference._laurent_det`."""
+
+    @given(laurent_matrices())
+    @settings(max_examples=200, deadline=None)
+    def test_random_matrices(self, rows):
+        sparse = [{j: _Laurent(x) for j, x in enumerate(row) if x} for row in rows]
+        assert burau._bareiss_det(sparse, _Laurent({0: 1})) == _laurent_det(
+            [[dict(x) for x in row] for row in rows]
+        )
 
 
 class TestLargeDiagrams:

@@ -325,6 +325,18 @@ class TestBraidClosure:
         d = braid_closure(parse_braid("strands=1;"))
         assert d == Diagram((), 1)
 
+    def test_closure_keeps_its_word_outside_equality(self):
+        word = parse_braid("strands=3; 1 -2 1 -2")
+        closure = braid_closure(word)
+        assert closure.braid == word
+        same = parse_pd(
+            "PD[" + ",".join("X[{},{},{},{}]".format(*t) for t in closure.crossings) + "]"
+        )
+        assert same.braid is None
+        assert same == closure and closure == same
+        assert hash(same) == hash(closure)
+        assert len({same, closure}) == 1
+
     def test_untouched_strands_become_free_circles(self):
         d = braid_closure(parse_braid("strands=4; 1"))
         assert d.crossing_count == 1

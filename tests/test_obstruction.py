@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from poslink import (
+    BraidWord,
+    LinkRecord,
     ObstructionInput,
     Strength,
     Verdict,
@@ -18,10 +21,13 @@ from poslink import (
     khovanov_homology,
     khovanov_test,
     khovanov_test_from_kh1,
+    cmd_test,
     strength_comparison,
 )
 from poslink import TestKind as ObstructionKind
+from poslink import batch
 from poslink.errors import NotApplicableError
+from poslink.obstruction import InconsistentInvariants
 
 
 class TestGamma:
@@ -202,6 +208,44 @@ class TestStrength:
         kr = khovanov_test(_inp(p1=0, n=1, j_lower=1, j_upper=9))
         with pytest.raises(NotApplicableError):
             strength_comparison(jr, kr)
+
+    def test_jones_only_failure_is_inconsistent(self):
+        # V of degrees 1..99 has chi(Kh) reaching q^199, so j_upper = 9
+        # cannot come from the same link
+        jr = jones_test(_inp(p1=0, n=1, jones_min=Fraction(1), jones_max=Fraction(99)))
+        kr = khovanov_test(_inp(p1=0, n=1, j_lower=1, j_upper=9))
+        assert jr.failed and not kr.failed
+        with pytest.raises(InconsistentInvariants):
+            strength_comparison(jr, kr)
+
+    def test_jones_only_failure_is_a_record_error(self, monkeypatch):
+        # a Khovanov report that passes whatever the gradings: the record
+        # gets the error and neither a report nor a comparison
+        passing = khovanov_test(_inp(p1=0, n=1, j_lower=1, j_upper=9))
+        monkeypatch.setattr(batch, "khovanov_test", lambda inp: passing)
+        left_trefoil = LinkRecord("left trefoil", braid=BraidWord(2, (-1, -1, -1)))
+        (result,) = cmd_test([left_trefoil])
+        assert result.error == (
+            "InconsistentInvariants: the Jones test fails but the Khovanov test passes"
+        )
+        assert result.reports == [] and result.comparison is None
+
+    def test_random_signed_braids(self):
+        # 3-5 strands, 10-15 letters: a Jones Fail comes with a Khovanov Fail
+        rng = random.Random(11)
+        jones_fails = 0
+        for _ in range(60):
+            n = rng.randint(3, 5)
+            letters = tuple(
+                rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(rng.randint(10, 15))
+            )
+            (result,) = cmd_test([LinkRecord("braid", braid=BraidWord(n, letters))])
+            assert result.error is None, (n, letters, result.error)
+            if result.reports and result.reports[0].failed:
+                jones_fails += 1
+                assert result.reports[1].failed, (n, letters)
+                assert result.comparison is Strength.BOTH_FAIL
+        assert jones_fails >= 10
 
 
 class TestMonotonicConsistency:

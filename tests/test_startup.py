@@ -26,7 +26,7 @@ KNOTS_COLUMNS = (
 HEAVY = {"poslink.khovanov", "poslink.tangle", "poslink.snf", "poslink.obstruction"}
 # the polynomial layers, and the rationals that their degrees and the
 # Conway interpolation use
-POLYNOMIAL = {"poslink.laurent", "poslink.seifert", "fractions"}
+POLYNOMIAL = {"poslink.laurent", "poslink.burau", "poslink.seifert", "fractions"}
 # ``dataclasses`` writes and execs source for every class it decorates, and
 # imports ``inspect`` (with ``ast``, ``dis`` and ``tokenize``) to do it
 CLASS_CODEGEN = {"dataclasses", "inspect"}
@@ -109,18 +109,38 @@ def test_jones_loads_no_seifert_module():
     assert "jones: t + t^3 - t^4" in run["output"]
 
 
+def test_braid_conway_and_survey_load_no_seifert_module():
+    # braid closures take the reduced Burau route
+    run = run_fresh(
+        ["compute", "--conway", "--braid", "strands=3; 1 -2 1 -2", "--braid", "strands=2; 1 1"],
+        ["survey", "--strands", "3", "--max-length", "5"],
+    )
+    assert "poslink.burau" in run["modules"]
+    assert "poslink.seifert" not in run["modules"]
+    assert "conway: 1 - z^2" in run["output"] and "conway: z\n" in run["output"]
+
+
+def test_pd_conway_loads_the_seifert_module():
+    run = run_fresh(["compute", "--conway", "--pd", "PD[X[1,4,2,5],X[3,6,4,1],X[5,2,6,3]]"])
+    assert {"poslink.burau", "poslink.seifert"} <= set(run["modules"])
+    assert "conway: 1 + z^2" in run["output"]
+
+
 @pytest.mark.parametrize("first", [
-    "import poslink.seifert",
-    # the batch layer loads the module through its own stand-in
-    "from poslink import batch, braid_closure, parse_braid;"
-    " batch.conway(braid_closure(parse_braid('strands=2; 1 1 1')))",
+    "import poslink.seifert, poslink.burau",
+    # the batch layer loads the modules through its own stand-in: the
+    # Burau route for the braid closure, the Seifert route for the PD code
+    "from poslink import batch, braid_closure, parse_braid, parse_pd;"
+    " batch.conway(braid_closure(parse_braid('strands=2; 1 1 1')));"
+    " batch.conway(parse_pd('PD[X[1,4,2,5],X[3,6,4,1],X[5,2,6,3]]'))",
 ], ids=["import", "batch"])
 def test_conway_stays_the_function_once_its_module_is_loaded(first):
     script = first + """
 import inspect, sys
 import poslink
+assert {"poslink.burau", "poslink.seifert"} <= set(sys.modules)
 assert inspect.isfunction(poslink.conway), poslink.conway
-assert poslink.conway is sys.modules["poslink.seifert"].conway
+assert poslink.conway is sys.modules["poslink.burau"].conway
 from poslink import conway
 assert conway is poslink.conway
 print("ok")
