@@ -12,8 +12,8 @@ braid closure; it loads ``seifert`` for a Seifert matrix of any other
 diagram), ``khovanov`` (with ``tangle`` and ``snf``) and
 ``obstruction``.  So a run that computes only polynomials never compiles
 the homology, one that computes only homology never compiles the
-polynomial layers, and one whose braid words all take the Burau route
-never compiles ``seifert``.  The record and value classes are written out by hand, so
+polynomial layers, and one that reads no PD code never compiles
+``seifert``.  The record and value classes are written out by hand, so
 an import generates no class code and never loads ``inspect``.
 """
 

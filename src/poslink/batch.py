@@ -5,13 +5,12 @@ Records run one after another, in input order.  The work is pure Python
 and holds the interpreter lock, so a thread pool gave no speed-up.
 
 Each computing layer is imported on the first call that needs it:
-``laurent`` and ``burau`` (with ``seifert`` for PD codes) for the Jones
-and Conway polynomials, the Khovanov stack (``khovanov``, ``tangle``,
-``snf``) for homology, and ``obstruction`` for the tests.  So
-``compute --kh`` compiles no polynomial layer and ``compute --jones`` no
-homology.  The names stay bindings of this module, looked up when
-called, because the benchmark's tracer wraps ``poslink.batch.<name>`` by
-name to time each layer.
+``laurent`` and ``burau`` for the Jones and Conway polynomials, the
+Khovanov stack (``khovanov``, ``tangle``, ``snf``) for homology, and
+``obstruction`` for the tests.  So ``compute --kh`` compiles no
+polynomial layer and ``compute --jones`` no homology.  The names stay
+bindings of this module, looked up when called, because the benchmark's
+tracer wraps ``poslink.batch.<name>`` by name to time each layer.
 """
 
 from __future__ import annotations
@@ -303,9 +302,7 @@ def records_from_lines(lines: Iterable[str]) -> list[LinkRecord]:
 def _conway_mirror(p: LaurentPoly) -> LaurentPoly:
     # mirror image sends z -> -z, which flips the odd powers: half-step
     # keys k with k % 4 == 2
-    from .laurent import LaurentPoly
-
-    return LaurentPoly._raw({k: -c if k % 4 == 2 else c for k, c in p.halves()})
+    return type(p)._raw({k: -c if k % 4 == 2 else c for k, c in p.halves()})
 
 
 # each invariant of the mirror image, from the invariant
@@ -318,17 +315,17 @@ _MIRRORS = {
 
 def _reconcile(name, computed, ingested, mode, flags):
     """Prefer computed values; cross-check ingested ones, normalizing the
-    mirror convention when allowed (``always`` mirrors each one).
-    Returns (value, hard_error)."""
+    mirror convention when allowed.  Returns (value, hard_error)."""
     if ingested is None:
         return computed, None
-    candidates = [] if mode == "always" else [ingested]
-    if mode != "never":
-        candidates.append(_MIRRORS[name](ingested))
     if computed is None:
         if mode == "always":
             flags.append(f"{name}: ingested value mirrored")
-        return candidates[0], None
+            ingested = _MIRRORS[name](ingested)
+        return ingested, None
+    candidates = [] if mode == "always" else [ingested]
+    if mode != "never":
+        candidates.append(_MIRRORS[name](ingested))
     for value in candidates:
         if value == computed:
             if value is not ingested:

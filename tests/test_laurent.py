@@ -84,6 +84,18 @@ class TestArithmetic:
         assert p + LaurentPoly.zero() == p
         assert p * LaurentPoly.one() == p
         assert p - p == LaurentPoly.zero()
+        assert p - q == p + (-q)
+
+    @given(p=halfstep_polys(), q=halfstep_polys(), shift=st.integers(-3, 3))
+    @settings(max_examples=80)
+    def test_exact_division(self, p, q, shift):
+        if not q:
+            return
+        assert (p * q) // q == p
+        # 2q divides only polynomials with even coefficients
+        r = LaurentPoly._raw({shift: 1})
+        with pytest.raises(ArithmeticError):
+            (p * q * 2 + r) // (q * 2)
 
 
 class TestTextForm:

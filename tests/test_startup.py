@@ -110,14 +110,17 @@ def test_jones_loads_no_seifert_module():
 
 
 def test_braid_conway_and_survey_load_no_seifert_module():
-    # braid closures take the reduced Burau route
+    # braid closures take the reduced Burau route, short words on many
+    # strands too: 1 1 2 3 3 is two Hopf links
     run = run_fresh(
-        ["compute", "--conway", "--braid", "strands=3; 1 -2 1 -2", "--braid", "strands=2; 1 1"],
-        ["survey", "--strands", "3", "--max-length", "5"],
+        ["compute", "--conway", "--braid", "strands=3; 1 -2 1 -2", "--braid", "strands=2; 1 1",
+         "--braid", "strands=4; 1 1 2 3 3"],
+        ["survey", "--strands", "4", "--max-length", "5"],
     )
     assert "poslink.burau" in run["modules"]
     assert "poslink.seifert" not in run["modules"]
     assert "conway: 1 - z^2" in run["output"] and "conway: z\n" in run["output"]
+    assert "conway: z^2\n" in run["output"]
 
 
 def test_pd_conway_loads_the_seifert_module():
