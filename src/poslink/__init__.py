@@ -7,14 +7,12 @@ Jones coefficient of absolute value 0, 1, or 2 must satisfy.
 Importing the package loads the diagram layer and the batch and record
 classes (``diagram``, ``batch``, ``errors``).  Every other export is
 loaded from its submodule on first access: ``laurent`` (Jones polynomial
-and polynomial text), ``burau`` (Conway polynomial, read off the word of a
-braid closure; it loads ``seifert`` for a Seifert matrix of any other
-diagram), ``khovanov`` (with ``tangle`` and ``snf``) and
+and polynomial text), ``burau`` (Conway polynomial, with ``seifert`` for
+PD codes), ``khovanov`` (with ``tangle`` and ``snf``) and
 ``obstruction``.  So a run that computes only polynomials never compiles
-the homology, one that computes only homology never compiles the
-polynomial layers, and one that reads no PD code never compiles
-``seifert``.  The record and value classes are written out by hand, so
-an import generates no class code and never loads ``inspect``.
+the homology, and one that computes only homology never compiles the
+polynomial layers.  The record and value classes are written out by
+hand, so an import generates no class code and never loads ``inspect``.
 """
 
 from importlib import import_module
