@@ -403,8 +403,8 @@ class TestAgainstBurau:
 def braid_words(draw):
     """Signed words on 1-10 strands: using every generator, or leaving
     some out (a split closure) or the top ones out (untouched strands);
-    optionally stabilized once more at the top or at the bottom, so that
-    destabilization has work to do.  Short words on many strands, where a
+    optionally stabilized once more at the top or at the bottom, which
+    splits off an unknot factor.  Short words on many strands, where a
     generator occurs once, split into several factors."""
     n = draw(st.integers(1, 10))
     gens = list(range(1, n))
