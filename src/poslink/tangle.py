@@ -5,30 +5,43 @@ tangle's complex has one object per (planar matching of its open ends, h,
 q), h the B-smoothings so far and q the 1-labels minus the x-labels, plus
 h.  An entry of the differential is a combination of dotted cobordisms,
 one disk per cycle of the two matchings, keyed by the mask of dotted
-disks (:func:`_neck_cut`).  After each crossing every entry that is +-1
-times the identity of a matching is cancelled (Gaussian elimination).
+disks (:func:`_neck_cut`).  Each step leaves no entry that is +-1 times
+the identity of a matching (Gaussian elimination).
 The build starts from one object, the empty tangle: a free circle meets
 no crossing, and :mod:`poslink.khovanov` tensors it in afterwards.
 
 The builder reads the crossings as :attr:`Diagram.contraction_crossings`
-gives them, with the arcs renumbered in the order the crossings meet
-them, so a relabelled copy of a diagram builds the same complex.  The
-matchings it meets are interned as small ints (:data:`_MATCHINGS`), so
-objects and memos key on ints, not on tuples of arc pairs.  A glued
-cobordism is cut by its shape: the disk count, the gluings and the
-boundary circles as disk numbers, and the counts of circles kept open
-and of source loops delooped.  The shape names no arc, so gluings that
-differ only in their arc labels share one neck cut, computed once per
-(shape, dots).  The two label-free tables, the shapes (:data:`_SHAPES`)
-and the delooped neck cuts (:data:`_CUTS`), live for the whole process,
-so each diagram of a survey cuts only the shapes that no earlier one
-met.  A cut is a function of its shape and dots alone, so no result
-depends on what the tables hold.  The cycles and composition shapes of
-a pair or triple of matchings, and the glued shape of each piece at one
-crossing, live and die inside one call.
+gives them and numbers the tangle's open ends by position: 0..w-1 after
+each step, the ends the crossing left open in their order, then its new
+arcs that stay open (:func:`_local_crossings`).  A matching is the tuple
+of each end's partner, interned as a small int (:data:`_MATCHINGS`), and
+a crossing is named by the positions of its four arcs, new arcs
+numbered w, w+1, ... .  So matchings, smoothings, glued shapes, cycles
+and composition shapes name no arc, and their memos hang on the matching
+interner and last as long as its ids.  A glued cobordism is cut by its
+shape: the disk count, the gluings and the boundary circles as disk
+numbers, and the counts of circles kept open and of source loops
+delooped.  The shapes (:data:`_SHAPES`) and their delooped neck cuts
+(:data:`_CUTS`) live for the whole process too.  Every memo holds a
+function of its key alone, so no result depends on what the tables hold.
+
+A crossing splits each object into its A- and B-smoothing, and the
+saddle between the two is a block that depends on the object's matching
+and the crossing alone.  Where both smoothings leave one matching, the
+block holds +-1 identity pieces, and :func:`_saddle_pairs` picks a set of
+them whose block is diagonal.  Those objects are never made: each pair
+x -> y, with phi its coefficient, adds -phi (x -> b)(a -> y) to every
+entry a -> b of the new complex.  This cancels all pairs at once, and
+exactly.  An elimination reads only the entries into its y and out of
+its x.  An entry glued from the complex before keeps its smoothing side,
+A -> A or B -> B, and a saddle joins only the two sides of one object.
+So no correction writes into a cancelled B-object or out of a cancelled
+A-object, no pair's block sees another's, and each pair eliminates from
+the entries the step made.  :func:`_cancel_isomorphisms` then cancels
+whatever +-1 identity entry is left, in row order.
 
 The complex after k steps is a function of the first k renumbered
-crossings alone: they fix the tangle, its open ends and their labels,
+crossings alone: they fix the tangle, its open ends and their positions,
 and each step's objects are numbered in the order of the step before.
 So :data:`_CHAIN` keeps, for the last diagram built, one (renumbered
 crossing, reduced complex after it) pair per step, and the next call
@@ -54,11 +67,18 @@ from .diagram import _SLOT_PAIRS, Diagram, _smoothings, shared_steps
 
 class _Interned(dict):
     """Small int ids for hashable values, in order of first lookup;
-    ``value[i]`` is the value of id i."""
+    ``value[i]`` is the value of id i.  The memos of functions of
+    interned matchings hang on the table that numbers them, keyed by
+    its ids; the shape table leaves them empty."""
 
     def __init__(self) -> None:
         super().__init__()
         self.value: list = []
+        self.cycles: dict = {}  # (m1, m2) -> _cycles
+        self.composed: dict = {}  # (m1, m2, m3) -> composition shape, width
+        self.smoothed: dict = {}  # (m, local crossing) -> _smoothed
+        self.glued: dict = {}  # (m1, m2, local crossing) -> _glued
+        self.steps: dict = {}  # (m, local crossing) -> _step
 
     def __missing__(self, x) -> int:
         i = self[x] = len(self.value)
@@ -70,10 +90,10 @@ class _Interned(dict):
 # process: both are functions of label-free shapes alone
 _SHAPES = _Interned()
 _CUTS: dict[tuple[int, int], tuple[tuple[int, int, tuple], ...]] = {}
-# planar matching -> id, and the last diagram's (renumbered crossing,
-# (objects, differential) after it) per step, whose objects name
-# matchings by those ids; the chain is replaced whole, never changed in
-# place, so each value it takes is one build's finished steps
+# planar matching (each end's partner) -> id, and the last diagram's
+# (renumbered crossing, (objects, differential) after it) per step, whose
+# objects name matchings by those ids; the chain is replaced whole, never
+# changed in place, so each value it takes is one build's finished steps
 _MATCHINGS = _Interned()
 _CHAIN: tuple[tuple[tuple[int, ...], tuple[dict, dict]], ...] = ()
 
@@ -96,59 +116,76 @@ def reduced_complex(d: Diagram) -> tuple[dict[int, tuple[int, int]], dict[int, d
     are left out; the caller tensors them in.  Steps the diagram's
     renumbered crossings share with the last diagram built are taken from
     :data:`_CHAIN`, not rebuilt."""
-    matchings = _MATCHINGS
-    memo: dict[tuple, object] = {}  # cycles and composition shapes, by ids
-
-    def cycles(i1: int, i2: int) -> tuple[dict[int, int], list[int]]:
-        # the cycle of each end in matchings i1 and i2 together, numbered
-        # by least end, and that least end of each cycle
-        key = (i1, i2)
-        if key not in memo:
-            m1 = matchings.value[i1]
-            p1, p2 = dict(m1), dict(matchings.value[i2])
-            cycle, least = {}, []
-            for e, _ in m1:
-                if e not in cycle:
-                    least.append(e)
-                    while e not in cycle:
-                        cycle[e] = cycle[p1[e]] = len(least) - 1
-                        e = p2[p1[e]]
-            memo[key] = cycle, least
-        return memo[key]
-
-    def compose(i1: int, i2: int, i3: int, f: dict, g: dict) -> dict[int, int]:
-        # g o f for f: i1 -> i2 and g: i2 -> i3, glued along the arcs of i2
-        key = (i1, i2, i3)
-        if key not in memo:
-            first, arcs = cycles(i1, i2)
-            second, more = cycles(i2, i3)
-            n = len(arcs)
-            gluings = tuple((first[e], n + second[e]) for e, p in matchings.value[i2] if e < p)
-            circles = tuple(first[e] for e in cycles(i1, i3)[1])
-            memo[key] = _SHAPES[n + len(more), gluings, circles, len(circles), 0], n
-        shape, n = memo[key]
-        out: dict[int, int] = {}
-        for a, x in f.items():
-            for b, y in g.items():
-                for _, _, terms in _cut(shape, a | b << n):  # no loops: one entry
-                    for mask, z in terms:
-                        out[mask] = out.get(mask, 0) + x * y * z
-        return out
-
     global _CHAIN
+    matchings = _MATCHINGS
     crossings = d.contraction_crossings
     chain = _CHAIN
     k = shared_steps(chain, crossings)
     objects, out = chain[k - 1][1] if k else ({0: (matchings[()], 0, 0)}, {0: {}})
-    for crossing in crossings[k:]:
-        objects, out = _add_crossing(objects, out, crossing, matchings, cycles)
-        _cancel_isomorphisms(objects, out, compose)
+    for crossing, local in zip(crossings[k:], _local_crossings(crossings)[k:]):
+        objects, out = _add_crossing(objects, out, local, matchings)
+        _cancel_isomorphisms(objects, out, matchings)
         chain = _CHAIN = chain[:k] + ((crossing, (objects, out)),)
         k += 1
     return (
         {o: (h, q) for o, (_, h, q) in objects.items()},
         {o: {t: f[0] for t, f in row.items()} for o, row in out.items()},
     )
+
+
+def _local_crossings(crossings: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+    """Each crossing with its arcs named by position: an open end of the
+    tangle before it by its position 0..w-1, and an arc it meets first by
+    w, w+1, ... in the order it meets them.  The open ends after it are the
+    ones it left open, in order, then its new arcs that stay open."""
+    ends: list[int] = []
+    out = []
+    for crossing in crossings:
+        at = {arc: p for p, arc in enumerate(ends)}
+        new: dict[int, int] = {}
+        out.append(
+            tuple(at[arc] if arc in at else len(ends) + new.setdefault(arc, len(new)) for arc in crossing)
+        )
+        ends = [arc for arc in ends if arc not in crossing]
+        ends += [arc for arc in new if crossing.count(arc) == 1]
+    return out
+
+
+def _cycles(matchings: _Interned, i1: int, i2: int) -> tuple[list[int], list[int]]:
+    """The cycle of each end in matchings i1 and i2 together, numbered by
+    least end, and that least end of each cycle."""
+    key = (i1, i2)
+    if key not in matchings.cycles:
+        p1, p2 = matchings.value[i1], matchings.value[i2]
+        cycle, least = [-1] * len(p1), []
+        for e in range(len(p1)):
+            if cycle[e] < 0:
+                least.append(e)
+                while cycle[e] < 0:
+                    cycle[e] = cycle[p1[e]] = len(least) - 1
+                    e = p2[p1[e]]
+        matchings.cycles[key] = cycle, least
+    return matchings.cycles[key]
+
+
+def _compose(matchings: _Interned, i1: int, i2: int, i3: int, f: dict, g: dict) -> dict[int, int]:
+    """g o f for f: i1 -> i2 and g: i2 -> i3, glued along the ends of i2."""
+    key = (i1, i2, i3)
+    if key not in matchings.composed:
+        first, arcs = _cycles(matchings, i1, i2)
+        second, more = _cycles(matchings, i2, i3)
+        n = len(arcs)
+        gluings = tuple((first[e], n + second[e]) for e, p in enumerate(matchings.value[i2]) if e < p)
+        circles = tuple(first[e] for e in _cycles(matchings, i1, i3)[1])
+        matchings.composed[key] = _SHAPES[n + len(more), gluings, circles, len(circles), 0], n
+    shape, n = matchings.composed[key]
+    out: dict[int, int] = {}
+    for a, x in f.items():
+        for b, y in g.items():
+            for _, _, terms in _cut(shape, a | b << n):  # no loops: one entry
+                for mask, z in terms:
+                    out[mask] = out.get(mask, 0) + x * y * z
+    return out
 
 
 def _neck_cut(
@@ -198,65 +235,144 @@ def _neck_cut(
     return terms
 
 
-def _add_crossing(
-    objects: dict, out: dict, crossing, matchings: _Interned, cycles
-) -> tuple[dict, dict]:
-    """The complex with one more crossing, before reduction: each object
-    splits into its A- and B-smoothing, one object per labelling of the
-    loops that close, each entry f is glued to the identity on either, and
-    the saddle joins the two copies of each object, with sign (-1)^h.
-    Gluing joins, along an interval, the disk of each open end the crossing
-    closes to the disk of its slot, and the two slots of a kink's arc."""
-    slot = {arc: -1 - s for s, arc in enumerate(crossing)}
-    kinks = [(-1 - s, slot[arc]) for s, arc in enumerate(crossing) if slot[arc] != -1 - s]
-    joined = {
-        i: [(matchings[m], loops) for m, loops in _smoothings(matchings.value[i], crossing)]
-        for i in {m for m, _, _ in objects.values()}
-    }
+def _smoothed(matchings: _Interned, m: int, local: tuple[int, ...]) -> tuple:
+    """The A- and B-smoothing of matching m at the crossing ``local``, as
+    (matching id, slots of the loops that close), and the old name of
+    each new position: an old position, or a new arc's w + i."""
+    key = (m, local)
+    if key not in matchings.smoothed:
+        smoothed = _smoothings(tuple(enumerate(matchings.value[m])), local)
+        labels = [e for e, _ in smoothed[0][0]]  # old ends left open, then new arcs
+        rank = {e: i for i, e in enumerate(labels)}
+        sides = tuple((matchings[tuple(rank[p] for _, p in pairs)], loops) for pairs, loops in smoothed)
+        matchings.smoothed[key] = sides, labels
+    return matchings.smoothed[key]
+
+
+def _glue(matchings: _Interned, i1: int, i2: int, local: tuple[int, ...], b1: int, b2: int) -> int:
+    """The shape of the cobordism i1 -> i2 glued to the crossing's piece
+    b1 -> b2: the identity of smoothing b1 if b1 = b2, else the saddle.
+    Gluing joins, along an interval, the disk of each open end the
+    crossing closes to the disk of its slot, and the two slots of a kink's
+    arc."""
+    cycle, least = _cycles(matchings, i1, i2)
+    n, w = len(least), len(cycle)
+    # the disk of each slot: one strip per smoothing arc of the identity,
+    # one disk for the saddle
+    pairs = _SLOT_PAIRS[b1] if b1 == b2 else [range(-4, 0)]
+    disk = {x: n + i for i, pair in enumerate(pairs) for x in pair}
+    slot = {p: -1 - s for s, p in enumerate(local)}
+    gluings = [(cycle[p], disk[-1 - s]) for s, p in enumerate(local) if p < w]
+    gluings += [(disk[-1 - s], disk[slot[p]]) for s, p in enumerate(local) if slot[p] != -1 - s]
+    sides, labels = _smoothed(matchings, i1, local)
+    (n1, loops1), (n2, loops2) = sides[b1], _smoothed(matchings, i2, local)[0][b2]
+    ends = _cycles(matchings, n1, n2)[1]
+    circles = [cycle[p] if p < w else disk[slot[p]] for p in (labels[e] for e in ends)]
+    circles += [disk[x] for x in loops1 + loops2]
+    return _SHAPES[n + len(pairs), tuple(gluings), tuple(circles), len(ends), len(loops1)]
+
+
+def _glued(matchings: _Interned, i1: int, i2: int, local: tuple[int, ...]) -> tuple[int, int]:
+    """The shapes of the cobordism i1 -> i2 glued to the identity of the
+    A- and of the B-smoothing (:func:`_glue`)."""
+    key = (i1, i2, local)
+    if key not in matchings.glued:
+        matchings.glued[key] = _glue(matchings, i1, i2, local, 0, 0), _glue(matchings, i1, i2, local, 1, 1)
+    return matchings.glued[key]
+
+
+def _step(matchings: _Interned, m: int, local: tuple[int, ...]) -> tuple:
+    """What the crossing ``local`` does to an object of matching m: its
+    smoothings (:func:`_smoothed`), the saddle's pieces (A-label, B-label,
+    terms) before the sign (-1)^h, the pairs it cancels (A-label, B-label,
+    coefficient) and the labels those take on each side."""
+    key = (m, local)
+    if key not in matchings.steps:
+        sides = _smoothed(matchings, m, local)[0]
+        saddle = _cut(_glue(matchings, m, m, local, 0, 1), 0)
+        pairs = _saddle_pairs(saddle) if sides[0][0] == sides[1][0] else ()
+        dropped = tuple(l1 for l1, _, _ in pairs), tuple(l2 for _, l2, _ in pairs)
+        matchings.steps[key] = sides, saddle, pairs, dropped
+    return matchings.steps[key]
+
+
+def _saddle_pairs(saddle: Sequence[tuple[int, int, tuple]]) -> tuple[tuple[int, int, int], ...]:
+    """The saddle's +-1 identity pieces that one step cancels, when both
+    smoothings leave the same matching: the first ones in order such that
+    no other piece joins two chosen labels, so their block is diagonal."""
+    pairs: list[tuple[int, int, int]] = []
+    joined = {(l1, l2) for l1, l2, _ in saddle}
+    for l1, l2, terms in saddle:
+        if len(terms) == 1 and terms[0][0] == 0 and terms[0][1] in (1, -1) and all(
+            (l1, y) not in joined and (x, l2) not in joined for x, y, _ in pairs
+        ):
+            pairs.append((l1, l2, terms[0][1]))
+    return tuple(pairs)
+
+
+def _add_crossing(objects: dict, out: dict, local: tuple[int, ...], matchings: _Interned) -> tuple[dict, dict]:
+    """The complex with one more crossing, its saddle pairs cancelled:
+    each object splits into its A- and B-smoothing, one object per
+    labelling of the loops that close, each entry f is glued to the
+    identity on either, and the saddle joins the two copies of each
+    object, with sign (-1)^h.  The objects of the pairs :func:`_step`
+    cancels are not made; each pair x -> y, phi, adds
+    -phi (x -> b)(a -> y) to the entries a -> b it joins."""
+    steps = {m: _step(matchings, m, local) for m in {m for m, _, _ in objects.values()}}
     objs: dict[int, tuple] = {}
-    first: dict[int, list[int]] = {}  # object -> id of each smoothing's label 0
+    ids: dict[int, tuple[list, list]] = {}  # object -> new id per label per side, None if cancelled
     for o, (m, h, q) in objects.items():
-        first[o] = []
-        for b, (m2, loops) in enumerate(joined[m]):
-            first[o].append(len(objs))
+        sides, _, _, dropped = steps[m]
+        ids[o] = ([], [])
+        for b, ((m2, loops), drop, side) in enumerate(zip(sides, dropped, ids[o])):
             for lab in range(1 << len(loops)):
-                objs[len(objs)] = (m2, h + b, q + b + len(loops) - 2 * lab.bit_count())
-    glued: dict[tuple, int] = {}
-
-    def glue(i1: int, i2: int, b1: int, b2: int) -> int:
-        # the shape of the cobordism glued to the piece b1 -> b2
-        key = (i1, i2, b1, b2)
-        if key not in glued:
-            cycle, least = cycles(i1, i2)
-            n = len(least)
-            # the disk of each slot: one strip per smoothing arc of the
-            # identity, one disk for the saddle
-            pairs = _SLOT_PAIRS[b1] if b1 == b2 else [range(-4, 0)]
-            disk = {x: n + i for i, pair in enumerate(pairs) for x in pair}
-            (n1, loops1), (n2, loops2) = joined[i1][b1], joined[i2][b2]
-            ends = cycles(n1, n2)[1]
-            gluings = [(cycle[arc], disk[slot[arc]]) for arc in crossing if arc in cycle]
-            gluings += [(disk[x], disk[y]) for x, y in kinks]
-            circles = [cycle[e] if e in cycle else disk[slot[e]] for e in ends]
-            circles += [disk[x] for x in loops1 + loops2]
-            glued[key] = _SHAPES[n + len(pairs), tuple(gluings), tuple(circles), len(ends), len(loops1)]
-        return glued[key]
-
+                if lab in drop:
+                    side.append(None)
+                else:
+                    side.append(len(objs))
+                    objs[len(objs)] = (m2, h + b, q + b + len(loops) - 2 * lab.bit_count())
     new: dict[int, dict[int, dict[int, int]]] = {o: {} for o in objs}
-
-    def add(o1: int, b1: int, o2: int, b2: int, f: dict, sign: int) -> None:
-        shape = glue(objects[o1][0], objects[o2][0], b1, b2)
-        s1, s2 = first[o1][b1], first[o2][b2]
-        for mask, x in f.items():
-            for l1, l2, terms in _cut(shape, mask):
-                _add_to(new[s1 + l1], s2 + l2, terms, sign * x)
-
+    # entries into each cancelled B-object and out of each cancelled
+    # A-object, from and to the objects kept, by (object, label)
+    into: dict[tuple[int, int], dict] = {}
+    onto: dict[tuple[int, int], dict] = {}
+    glued = matchings.glued
     for o1, row in out.items():
+        m1 = objects[o1][0]
         for o2, f in row.items():
-            add(o1, 0, o2, 0, f, 1)
-            add(o1, 1, o2, 1, f, 1)
-    for o, (_, h, _) in objects.items():
-        add(o, 0, o, 1, {0: 1}, -1 if h & 1 else 1)
+            m2 = objects[o2][0]
+            shapes = glued.get((m1, m2, local)) or _glued(matchings, m1, m2, local)
+            for b, shape in enumerate(shapes):
+                ids1, ids2 = ids[o1][b], ids[o2][b]
+                for mask, x in f.items():
+                    for l1, l2, terms in _cut(shape, mask):
+                        s, t = ids1[l1], ids2[l2]
+                        if s is not None and t is not None:
+                            _add_to(new[s], t, terms, x)
+                        elif t is not None and not b:
+                            _add_to(onto.setdefault((o1, l1), {}), t, terms, x)
+                        elif s is not None and b:
+                            _add_to(into.setdefault((o2, l2), {}), s, terms, x)
+    for o, (m, h, _) in objects.items():
+        sides, saddle, pairs, _ = steps[m]
+        sign = -1 if h & 1 else 1
+        ids1, ids2 = ids[o]
+        for l1, l2, terms in saddle:
+            s, t = ids1[l1], ids2[l2]
+            if s is not None and t is not None:
+                _add_to(new[s], t, terms, sign)
+            elif t is not None:
+                _add_to(onto.setdefault((o, l1), {}), t, terms, sign)
+            elif s is not None:
+                _add_to(into.setdefault((o, l2), {}), s, terms, sign)
+        mid = sides[0][0]
+        for l1, l2, phi in pairs:
+            ins, outs = into.get((o, l2)), onto.get((o, l1))
+            if ins and outs:
+                for s, f in ins.items():
+                    row, m1 = new[s], objs[s][0]
+                    for t, g in outs.items():
+                        _add_to(row, t, _compose(matchings, m1, mid, objs[t][0], f, g).items(), -sign * phi)
     return objs, new
 
 
@@ -289,7 +405,7 @@ def _add_to(row: dict, t: int, terms: Iterable[tuple[int, int]], factor: int) ->
     return bool(acc)
 
 
-def _cancel_isomorphisms(objects: dict, out: dict, compose) -> None:
+def _cancel_isomorphisms(objects: dict, out: dict, matchings: _Interned) -> None:
     """Gaussian elimination of every entry that is +-1 times the identity
     of one matching, in place, until none is left."""
     into: dict[int, set[int]] = {o: set() for o in objects}
@@ -314,7 +430,7 @@ def _cancel_isomorphisms(objects: dict, out: dict, compose) -> None:
         for o in into[b2] - {b1}:
             row = out[o]
             for e, gamma in gammas:
-                correction = compose(objects[o][0], m, objects[e][0], row[b2], gamma)
+                correction = _compose(matchings, objects[o][0], m, objects[e][0], row[b2], gamma)
                 if _add_to(row, e, correction.items(), -sign):
                     into[e].add(o)
                 else:

@@ -214,6 +214,13 @@ def assert_no_unit_entry(d: Diagram) -> None:
     assert all(abs(v) != 1 for row in differential.values() for v in row.values()), d
 
 
+def random_braid(rng: random.Random, strands: tuple[int, int], letters: int) -> BraidWord:
+    """A signed braid word on a random strand count in ``strands`` with at
+    most ``letters`` letters."""
+    n = rng.randint(*strands)
+    return BraidWord(n, [rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(rng.randint(0, letters))])
+
+
 MIXED_4_BRAID = "strands=4; 1 -2 3 -1 2 -3 1 2 -3 -2"
 
 
@@ -263,6 +270,42 @@ class TestCancellation:
         d = braid_closure(BraidWord(strands, word))
         assert_no_unit_entry(d)
         assert khovanov_homology(d) == per_map_homology(d)
+
+    def test_with_and_without_saddle_pairs(self, monkeypatch):
+        # _saddle_pairs picks the pairs each step cancels as it adds a
+        # crossing; without it _cancel_isomorphisms finds every pair in
+        # the whole product.  The memos hold each step's pairs, so each
+        # build starts from empty tables.
+        local = tangle._saddle_pairs
+        rng = random.Random(28)
+        corpus = [braid_closure(random_braid(rng, (2, 5), 10)) for _ in range(80)]
+        corpus += polygon_corpus(28, 40, 9)
+        for d in corpus:
+            built = []
+            for rule in (local, lambda saddle: ()):
+                empty_tables(monkeypatch)
+                monkeypatch.setattr(tangle, "_saddle_pairs", rule)
+                assert_no_unit_entry(d)
+                built.append(khovanov_homology(d))
+            assert built[0] == built[1], d
+
+    def test_few_pairs_are_left_to_the_search(self, monkeypatch):
+        empty_tables(monkeypatch)
+        cancel = tangle._cancel_isomorphisms
+        left = Counter()
+
+        def counting(objects, out, matchings):
+            before = len(objects)
+            cancel(objects, out, matchings)
+            left["pairs"] += (before - len(objects)) // 2
+
+        monkeypatch.setattr(tangle, "_cancel_isomorphisms", counting)
+        assert cmd_survey(3, 8).all_ok
+        # of about 1,100 pairs the survey's builds cancel
+        assert left["pairs"] == 113
+        left.clear()
+        reduced_complex(braid_closure(parse_braid("strands=4; " + "1 -2 3 " * 5)))
+        assert left["pairs"] == 0
 
 
 def euler_by_grading(slices) -> dict[int, int]:
@@ -430,6 +473,23 @@ class TestGeneratorFloor:
         d = braid_closure(BraidWord(strands, word))
         assert generator_count(d) >= 2 * jones_l1(d), word
 
+    @pytest.mark.parametrize(
+        "word, floor",
+        [
+            ("strands=4; " + "1 -2 3 " * 4, 768),
+            ("strands=4; " + "1 -2 3 " * 5, 3_610),
+            ("strands=5; " + "1 -2 3 -4 " * 4, 7_018),
+        ],
+    )
+    def test_alternating_braids_reach_the_floor(self, word, floor):
+        # cancelling each crossing's saddle pairs as it joins leaves no
+        # generator above the floor; cancelling the whole tensor product
+        # in row order left 772 on the first, and the last two took 27 s
+        # and 49 s
+        d = braid_closure(parse_braid(word))
+        assert 2 * jones_l1(d) == floor
+        assert generator_count(d) == floor
+
 
 def relabel(d: Diagram, rng: random.Random) -> Diagram:
     """The same diagram with its arc labels permuted at random."""
@@ -473,7 +533,8 @@ def count_calls(monkeypatch, name: str = "_neck_cut") -> Counter:
 
 def empty_tables(monkeypatch) -> None:
     """Give the tangle builder fresh, empty process-wide state: the
-    label-free tables, the matching interner and the chain."""
+    label-free tables, the matching interner with the memos that hang on
+    it, and the chain."""
     monkeypatch.setattr(tangle, "_SHAPES", tangle._Interned())
     monkeypatch.setattr(tangle, "_CUTS", {})
     monkeypatch.setattr(tangle, "_MATCHINGS", tangle._Interned())
@@ -481,8 +542,9 @@ def empty_tables(monkeypatch) -> None:
 
 
 def fresh_build(d: Diagram) -> tuple:
-    """reduced_complex(d) from an empty chain and matching interner; the
-    builder's own chain and interner are put back afterwards."""
+    """reduced_complex(d) from an empty chain and matching interner, whose
+    memos start empty with it; the builder's own chain and interner are put
+    back afterwards."""
     saved = tangle._MATCHINGS, tangle._CHAIN
     tangle._MATCHINGS, tangle._CHAIN = tangle._Interned(), ()
     try:
@@ -544,6 +606,37 @@ class TestMemos:
         # renumbered in order of first use
         assert count["calls"] <= 250
         assert count["calls"] == len(tangle._CUTS)
+
+    def test_second_survey_adds_nothing(self, monkeypatch):
+        # every memo names matchings and crossings by position, so a
+        # second pass over the same records finds every entry it needs
+        empty_tables(monkeypatch)
+        assert cmd_survey(3, 8).all_ok
+        sizes = table_sizes()
+        count = count_calls(monkeypatch, "_smoothings")
+        assert cmd_survey(3, 8).all_ok
+        assert count["calls"] == 0
+        assert table_sizes() == sizes
+
+    def test_empty_tables_reset_the_memos(self, monkeypatch):
+        reduced_complex(braid_closure(parse_braid(MIXED_4_BRAID)))
+        assert all(table_sizes().values())
+        empty_tables(monkeypatch)
+        assert not any(table_sizes().values())
+        d = braid_closure(parse_braid("strands=3; 1 -2 1"))
+        fresh_build(d)
+        assert not any(table_sizes()[name] for name in ("matchings", "steps", "glued"))
+
+
+def table_sizes() -> dict[str, int]:
+    """The entry count of every process-wide table of the tangle builder."""
+    m = tangle._MATCHINGS
+    return {
+        "shapes": len(tangle._SHAPES),
+        "cuts": len(tangle._CUTS),
+        "matchings": len(m),
+        **{name: len(getattr(m, name)) for name in ("cycles", "composed", "smoothed", "glued", "steps")},
+    }
 
 
 class TestChain:
