@@ -13,7 +13,7 @@ no crossing, and :mod:`poslink.khovanov` tensors it in afterwards.
 The builder reads the crossings as :attr:`Diagram.contraction_crossings`
 gives them and numbers the tangle's open ends by position: 0..w-1 after
 each step, the ends the crossing left open in their order, then its new
-arcs that stay open (:func:`_local_crossings`).  A matching is the tuple
+arcs that stay open (:func:`_positions`).  A matching is the tuple
 of each end's partner, interned as a small int (:data:`_MATCHINGS`), and
 a crossing is named by the positions of its four arcs, new arcs
 numbered w, w+1, ... .  So matchings, smoothings, glued shapes, cycles
@@ -31,31 +31,35 @@ and the crossing alone.  Where both smoothings leave one matching, the
 block holds +-1 identity pieces, and :func:`_saddle_pairs` picks a set of
 them whose block is diagonal.  Those objects are never made: each pair
 x -> y, with phi its coefficient, adds -phi (x -> b)(a -> y) to every
-entry a -> b of the new complex.  This cancels all pairs at once, and
+entry a -> b of the new complex, which cancels all pairs at once, and
 exactly.  An elimination reads only the entries into its y and out of
-its x.  An entry glued from the complex before keeps its smoothing side,
-A -> A or B -> B, and a saddle joins only the two sides of one object.
-So no correction writes into a cancelled B-object or out of a cancelled
-A-object, no pair's block sees another's, and each pair eliminates from
-the entries the step made.  :func:`_cancel_isomorphisms` then cancels
-whatever +-1 identity entry is left, in row order.
+its x, and writes only entries from a source of y to a target of x.  An
+entry glued from the complex before keeps its smoothing side, A -> A or
+B -> B, and a saddle joins only the two sides of one object, whose
+chosen block is diagonal.  So no correction writes into a cancelled
+B-object or out of a cancelled A-object, and each pair eliminates from
+the entries the step made, as it would alone.
+:func:`_cancel_isomorphisms` then cancels whatever +-1 identity entry
+is left, in row order.
 
 The complex after k steps is a function of the first k renumbered
 crossings alone: they fix the tangle, its open ends and their positions,
 and each step's objects are numbered in the order of the step before.
 So :data:`_CHAIN` keeps, for the last diagram built, one (renumbered
-crossing, reduced complex after it) pair per step, and the next call
-takes the complexes of the steps its own crossings share with that
-chain (:func:`poslink.diagram.shared_steps`, the helper the Kauffman
-bracket's own chain matches with), cuts the chain at the first crossing
-that differs and builds on from there.  A complex joins the chain only
-once its cancellation is done; a later step reads it to build a new
-complex and never hands it to the cancellation, which works in place,
-so a complex the chain holds is never changed, and a call that raises
-leaves a chain of finished steps.  The matchings stay interned with the
-chain because its complexes name them by id.  :func:`poslink.batch.cmd_survey` builds its records in the
-sorted order of their renumbered crossings, so each one shares the
-longest prefix possible with the one built just before it.
+crossing, state after it) pair per step, the state being the reduced
+complex and the arc at each open end, and the next call takes the
+states of the steps its own crossings share with that chain
+(:func:`poslink.diagram.shared_steps`, the helper the Kauffman bracket's
+own chain matches with), cuts the chain at the first crossing that
+differs and builds on from there.  A complex joins the chain only once
+its cancellation is done; a later step reads it to build a new complex
+and never hands it to the cancellation, which works in place, so a
+complex the chain holds is never changed, and a call that raises leaves
+a chain of finished steps.  The matchings stay interned with the chain
+because its complexes name them by id.
+:func:`poslink.batch.cmd_survey` builds its records in the sorted order
+of their renumbered crossings, so each one shares the longest prefix
+possible with the one built just before it.
 """
 
 from __future__ import annotations
@@ -76,7 +80,6 @@ class _Interned(dict):
         self.value: list = []
         self.cycles: dict = {}  # (m1, m2) -> _cycles
         self.composed: dict = {}  # (m1, m2, m3) -> composition shape, width
-        self.smoothed: dict = {}  # (m, local crossing) -> _smoothed
         self.glued: dict = {}  # (m1, m2, local crossing) -> _glued
         self.steps: dict = {}  # (m, local crossing) -> _step
 
@@ -91,11 +94,12 @@ class _Interned(dict):
 _SHAPES = _Interned()
 _CUTS: dict[tuple[int, int], tuple[tuple[int, int, tuple], ...]] = {}
 # planar matching (each end's partner) -> id, and the last diagram's
-# (renumbered crossing, (objects, differential) after it) per step, whose
-# objects name matchings by those ids; the chain is replaced whole, never
-# changed in place, so each value it takes is one build's finished steps
+# (renumbered crossing, (objects, differential, arc at each open end) after
+# it) per step, whose objects name matchings by those ids; the chain is
+# replaced whole, never changed in place, so each value it takes is one
+# build's finished steps
 _MATCHINGS = _Interned()
-_CHAIN: tuple[tuple[tuple[int, ...], tuple[dict, dict]], ...] = ()
+_CHAIN: tuple[tuple[tuple[int, ...], tuple[dict, dict, tuple[int, ...]]], ...] = ()
 
 
 def _cut(shape: int, dots: int) -> tuple[tuple[int, int, tuple], ...]:
@@ -121,11 +125,12 @@ def reduced_complex(d: Diagram) -> tuple[dict[int, tuple[int, int]], dict[int, d
     crossings = d.contraction_crossings
     chain = _CHAIN
     k = shared_steps(chain, crossings)
-    objects, out = chain[k - 1][1] if k else ({0: (matchings[()], 0, 0)}, {0: {}})
-    for crossing, local in zip(crossings[k:], _local_crossings(crossings)[k:]):
+    objects, out, ends = chain[k - 1][1] if k else ({0: (matchings[()], 0, 0)}, {0: {}}, ())
+    for crossing in crossings[k:]:
+        local, ends = _positions(crossing, ends)
         objects, out = _add_crossing(objects, out, local, matchings)
         _cancel_isomorphisms(objects, out, matchings)
-        chain = _CHAIN = chain[:k] + ((crossing, (objects, out)),)
+        chain = _CHAIN = chain[:k] + ((crossing, (objects, out, ends)),)
         k += 1
     return (
         {o: (h, q) for o, (_, h, q) in objects.items()},
@@ -133,22 +138,20 @@ def reduced_complex(d: Diagram) -> tuple[dict[int, tuple[int, int]], dict[int, d
     )
 
 
-def _local_crossings(crossings: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
-    """Each crossing with its arcs named by position: an open end of the
-    tangle before it by its position 0..w-1, and an arc it meets first by
-    w, w+1, ... in the order it meets them.  The open ends after it are the
-    ones it left open, in order, then its new arcs that stay open."""
-    ends: list[int] = []
-    out = []
-    for crossing in crossings:
-        at = {arc: p for p, arc in enumerate(ends)}
-        new: dict[int, int] = {}
-        out.append(
-            tuple(at[arc] if arc in at else len(ends) + new.setdefault(arc, len(new)) for arc in crossing)
-        )
-        ends = [arc for arc in ends if arc not in crossing]
-        ends += [arc for arc in new if crossing.count(arc) == 1]
-    return out
+def _positions(
+    crossing: Sequence[int], ends: tuple[int, ...]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The crossing with its arcs named by position, and the arc at each
+    open end after it.  ``ends`` holds the arc at each open end before it:
+    such an arc is named by its position 0..w-1, and an arc the crossing
+    meets first by w, w+1, ... in the order it meets them.  The open ends
+    after it are the ones it left open, in order, then its new arcs that
+    stay open."""
+    new = [arc for i, arc in enumerate(crossing) if arc not in ends and arc not in crossing[:i]]
+    w = len(ends)
+    local = tuple(ends.index(arc) if arc in ends else w + new.index(arc) for arc in crossing)
+    kept = tuple(arc for arc in ends if arc not in crossing)
+    return local, kept + tuple(arc for arc in new if crossing.count(arc) == 1)
 
 
 def _cycles(matchings: _Interned, i1: int, i2: int) -> tuple[list[int], list[int]]:
@@ -175,7 +178,8 @@ def _compose(matchings: _Interned, i1: int, i2: int, i3: int, f: dict, g: dict) 
         first, arcs = _cycles(matchings, i1, i2)
         second, more = _cycles(matchings, i2, i3)
         n = len(arcs)
-        gluings = tuple((first[e], n + second[e]) for e, p in enumerate(matchings.value[i2]) if e < p)
+        middle = enumerate(matchings.value[i2])
+        gluings = tuple((first[e], n + second[e]) for e, p in middle if e < p)
         circles = tuple(first[e] for e in _cycles(matchings, i1, i3)[1])
         matchings.composed[key] = _SHAPES[n + len(more), gluings, circles, len(circles), 0], n
     shape, n = matchings.composed[key]
@@ -235,37 +239,52 @@ def _neck_cut(
     return terms
 
 
-def _smoothed(matchings: _Interned, m: int, local: tuple[int, ...]) -> tuple:
-    """The A- and B-smoothing of matching m at the crossing ``local``, as
-    (matching id, slots of the loops that close), and the old name of
-    each new position: an old position, or a new arc's w + i."""
+def _step(matchings: _Interned, m: int, local: tuple[int, ...]) -> tuple:
+    """What the crossing ``local`` does to an object of matching m: per
+    side, A then B, the matching left and the slots of the loops that
+    close, and the (label, q shift) of each object made; the saddle's
+    pieces (A-label, B-label, terms) before the sign (-1)^h; and the pairs
+    it cancels (A-label, B-label, coefficient), whose objects are not
+    made."""
     key = (m, local)
-    if key not in matchings.smoothed:
+    if key not in matchings.steps:
         smoothed = _smoothings(tuple(enumerate(matchings.value[m])), local)
-        labels = [e for e, _ in smoothed[0][0]]  # old ends left open, then new arcs
-        rank = {e: i for i, e in enumerate(labels)}
-        sides = tuple((matchings[tuple(rank[p] for _, p in pairs)], loops) for pairs, loops in smoothed)
-        matchings.smoothed[key] = sides, labels
-    return matchings.smoothed[key]
+        rank = {e: i for i, (e, _) in enumerate(smoothed[0][0])}  # open ends, then new arcs
+        sides = [(matchings[tuple(rank[p] for _, p in pairs)], loops) for pairs, loops in smoothed]
+        saddle = _cut(_glue(matchings, m, m, local, *sides, [range(-4, 0)]), 0)
+        pairs = _saddle_pairs(saddle) if sides[0][0] == sides[1][0] else ()
+        made = tuple(
+            tuple(
+                (lab, b + len(loops) - 2 * lab.bit_count())
+                for lab in range(1 << len(loops))
+                if lab not in [pair[b] for pair in pairs]
+            )
+            for b, (_, loops) in enumerate(sides)
+        )
+        matchings.steps[key] = sides, made, saddle, pairs
+    return matchings.steps[key]
 
 
-def _glue(matchings: _Interned, i1: int, i2: int, local: tuple[int, ...], b1: int, b2: int) -> int:
-    """The shape of the cobordism i1 -> i2 glued to the crossing's piece
-    b1 -> b2: the identity of smoothing b1 if b1 = b2, else the saddle.
-    Gluing joins, along an interval, the disk of each open end the
-    crossing closes to the disk of its slot, and the two slots of a kink's
-    arc."""
+def _glue(
+    matchings: _Interned, i1: int, i2: int, local: tuple[int, ...], side1: tuple, side2: tuple,
+    pairs: Sequence[Iterable[int]],
+) -> int:
+    """The shape of the cobordism i1 -> i2 glued to a piece of the
+    crossing from smoothing ``side1`` to ``side2``, whose disks join the
+    slots in each of ``pairs``: the identity has one strip per smoothing
+    arc, the saddle one disk.  Gluing joins, along an interval, the disk
+    of each open end the crossing closes to the disk of its slot, and the
+    two slots of a kink's arc."""
     cycle, least = _cycles(matchings, i1, i2)
     n, w = len(least), len(cycle)
-    # the disk of each slot: one strip per smoothing arc of the identity,
-    # one disk for the saddle
-    pairs = _SLOT_PAIRS[b1] if b1 == b2 else [range(-4, 0)]
     disk = {x: n + i for i, pair in enumerate(pairs) for x in pair}
     slot = {p: -1 - s for s, p in enumerate(local)}
     gluings = [(cycle[p], disk[-1 - s]) for s, p in enumerate(local) if p < w]
     gluings += [(disk[-1 - s], disk[slot[p]]) for s, p in enumerate(local) if slot[p] != -1 - s]
-    sides, labels = _smoothed(matchings, i1, local)
-    (n1, loops1), (n2, loops2) = sides[b1], _smoothed(matchings, i2, local)[0][b2]
+    # the old name of each end after the crossing
+    labels = [p for p in range(w) if p not in slot]
+    labels += [p for p in slot if p >= w and local.count(p) == 1]
+    (n1, loops1), (n2, loops2) = side1, side2
     ends = _cycles(matchings, n1, n2)[1]
     circles = [cycle[p] if p < w else disk[slot[p]] for p in (labels[e] for e in ends)]
     circles += [disk[x] for x in loops1 + loops2]
@@ -274,26 +293,14 @@ def _glue(matchings: _Interned, i1: int, i2: int, local: tuple[int, ...], b1: in
 
 def _glued(matchings: _Interned, i1: int, i2: int, local: tuple[int, ...]) -> tuple[int, int]:
     """The shapes of the cobordism i1 -> i2 glued to the identity of the
-    A- and of the B-smoothing (:func:`_glue`)."""
+    A- and of the B-smoothing."""
     key = (i1, i2, local)
     if key not in matchings.glued:
-        matchings.glued[key] = _glue(matchings, i1, i2, local, 0, 0), _glue(matchings, i1, i2, local, 1, 1)
+        sides1, sides2 = _step(matchings, i1, local)[0], _step(matchings, i2, local)[0]
+        matchings.glued[key] = tuple(
+            _glue(matchings, i1, i2, local, sides1[b], sides2[b], _SLOT_PAIRS[b]) for b in (0, 1)
+        )
     return matchings.glued[key]
-
-
-def _step(matchings: _Interned, m: int, local: tuple[int, ...]) -> tuple:
-    """What the crossing ``local`` does to an object of matching m: its
-    smoothings (:func:`_smoothed`), the saddle's pieces (A-label, B-label,
-    terms) before the sign (-1)^h, the pairs it cancels (A-label, B-label,
-    coefficient) and the labels those take on each side."""
-    key = (m, local)
-    if key not in matchings.steps:
-        sides = _smoothed(matchings, m, local)[0]
-        saddle = _cut(_glue(matchings, m, m, local, 0, 1), 0)
-        pairs = _saddle_pairs(saddle) if sides[0][0] == sides[1][0] else ()
-        dropped = tuple(l1 for l1, _, _ in pairs), tuple(l2 for _, l2, _ in pairs)
-        matchings.steps[key] = sides, saddle, pairs, dropped
-    return matchings.steps[key]
 
 
 def _saddle_pairs(saddle: Sequence[tuple[int, int, tuple]]) -> tuple[tuple[int, int, int], ...]:
@@ -310,7 +317,9 @@ def _saddle_pairs(saddle: Sequence[tuple[int, int, tuple]]) -> tuple[tuple[int, 
     return tuple(pairs)
 
 
-def _add_crossing(objects: dict, out: dict, local: tuple[int, ...], matchings: _Interned) -> tuple[dict, dict]:
+def _add_crossing(
+    objects: dict, out: dict, local: tuple[int, ...], matchings: _Interned
+) -> tuple[dict, dict]:
     """The complex with one more crossing, its saddle pairs cancelled:
     each object splits into its A- and B-smoothing, one object per
     labelling of the loops that close, each entry f is glued to the
@@ -320,17 +329,16 @@ def _add_crossing(objects: dict, out: dict, local: tuple[int, ...], matchings: _
     -phi (x -> b)(a -> y) to the entries a -> b it joins."""
     steps = {m: _step(matchings, m, local) for m in {m for m, _, _ in objects.values()}}
     objs: dict[int, tuple] = {}
-    ids: dict[int, tuple[list, list]] = {}  # object -> new id per label per side, None if cancelled
+    ids: dict[int, list[list]] = {}  # object -> new id per label per side, None if cancelled
     for o, (m, h, q) in objects.items():
-        sides, _, _, dropped = steps[m]
-        ids[o] = ([], [])
-        for b, ((m2, loops), drop, side) in enumerate(zip(sides, dropped, ids[o])):
-            for lab in range(1 << len(loops)):
-                if lab in drop:
-                    side.append(None)
-                else:
-                    side.append(len(objs))
-                    objs[len(objs)] = (m2, h + b, q + b + len(loops) - 2 * lab.bit_count())
+        sides, made, _, _ = steps[m]
+        ids[o] = []
+        for b, ((m2, loops), kept) in enumerate(zip(sides, made)):
+            side = [None] * (1 << len(loops))
+            for lab, shift in kept:
+                side[lab] = len(objs)
+                objs[len(objs)] = (m2, h + b, q + shift)
+            ids[o].append(side)
     new: dict[int, dict[int, dict[int, int]]] = {o: {} for o in objs}
     # entries into each cancelled B-object and out of each cancelled
     # A-object, from and to the objects kept, by (object, label)
@@ -354,7 +362,7 @@ def _add_crossing(objects: dict, out: dict, local: tuple[int, ...], matchings: _
                         elif s is not None and b:
                             _add_to(into.setdefault((o2, l2), {}), s, terms, x)
     for o, (m, h, _) in objects.items():
-        sides, saddle, pairs, _ = steps[m]
+        sides, _, saddle, pairs = steps[m]
         sign = -1 if h & 1 else 1
         ids1, ids2 = ids[o]
         for l1, l2, terms in saddle:
@@ -372,7 +380,8 @@ def _add_crossing(objects: dict, out: dict, local: tuple[int, ...], matchings: _
                 for s, f in ins.items():
                     row, m1 = new[s], objs[s][0]
                     for t, g in outs.items():
-                        _add_to(row, t, _compose(matchings, m1, mid, objs[t][0], f, g).items(), -sign * phi)
+                        correction = _compose(matchings, m1, mid, objs[t][0], f, g)
+                        _add_to(row, t, correction.items(), -sign * phi)
     return objs, new
 
 
@@ -408,10 +417,7 @@ def _add_to(row: dict, t: int, terms: Iterable[tuple[int, int]], factor: int) ->
 def _cancel_isomorphisms(objects: dict, out: dict, matchings: _Interned) -> None:
     """Gaussian elimination of every entry that is +-1 times the identity
     of one matching, in place, until none is left."""
-    into: dict[int, set[int]] = {o: set() for o in objects}
-    for o, row in out.items():
-        for t in row:
-            into[t].add(o)
+    into: dict[int, set[int]] = {}  # the sources of each entry, once a pair is found
     work = list(objects)
     while work:
         b1 = work.pop()
@@ -424,6 +430,11 @@ def _cancel_isomorphisms(objects: dict, out: dict, matchings: _Interned) -> None
         ]
         if not isos:
             continue
+        if not into:
+            into = {o: set() for o in objects}
+            for o, row in out.items():
+                for t in row:
+                    into[t].add(o)
         b2 = isos[0]
         sign = out[b1][b2][0]  # phi^-1 = phi
         gammas = [(e, g) for e, g in out[b1].items() if e != b2]

@@ -635,7 +635,7 @@ def table_sizes() -> dict[str, int]:
         "shapes": len(tangle._SHAPES),
         "cuts": len(tangle._CUTS),
         "matchings": len(m),
-        **{name: len(getattr(m, name)) for name in ("cycles", "composed", "smoothed", "glued", "steps")},
+        **{name: len(getattr(m, name)) for name in ("cycles", "composed", "glued", "steps")},
     }
 
 

@@ -69,7 +69,8 @@ def random_words(seed: int, count: int) -> list[BraidWord]:
     words = []
     for _ in range(count):
         n = rng.randint(2, 4)
-        words.append(BraidWord(n, [rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(rng.randint(0, 9))]))
+        letters = [rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(rng.randint(0, 9))]
+        words.append(BraidWord(n, letters))
     return words
 
 
