@@ -251,7 +251,7 @@ def _step(matchings: _Interned, m: int, local: tuple[int, ...]) -> tuple:
         smoothed = _smoothings(tuple(enumerate(matchings.value[m])), local)
         rank = {e: i for i, (e, _) in enumerate(smoothed[0][0])}  # open ends, then new arcs
         sides = [(matchings[tuple(rank[p] for _, p in pairs)], loops) for pairs, loops in smoothed]
-        saddle = _cut(_glue(matchings, m, m, local, *sides, [range(-4, 0)]), 0)
+        saddle = _cut(_glue(matchings, m, m, local, [(*sides, [range(-4, 0)])])[0], 0)
         pairs = _saddle_pairs(saddle) if sides[0][0] == sides[1][0] else ()
         made = tuple(
             tuple(
@@ -266,40 +266,42 @@ def _step(matchings: _Interned, m: int, local: tuple[int, ...]) -> tuple:
 
 
 def _glue(
-    matchings: _Interned, i1: int, i2: int, local: tuple[int, ...], side1: tuple, side2: tuple,
-    pairs: Sequence[Iterable[int]],
-) -> int:
-    """The shape of the cobordism i1 -> i2 glued to a piece of the
-    crossing from smoothing ``side1`` to ``side2``, whose disks join the
-    slots in each of ``pairs``: the identity has one strip per smoothing
-    arc, the saddle one disk.  Gluing joins, along an interval, the disk
-    of each open end the crossing closes to the disk of its slot, and the
-    two slots of a kink's arc."""
+    matchings: _Interned, i1: int, i2: int, local: tuple[int, ...],
+    pieces: Iterable[tuple[tuple, tuple, Sequence[Iterable[int]]]],
+) -> tuple[int, ...]:
+    """The shape of the cobordism i1 -> i2 glued to each piece of the
+    crossing, given as its source and target smoothing and the slots that
+    each of its disks joins: the identity has one strip per smoothing arc,
+    the saddle one disk.  Gluing joins, along an interval, the disk of each
+    open end the crossing closes to the disk of its slot, and the two slots
+    of a kink's arc."""
     cycle, least = _cycles(matchings, i1, i2)
     n, w = len(least), len(cycle)
-    disk = {x: n + i for i, pair in enumerate(pairs) for x in pair}
     slot = {p: -1 - s for s, p in enumerate(local)}
-    gluings = [(cycle[p], disk[-1 - s]) for s, p in enumerate(local) if p < w]
-    gluings += [(disk[-1 - s], disk[slot[p]]) for s, p in enumerate(local) if slot[p] != -1 - s]
+    closed = [(cycle[p], -1 - s) for s, p in enumerate(local) if p < w]
+    kinks = [(-1 - s, slot[p]) for s, p in enumerate(local) if slot[p] != -1 - s]
     # the old name of each end after the crossing
     labels = [p for p in range(w) if p not in slot]
     labels += [p for p in slot if p >= w and local.count(p) == 1]
-    (n1, loops1), (n2, loops2) = side1, side2
-    ends = _cycles(matchings, n1, n2)[1]
-    circles = [cycle[p] if p < w else disk[slot[p]] for p in (labels[e] for e in ends)]
-    circles += [disk[x] for x in loops1 + loops2]
-    return _SHAPES[n + len(pairs), tuple(gluings), tuple(circles), len(ends), len(loops1)]
+    shapes = []
+    for (n1, loops1), (n2, loops2), pairs in pieces:
+        disk = {x: n + i for i, pair in enumerate(pairs) for x in pair}
+        gluings = [(c, disk[x]) for c, x in closed] + [(disk[x], disk[y]) for x, y in kinks]
+        ends = _cycles(matchings, n1, n2)[1]
+        circles = [cycle[p] if p < w else disk[slot[p]] for p in (labels[e] for e in ends)]
+        circles += [disk[x] for x in loops1 + loops2]
+        shapes.append(_SHAPES[n + len(pairs), tuple(gluings), tuple(circles), len(ends), len(loops1)])
+    return tuple(shapes)
 
 
-def _glued(matchings: _Interned, i1: int, i2: int, local: tuple[int, ...]) -> tuple[int, int]:
+def _glued(matchings: _Interned, i1: int, i2: int, local: tuple[int, ...]) -> tuple[int, ...]:
     """The shapes of the cobordism i1 -> i2 glued to the identity of the
     A- and of the B-smoothing."""
     key = (i1, i2, local)
     if key not in matchings.glued:
         sides1, sides2 = _step(matchings, i1, local)[0], _step(matchings, i2, local)[0]
-        matchings.glued[key] = tuple(
-            _glue(matchings, i1, i2, local, sides1[b], sides2[b], _SLOT_PAIRS[b]) for b in (0, 1)
-        )
+        identities = [(sides1[b], sides2[b], _SLOT_PAIRS[b]) for b in (0, 1)]
+        matchings.glued[key] = _glue(matchings, i1, i2, local, identities)
     return matchings.glued[key]
 
 

@@ -289,6 +289,18 @@ class TestCancellation:
                 built.append(khovanov_homology(d))
             assert built[0] == built[1], d
 
+    def test_saddle_pairs_keep_their_block_diagonal(self):
+        # pieces as (A-label, B-label, (mask, coefficient) terms)
+        identity, dotted = ((0, 1),), ((1, 1),)
+        assert tangle._saddle_pairs([(0, 0, identity), (1, 1, identity)]) == ((0, 0, 1), (1, 1, 1))
+        # 1 -> 0 joins the labels of two identity pieces, so the second
+        # cannot go with the first at once
+        assert tangle._saddle_pairs([(0, 0, identity), (1, 0, dotted), (1, 1, identity)]) == (
+            (0, 0, 1),
+        )
+        assert tangle._saddle_pairs([(0, 0, ((0, -1),)), (0, 1, identity)]) == ((0, 0, -1),)
+        assert tangle._saddle_pairs([(0, 0, ((0, 2),)), (0, 1, dotted)]) == ()
+
     def test_few_pairs_are_left_to_the_search(self, monkeypatch):
         empty_tables(monkeypatch)
         cancel = tangle._cancel_isomorphisms
