@@ -138,9 +138,7 @@ def reduced_complex(d: Diagram) -> tuple[dict[int, tuple[int, int]], dict[int, d
     )
 
 
-def _positions(
-    crossing: Sequence[int], ends: tuple[int, ...]
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _positions(crossing: Sequence[int], ends: tuple[int, ...]) -> tuple[tuple, tuple]:
     """The crossing with its arcs named by position, and the arc at each
     open end after it.  ``ends`` holds the arc at each open end before it:
     such an arc is named by its position 0..w-1, and an arc the crossing
@@ -266,8 +264,7 @@ def _step(matchings: _Interned, m: int, local: tuple[int, ...]) -> tuple:
 
 
 def _glue(
-    matchings: _Interned, i1: int, i2: int, local: tuple[int, ...],
-    pieces: Iterable[tuple[tuple, tuple, Sequence[Iterable[int]]]],
+    matchings: _Interned, i1: int, i2: int, local: tuple[int, ...], pieces: Iterable[tuple]
 ) -> tuple[int, ...]:
     """The shape of the cobordism i1 -> i2 glued to each piece of the
     crossing, given as its source and target smoothing and the slots that
@@ -419,7 +416,10 @@ def _add_to(row: dict, t: int, terms: Iterable[tuple[int, int]], factor: int) ->
 def _cancel_isomorphisms(objects: dict, out: dict, matchings: _Interned) -> None:
     """Gaussian elimination of every entry that is +-1 times the identity
     of one matching, in place, until none is left."""
-    into: dict[int, set[int]] = {}  # the sources of each entry, once a pair is found
+    into: dict[int, set[int]] = {o: set() for o in objects}
+    for o, row in out.items():
+        for t in row:
+            into[t].add(o)
     work = list(objects)
     while work:
         b1 = work.pop()
@@ -432,11 +432,6 @@ def _cancel_isomorphisms(objects: dict, out: dict, matchings: _Interned) -> None
         ]
         if not isos:
             continue
-        if not into:
-            into = {o: set() for o in objects}
-            for o, row in out.items():
-                for t in row:
-                    into[t].add(o)
         b2 = isos[0]
         sign = out[b1][b2][0]  # phi^-1 = phi
         gammas = [(e, g) for e, g in out[b1].items() if e != b2]
