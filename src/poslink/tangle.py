@@ -416,10 +416,7 @@ def _add_to(row: dict, t: int, terms: Iterable[tuple[int, int]], factor: int) ->
 def _cancel_isomorphisms(objects: dict, out: dict, matchings: _Interned) -> None:
     """Gaussian elimination of every entry that is +-1 times the identity
     of one matching, in place, until none is left."""
-    into: dict[int, set[int]] = {o: set() for o in objects}
-    for o, row in out.items():
-        for t in row:
-            into[t].add(o)
+    into: dict[int, set[int]] = {}  # the sources of each entry, once a pair is found
     work = list(objects)
     while work:
         b1 = work.pop()
@@ -432,6 +429,11 @@ def _cancel_isomorphisms(objects: dict, out: dict, matchings: _Interned) -> None
         ]
         if not isos:
             continue
+        if not into:
+            into = {o: set() for o in objects}
+            for o, row in out.items():
+                for t in row:
+                    into[t].add(o)
         b2 = isos[0]
         sign = out[b1][b2][0]  # phi^-1 = phi
         gammas = [(e, g) for e, g in out[b1].items() if e != b2]
