@@ -218,7 +218,8 @@ def random_braid(rng: random.Random, strands: tuple[int, int], letters: int) -> 
     """A signed braid word on a random strand count in ``strands`` with at
     most ``letters`` letters."""
     n = rng.randint(*strands)
-    return BraidWord(n, [rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(rng.randint(0, letters))])
+    word = [rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(rng.randint(0, letters))]
+    return BraidWord(n, word)
 
 
 MIXED_4_BRAID = "strands=4; 1 -2 3 -1 2 -3 1 2 -3 -2"
@@ -313,7 +314,7 @@ class TestCancellation:
 
         monkeypatch.setattr(tangle, "_cancel_isomorphisms", counting)
         assert cmd_survey(3, 8).all_ok
-        # of about 1,100 pairs the survey's builds cancel
+        # of the 1,114 pairs the survey's builds cancel
         assert left["pairs"] == 113
         left.clear()
         reduced_complex(braid_closure(parse_braid("strands=4; " + "1 -2 3 " * 5)))
