@@ -32,6 +32,7 @@ from .errors import (
     MalformedBraid,
     MalformedPD,
     OrientationInconsistent,
+    Value,
     ZeroLetter,
 )
 
@@ -315,7 +316,7 @@ _BRACKET_STEP = {"[": 1, "]": -1}
 _PD_ITEM = r"\s*(?:O\[\s*\]|X\[(?P<arcs>[^\[\]]*)\])\s*(?:,|\Z)"
 
 
-class BraidWord:
+class BraidWord(Value):
     """A braid word: letter k stands for sigma_|k| with sign(k) the crossing sign."""
 
     __slots__ = ("strand_count", "letters")
@@ -332,17 +333,6 @@ class BraidWord:
                 raise GeneratorOutOfRange(
                     f"letter {k} needs at least {abs(k) + 1} strands, have {strand_count}"
                 )
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, BraidWord):
-            return NotImplemented
-        return self.strand_count == other.strand_count and self.letters == other.letters
-
-    def __hash__(self) -> int:
-        return hash((self.strand_count, self.letters))
-
-    def __repr__(self) -> str:
-        return f"BraidWord(strand_count={self.strand_count!r}, letters={self.letters!r})"
 
 
 def parse_braid(text: str) -> BraidWord:
@@ -407,24 +397,13 @@ def braid_closure(b: BraidWord) -> Diagram:
 # diagram operations
 
 
-class CrossingSigns:
+class CrossingSigns(Value):
     """Per-crossing signs of an oriented diagram."""
 
     __slots__ = ("signs",)
 
     def __init__(self, signs: tuple[int, ...]):
         self.signs = signs
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CrossingSigns):
-            return NotImplemented
-        return self.signs == other.signs
-
-    def __hash__(self) -> int:
-        return hash((self.signs,))
-
-    def __repr__(self) -> str:
-        return f"CrossingSigns(signs={self.signs!r})"
 
     @property
     def writhe(self) -> int:

@@ -1,4 +1,29 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and :class:`Value`, the base
+of its field-wise value classes; every layer imports this module already,
+so the base loads nothing new."""
+
+
+class Value:
+    """A record compared, hashed and shown by the fields its class names in
+    ``__slots__``, in order: ``Name(field=value, ...)``.  Only instances of
+    one class compare equal.  Constructors stay in the subclasses."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, f) for f in self.__slots__)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{self.__class__.__name__}({fields})"
 
 
 class PoslinkError(Exception):
@@ -65,7 +90,9 @@ DEFAULT_CROSSING_CAP = 16
 
 
 class CrossingCapExceeded(PoslinkError, ValueError):
-    """Crossing count exceeds the configured cap for this computation."""
+    """Crossing count exceeds the configured cap for this computation, or
+    free circles would double the homology's torsion factors past
+    ``khovanov.MAX_TORSION_FACTORS``."""
 
 
 # Khovanov homology.

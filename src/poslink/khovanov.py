@@ -27,6 +27,7 @@ from .errors import (
     EmptyHomology,
     MalformedKhPolynomial,
     MalformedPolynomial,
+    Value,
 )
 from .snf import SparseRows, invariant_factors, snf_divisors
 from .tangle import reduced_complex
@@ -105,7 +106,7 @@ class BigradedGroups:
         return f"BigradedGroups({format_kh_polynomial(self)!r})"
 
 
-class GradingSummary:
+class GradingSummary(Value):
     """Extreme quantum gradings of the homology next to the diagram-level
     potential window that must contain them."""
 
@@ -121,24 +122,6 @@ class GradingSummary:
         self.j_upper = j_upper
         self.j_min_potential = j_min_potential
         self.j_max_potential = j_max_potential
-
-    def _fields(self) -> tuple:
-        return (self.j_lower, self.j_upper, self.j_min_potential, self.j_max_potential)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GradingSummary):
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        return (
-            f"GradingSummary(j_lower={self.j_lower!r}, j_upper={self.j_upper!r}, "
-            f"j_min_potential={self.j_min_potential!r}, "
-            f"j_max_potential={self.j_max_potential!r})"
-        )
 
 
 class ChainSlice:
@@ -205,7 +188,10 @@ def khovanov_homology(d: Diagram, *, cap: int = DEFAULT_CROSSING_CAP) -> Bigrade
     """Homology groups over Z per (i, j), via Smith normal form per slice
     of :func:`chain_slices`.  Each free circle then tensors the homology
     with Z at q^-1 and q (Khovanov 2000): every group at (i, j) goes to
-    both (i, j - 1) and (i, j + 1), torsion too, as the factor is free."""
+    both (i, j - 1) and (i, j + 1), torsion too, as the factor is free.
+    Each circle so doubles the torsion factors, each stored on its own:
+    CrossingCapExceeded, before any circle, when they would outnumber
+    :data:`MAX_TORSION_FACTORS`."""
     groups = []
     for j, sl in chain_slices(d, cap=cap).items():
         divisors = {i: snf_divisors(rows) for i, rows in sl.boundaries.items()}
@@ -214,6 +200,12 @@ def khovanov_homology(d: Diagram, *, cap: int = DEFAULT_CROSSING_CAP) -> Bigrade
             free = n - len(divisors.get(i, ())) - len(incoming)
             groups.append(((i, j), (free, [t for t in incoming if t > 1])))
     kh = BigradedGroups(groups)
+    factors = sum(len(torsion) for _, (_, torsion) in kh.items())
+    if factors << d.free_circles > MAX_TORSION_FACTORS:
+        raise CrossingCapExceeded(
+            f"{factors} x 2^{d.free_circles} torsion factors, from "
+            f"{d.free_circles} free circles, exceed the limit of {MAX_TORSION_FACTORS}"
+        )
     for _ in range(d.free_circles):
         kh = BigradedGroups(((i, k), g) for (i, j), g in kh.items() for k in (j - 1, j + 1))
     return kh

@@ -28,6 +28,7 @@ from .errors import (
     MixedParity,
     NotDivisible,
     NotPositiveDiagram,
+    Value,
     ZeroPolynomial,
 )
 
@@ -190,11 +191,6 @@ class LaurentPoly:
             n >>= 1
         return result
 
-    def shifted(self, exponent) -> "LaurentPoly":
-        """Multiply by a single power of the variable."""
-        h = _to_halves(exponent)
-        return LaurentPoly._raw({k + h: v for k, v in self._coeffs.items()})
-
     def substitute_inverse(self) -> "LaurentPoly":
         """x -> x^-1."""
         return LaurentPoly._raw({-k: v for k, v in self._coeffs.items()})
@@ -291,11 +287,10 @@ def kauffman_bracket(d: Diagram) -> LaurentPoly:
     B-smoothing, weighted A and A^-1, and each circle that closes
     multiplies by delta = -A^2 - A^-2.  The bracket weighs a state by
     delta^(circles - 1), and every state closes at least one circle, so
-    one delta is divided out at the end (exactly, in time linear in the
-    degree span) or one fewer taken for the free circles.  The cost is c
-    times the live matchings.  On the n-strand braid closures the tests
-    check, up to 40 crossings, the order keeps at most 2n ends open, so at
-    most Catalan(n) matchings.
+    one delta is divided out at the end (exactly, by ``//``) or one fewer
+    taken for the free circles.  The cost is c times the live matchings.
+    On the n-strand braid closures the tests check, up to 40 crossings,
+    the order keeps at most 2n ends open, so at most Catalan(n) matchings.
 
     The states after k steps are a function of the first k renumbered
     crossings alone, so :data:`_CHAIN` keeps the last diagram's (crossing,
@@ -324,7 +319,7 @@ def kauffman_bracket(d: Diagram) -> LaurentPoly:
         k += 1
     if d.free_circles:
         return LaurentPoly._raw(states[()]) * _delta_power(d.free_circles - 1)
-    return LaurentPoly._raw(_divide(states[()], 4, -1))
+    return LaurentPoly._raw(states[()]) // _delta_power(1)
 
 
 # the last diagram's (renumbered crossing, matching -> polynomial after
@@ -386,41 +381,22 @@ def unnormalized_to_v(j: LaurentPoly) -> LaurentPoly:
         return LaurentPoly.zero()
     if j.exponent_parities() != {0}:
         raise MixedParity("unnormalized Jones polynomials have integer exponents")
-    quotient = _divide(j._coeffs, 2, 1)  # by q + q^-1
+    try:
+        quotient = j // LaurentPoly._raw({2: 1, -2: 1})  # by q + q^-1
+    except ArithmeticError:
+        raise NotDivisible("polynomial is not divisible by (x + x^-1)") from None
     out: dict[int, int] = {}
-    for key, coeff in quotient.items():
+    for key, coeff in quotient._coeffs.items():
         exp = key // 2  # integer exponent of q
         out[key // 2] = coeff if exp % 2 == 0 else -coeff
     return LaurentPoly._raw(out)
-
-
-def _divide(coeffs: Mapping[int, int], step: int, sign: int) -> dict[int, int]:
-    """The quotient of a polynomial on half-step keys by sign * (x^e +
-    x^-e), e = step / 2 an integer (the keys +-step, each with coefficient
-    ``sign``), in one pass down the keys; NotDivisible when a remainder is
-    left."""
-    work = dict(coeffs)
-    quotient: dict[int, int] = {}
-    if not work:
-        return quotient
-    low = min(work)
-    for m in range(max(work), low + 2 * step - 1, -1):
-        c = work.pop(m, 0)
-        if c:
-            quotient[m - step] = sign * c
-            work[m - 2 * step] = work.get(m - 2 * step, 0) - c
-    if any(work.values()):
-        e = step // 2
-        divisor = f"{'-' if sign < 0 else ''}({'x' if e == 1 else f'x^{e}'} + x^-{e})"
-        raise NotDivisible(f"polynomial is not divisible by {divisor}")
-    return quotient
 
 
 # --------------------------------------------------------------------------
 # summaries and degree bounds
 
 
-class JonesSummary:
+class JonesSummary(Value):
     """Degree data of a Jones polynomial; p1 is |second coefficient|."""
 
     __slots__ = ("min_deg", "max_deg", "second_coeff", "p1")
@@ -434,23 +410,6 @@ class JonesSummary:
         self.max_deg = max_deg
         self.second_coeff = second_coeff
         self.p1 = p1
-
-    def _fields(self) -> tuple:
-        return (self.min_deg, self.max_deg, self.second_coeff, self.p1)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, JonesSummary):
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        return (
-            f"JonesSummary(min_deg={self.min_deg!r}, max_deg={self.max_deg!r}, "
-            f"second_coeff={self.second_coeff!r}, p1={self.p1!r})"
-        )
 
 
 def jones_summary(v: LaurentPoly) -> JonesSummary:

@@ -27,7 +27,7 @@ import enum
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .errors import NotApplicableError, PoslinkError
+from .errors import NotApplicableError, PoslinkError, Value
 
 if TYPE_CHECKING:
     from .khovanov import BigradedGroups
@@ -70,7 +70,7 @@ def gamma(p1: int, lead_conway: int) -> int:
     raise NotApplicableError(f"no obstruction case for p1 = {p1}")
 
 
-class ObstructionInput:
+class ObstructionInput(Value):
     """Everything the two inequalities consume.
 
     Jones degrees are half-integers for even component counts; the
@@ -106,29 +106,8 @@ class ObstructionInput:
         self.j_lower = j_lower
         self.j_upper = j_upper
 
-    def _fields(self) -> tuple:
-        return (
-            self.p1, self.n, self.lead_conway, self.jones_min, self.jones_max,
-            self.j_lower, self.j_upper,
-        )
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ObstructionInput):
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        return (
-            f"ObstructionInput(p1={self.p1!r}, n={self.n!r}, lead_conway={self.lead_conway!r}, "
-            f"jones_min={self.jones_min!r}, jones_max={self.jones_max!r}, "
-            f"j_lower={self.j_lower!r}, j_upper={self.j_upper!r})"
-        )
-
-
-class ObstructionReport:
+class ObstructionReport(Value):
     """One inequality evaluation, auditable from its own fields:
     verdict is Fail exactly when applicable and lhs > rhs."""
 
@@ -151,26 +130,6 @@ class ObstructionReport:
         self.gamma = gamma
         self.verdict = verdict
         self.note = note
-
-    def _fields(self) -> tuple:
-        return (
-            self.test, self.applicable, self.lhs, self.rhs, self.gamma, self.verdict, self.note,
-        )
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ObstructionReport):
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        return (
-            f"ObstructionReport(test={self.test!r}, applicable={self.applicable!r}, "
-            f"lhs={self.lhs!r}, rhs={self.rhs!r}, gamma={self.gamma!r}, "
-            f"verdict={self.verdict!r}, note={self.note!r})"
-        )
 
     @property
     def equality_attained(self) -> bool:

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 from collections import Counter
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -15,8 +16,10 @@ from hypothesis import strategies as st
 from poslink import (
     BigradedGroups,
     Diagram,
+    LinkRecord,
     braid_closure,
     chain_slices,
+    cmd_compute,
     cmd_survey,
     components,
     euler_characteristic,
@@ -34,7 +37,7 @@ from poslink import (
 )
 from poslink.diagram import BraidWord
 from poslink.errors import CrossingCapExceeded, EmptyHomology, MalformedKhPolynomial
-from poslink import tangle
+from poslink import khovanov, tangle
 from poslink.tangle import _deloop, _neck_cut, reduced_complex
 
 from conftest import mirror
@@ -465,6 +468,26 @@ class TestFreeCircles:
             for f in (1, 2):
                 e = Diagram(d.crossings, f)
                 assert khovanov_homology(e) == per_map_homology(e), (d, f)
+
+    def test_torsion_factor_limit(self, monkeypatch, trefoil):
+        # the trefoil's one Z/2 doubles with each free circle: 2^10 factors
+        # fit a limit of 1,024, and 2^11 do not
+        monkeypatch.setattr(khovanov, "MAX_TORSION_FACTORS", 1024)
+        kh = khovanov_homology(Diagram(trefoil.crossings, 10))
+        # Z{q^-1, q}^(x10) puts C(10, k) copies of each group at j - 10 + 2k
+        assert kh == BigradedGroups(
+            ((i, j - 10 + 2 * k), (rank * comb(10, k), torsion * comb(10, k)))
+            for (i, j), (rank, torsion) in TREFOIL_KH.items()
+            for k in range(11)
+        )
+        assert sum(len(t) for _, (_, t) in kh.items()) == 1024
+        with pytest.raises(CrossingCapExceeded, match="1 x 2\\^11 torsion factors"):
+            khovanov_homology(Diagram(trefoil.crossings, 11))
+        # a record is flagged as the crossing cap flags it, and keeps the rest
+        (result,) = cmd_compute([LinkRecord("t", braid=parse_braid("strands=13; 1 1 1"))])
+        assert result.error is None
+        assert len(result.flags) == 1 and result.flags[0].startswith("kh: skipped: ")
+        assert "jones" in result.invariants and "kh" not in result.invariants
 
 
 class TestGeneratorFloor:

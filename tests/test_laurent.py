@@ -496,6 +496,6 @@ class TestBracketChain:
         for exps in ({4: 1}, {4: -1, -4: 2}, {8: 3, 0: -1, -12: 5}):
             q = LaurentPoly._raw(exps)
             delta = LaurentPoly({2: -1, -2: -1})
-            assert laurent._divide((delta * q)._coeffs, 4, -1) == exps
-        with pytest.raises(NotDivisible):
-            laurent._divide({4: 1}, 4, -1)
+            assert (delta * q) // delta == q
+        with pytest.raises(ArithmeticError):
+            LaurentPoly._raw({4: 1}) // LaurentPoly({2: -1, -2: -1})
