@@ -23,16 +23,15 @@ every other pair has a zero form), and
 
     nabla(z) = det(t^(-1/2) V - t^(1/2) V^T),   z = t^(1/2) - t^(-1/2)
 
-(Lickorish, *An Introduction to Knot Theory*, ch. 6).  The determinant is
-taken exactly: integer determinants at a few points, then interpolation.
-Each determinant is the fraction-free elimination on sparse rows that
-the Burau route also runs (:func:`poslink.burau._bareiss_det`), which
-rewrites only the rows with a nonzero in the pivot column.  On n rows
-with the nonzeros within b columns of the diagonal that is about n b^2
-products of integers of O(n) digits, where dense elimination takes n^3,
-at each of the n // 2 + 1 points: the closure of the 120-crossing
-(1 -2)^60 takes about 0.3 s.  Everything is polynomial in the crossing
-count.
+(Lickorish, *An Introduction to Knot Theory*, ch. 6), which is t^(-n/2)
+times the polynomial det(V - t V^T).  The Burau route's Kronecker
+determinant (:func:`poslink.burau._poly_det`) takes it exactly, as one
+fraction-free elimination of integers on sparse rows, which rewrites
+only the rows with a nonzero in the pivot column.  On n rows with the
+nonzeros within b columns of the diagonal that is about n b^2 products
+of integers of up to O(n^2) digits, where dense elimination takes n^3:
+the closure of the 120-crossing (1 -2)^60 takes about 0.16 s.
+Everything is polynomial in the crossing count.
 
 Geometry.  The circles are walked on the diagram's far-end table
 (``Diagram._far``).  Node 2C + side stands for the region on the left
@@ -58,9 +57,7 @@ homology classes alone, so each may use its own drawing of the curves:
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .burau import _bareiss_det
+from .burau import _expand_in_z, _poly_det
 from .diagram import Diagram
 from .laurent import LaurentPoly
 
@@ -323,45 +320,10 @@ def _pair_form(surface: tuple, x: tuple[dict, dict], y: tuple[dict, dict]) -> tu
 
 
 def _conway_from_seifert(v: list[list[int]]) -> LaurentPoly:
-    """nabla(z) = det(s^-1 V - s V^T) with z = s - 1/s, by interpolation.
-
-    nabla has only powers z^j with j = n mod 2, so nabla(z) = z^(n mod 2)
-    R(z^2) with deg R <= n // 2.  At s = 1, 2, ... (s = 1 skipped when n is
-    odd) R is read off the integer determinant det(V - s^2 V^T), and
-    Newton interpolation in w = z^2 recovers its coefficients exactly.
-    """
+    """nabla(z) = t^(-n/2) det(V - t V^T) with z = t^(1/2) - t^(-1/2)."""
     n = len(v)
-    odd = n % 2
-    # V - u V^T is nonzero only where V or V^T is, for every u
-    pattern = [[j for j in range(n) if row[j] or v[j][i]] for i, row in enumerate(v)]
-    nodes: list[Fraction] = []
-    values: list[Fraction] = []
-    s = 1 + odd
-    while len(nodes) <= n // 2:
-        u = s * s
-        det = _bareiss_det([
-            {j: x for j in cols if (x := v[i][j] - u * v[j][i])} for i, cols in enumerate(pattern)
-        ])
-        z = Fraction(u - 1, s)
-        nodes.append(z * z)
-        values.append(Fraction(det, s**n) / z**odd)
-        s += 1
-    # divided differences, then expand the Newton form
-    coeffs = list(values)
-    for level in range(1, len(nodes)):
-        for i in range(len(nodes) - 1, level - 1, -1):
-            coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (nodes[i] - nodes[i - level])
-    poly = [coeffs[-1]]
-    for i in range(len(nodes) - 2, -1, -1):
-        # poly * (w - nodes[i]) + coeffs[i]
-        shifted = [Fraction(0)] + poly
-        for j, c in enumerate(poly):
-            shifted[j] -= nodes[i] * c
-        shifted[0] += coeffs[i]
-        poly = shifted
-    terms = {}
-    for j, c in enumerate(poly):
-        if c.denominator != 1:
-            raise ArithmeticError("Seifert determinant did not interpolate to integers")
-        terms[2 * j + odd] = c.numerator
-    return LaurentPoly(terms)
+    rows = [
+        {j: p for j in range(n) if (p := {k: x for k, x in ((0, v[i][j]), (1, -v[j][i])) if x})}
+        for i in range(n)
+    ]
+    return _expand_in_z({2 * k - n: c for k, c in _poly_det(rows).items()})

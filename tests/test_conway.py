@@ -23,10 +23,10 @@ from poslink import (
     parse_poly,
     state_circles,
 )
-from poslink import burau, seifert
+from poslink import seifert
 from poslink.batch import _conway_mirror
-from poslink.burau import _expand_in_z, _factors, burau_conway as library_burau
-from poslink.seifert import _bareiss_det, _conway_from_seifert, _surface, seifert_matrix
+from poslink.burau import _bareiss_det, _expand_in_z, _factors, _poly_det, burau_conway as library_burau
+from poslink.seifert import _conway_from_seifert, _surface, seifert_matrix
 
 from conftest import DATA_DIR, lucas, mirror
 from polygon_diagrams import polygon_diagram
@@ -240,24 +240,6 @@ class TestDeterminant:
         assert _bareiss_det([]) == 1
         assert _bareiss_det([{0: 2, 1: 1}, {}]) == 0
         assert _bareiss_det([{1: 5}, {1: 7}]) == 0
-
-    @pytest.mark.parametrize("seed", range(3))
-    def test_every_interpolation_node(self, seed, trefoil, seven4, hopf):
-        # det(V - u V^T) at each u = s^2 that _conway_from_seifert reads
-        rng = random.Random(seed)
-        diagrams = [trefoil, seven4, hopf, braid_closure(BraidWord(3, (1, -2) * 6))]
-        diagrams += [polygon_diagram(rng, max_crossings=14) for _ in range(10)]
-        checked = 0
-        for d in diagrams:
-            if not d.crossings or d.free_circles or d._shadow_pieces > 1:
-                continue
-            v = seifert_matrix(d)
-            n = len(v)
-            for s in range(1 + n % 2, 2 + n % 2 + n // 2):
-                rows = [[v[i][j] - s * s * v[j][i] for j in range(n)] for i in range(n)]
-                assert _bareiss_det(sparse_rows(rows)) == bareiss_det(rows)
-            checked += 1
-        assert checked >= 5
 
 
 class TestCirclesAgainstStateEngine:
@@ -518,27 +500,44 @@ class TestBurauRoute:
 
 
 @st.composite
-def laurent_matrices(draw):
-    """Square matrices of size 0-5 over Z[t, t^-1], entries of up to three
-    terms with exponents -2..2, about half of them zero."""
+def polynomial_matrices(draw):
+    """Square matrices of size 0-5 over Z[t], entries of up to three terms
+    with exponents 0..4, about half of them zero, and coefficients of up
+    to 3 or, in some draws, up to 10^6 in absolute value."""
     n = draw(st.integers(0, 5))
+    size = draw(st.sampled_from((3, 10**6)))
     entry = st.one_of(
         st.just({}),
-        st.dictionaries(st.integers(-2, 2), st.integers(-3, 3).filter(bool), max_size=3),
+        st.dictionaries(st.integers(0, 4), st.integers(-size, size).filter(bool), max_size=3),
     )
     return [[draw(entry) for _ in range(n)] for _ in range(n)]
 
 
 class TestLaurentDeterminant:
-    """The shared sparse elimination over Z[t, t^-1] against the dense
-    Bareiss elimination of :func:`reference._laurent_det`."""
+    """The determinant over Z[t] by Kronecker substitution against the
+    dense Bareiss elimination of :func:`reference._laurent_det`."""
 
-    @given(laurent_matrices())
+    @given(polynomial_matrices())
     @settings(max_examples=200, deadline=None)
     def test_random_matrices(self, rows):
-        sparse = [{j: LaurentPoly(x) for j, x in enumerate(row) if x} for row in rows]
-        det = _laurent_det([[dict(x) for x in row] for row in rows])
-        assert burau._bareiss_det(sparse, LaurentPoly.one()) == LaurentPoly(det)
+        sparse = [{j: x for j, x in enumerate(row) if x} for row in rows]
+        assert _poly_det(sparse) == _laurent_det([[dict(x) for x in row] for row in rows])
+
+    def test_empty_and_singular(self):
+        assert _poly_det([]) == {0: 1}
+        # rows (1, t) and (t, t^2)
+        assert _poly_det([{0: {0: 1}, 1: {1: 1}}, {0: {1: 1}, 1: {2: 1}}]) == {}
+
+    @pytest.mark.parametrize("c", [1, -1, 7, -7, 10**20, -(10**20)])
+    @pytest.mark.parametrize("k", [0, 3])
+    def test_at_the_hadamard_bound(self, c, k):
+        # |c| is the bound B itself, the largest digit base 2B + 1 holds
+        assert _poly_det([{0: {k: c}}]) == {k: c}
+
+    def test_small_integer_matrix(self):
+        # |det| = 2 is the bound of both, -B for the first and B for the second
+        assert _poly_det([{0: {0: 1}, 1: {0: 1}}, {0: {0: 1}, 1: {0: -1}}]) == {0: -2}
+        assert _poly_det([{0: {0: 1}, 1: {0: -1}}, {0: {0: 1}, 1: {0: 1}}]) == {0: 2}
 
 
 class TestLargeDiagrams:

@@ -24,8 +24,7 @@ KNOTS_COLUMNS = (
     "jones=Jones,conway=Conway"
 )
 HEAVY = {"poslink.khovanov", "poslink.tangle", "poslink.snf", "poslink.obstruction"}
-# the polynomial layers, and the rationals that their degrees and the
-# Conway interpolation use
+# the polynomial layers, and the rationals that their degrees use
 POLYNOMIAL = {"poslink.laurent", "poslink.burau", "poslink.seifert", "fractions"}
 # ``dataclasses`` writes and execs source for every class it decorates, and
 # imports ``inspect`` (with ``ast``, ``dis`` and ``tokenize``) to do it
