@@ -39,7 +39,6 @@ from .errors import ColumnMissing, FileUnreadable, HomologyTooLarge, PoslinkErro
 if TYPE_CHECKING:
     from .khovanov import BigradedGroups
     from .laurent import LaurentPoly
-    from .obstruction import ObstructionReport
 
 
 def _deferred(module: str, name: str) -> Callable:
@@ -140,35 +139,36 @@ class RecordResult:
         self,
         name,
         source,
-        flags,
-        error,
-        invariants,
-        gradings,
-        reports,
-        comparison,
-        timing_ms,
+        flags=None,
+        error=None,
+        invariants=None,
+        gradings=None,
+        reports=None,
+        comparison=None,
+        timing_ms=0.0,
     ):
         self.name = name
         self.source = source
-        self.flags = flags
+        self.flags = [] if flags is None else flags
         self.error = error
-        self.invariants = invariants
+        self.invariants = {} if invariants is None else invariants
         self.gradings = gradings
-        self.reports = reports
+        self.reports = [] if reports is None else reports
         self.comparison = comparison
         self.timing_ms = timing_ms
 
     def to_dict(self) -> dict:
+        """The JSON record; text output shows its fields in this order."""
         return {
             "schema": SCHEMA_VERSION,
             "name": self.name,
             "source": self.source,
-            "flags": list(self.flags),
-            "error": self.error,
             "invariants": dict(self.invariants),
             "gradings": dict(self.gradings) if self.gradings else None,
             "reports": [r.to_dict() for r in self.reports],
             "comparison": self.comparison.value if self.comparison else None,
+            "flags": list(self.flags),
+            "error": self.error,
             "timing_ms": round(self.timing_ms, 3),
         }
 
@@ -272,6 +272,16 @@ def open_text(path: str, newline: str | None = None) -> io.StringIO:
         ) from None
 
 
+def parsed_record(name: str, role: str, parse: Callable[[str], object], text: str) -> LinkRecord:
+    """The record of the diagram ``parse(text)`` in its ``role`` (``pd``
+    or ``braid``), or, when the text does not parse, one that carries the
+    parse error: a malformed diagram is a record error, never the batch's."""
+    try:
+        return LinkRecord(name=name, **{role: parse(text)})
+    except PoslinkError as exc:
+        return LinkRecord(name=name, error=f"input parse error: {exc}")
+
+
 def records_from_lines(lines: Iterable[str]) -> list[LinkRecord]:
     """Diagram-per-line batch input: PD expressions or braid words."""
     records = []
@@ -279,16 +289,8 @@ def records_from_lines(lines: Iterable[str]) -> list[LinkRecord]:
         text = line.strip()
         if not text or text.startswith("#"):
             continue
-        name = f"line{lineno}"
-        try:
-            if text.startswith("PD["):
-                records.append(LinkRecord(name=f"{name}: {text}", pd=parse_pd(text)))
-            else:
-                records.append(LinkRecord(name=f"{name}: {text}", braid=parse_braid(text)))
-        except PoslinkError as exc:
-            records.append(
-                LinkRecord(name=f"{name}: {text}", error=f"input parse error: {exc}")
-            )
+        role, parse = ("pd", parse_pd) if text.startswith("PD[") else ("braid", parse_braid)
+        records.append(parsed_record(f"line{lineno}: {text}", role, parse, text))
     return records
 
 
@@ -453,136 +455,113 @@ def process_record(
     mirror: str = "auto",
 ) -> RecordResult:
     t0 = time.perf_counter()
-    flags = list(record.flags)
-    error = record.error
-    invariants: dict[str, str] = {}
-    gradings = None
-    reports: list[ObstructionReport] = []
-    comparison = None
-
     if record.pd is not None:
         source = "pd"
     elif record.braid is not None:
         source = "braid"
     else:
         source = "invariants"
+    result = RecordResult(record.name, source, list(record.flags), record.error)
+    if result.error is None:
+        try:
+            _evaluate(record, result, want, run_tests, mirror)
+        except Exception as exc:  # one bad record must not end the batch
+            result.error = f"{type(exc).__name__}: {exc}"
+    result.timing_ms = (time.perf_counter() - t0) * 1000.0
+    return result
 
-    if error is not None:
-        return RecordResult(
-            name=record.name,
-            source=source,
-            flags=flags,
-            error=error,
-            invariants={},
-            gradings=None,
-            reports=[],
-            comparison=None,
-            timing_ms=(time.perf_counter() - t0) * 1000.0,
+
+def _evaluate(
+    record: LinkRecord, result: RecordResult, want: frozenset[str], run_tests: bool, mirror: str
+) -> None:
+    """Fill ``result`` in place with the record's invariants, gradings,
+    test reports and first hard error (:func:`process_record`)."""
+    flags, invariants = result.flags, result.invariants
+    d = record.diagram()
+    computed: dict[str, object] = {}
+    if d is not None:
+        need = set(want) | ({"jones", "conway", "kh"} if run_tests else set())
+        if "jones" in need:
+            computed["jones"] = jones_V(d)
+        if "conway" in need:
+            computed["conway"] = conway(d)
+        if "kh" in need:
+            try:
+                computed["kh"] = khovanov_homology(d)
+            except HomologyTooLarge as exc:
+                flags.append(f"kh: skipped: {exc}")
+
+    values: dict[str, object] = {}
+    disagreements = []
+    for name in ("jones", "conway", "kh"):
+        values[name], err = _reconcile(
+            name, computed.get(name), getattr(record, name), mirror, flags
         )
+        disagreements.append(err)
+    # under --mirror auto, an ingested nabla or Kh may be mirrored to fit V
+    mirrorable = values.keys() - computed.keys() if mirror == "auto" else ()
+    inconsistent = _self_check(values, mirrorable, flags)
+    jones, conway_poly, kh = values["jones"], values["conway"], values["kh"]
+    n, err4 = _component_count(jones, record.components, d)
+    error = inconsistent or next(filter(None, disagreements), None) or err4
 
-    try:
-        d = record.diagram()
-        computed: dict[str, object] = {}
+    if jones is not None:
+        invariants["jones"] = format_poly(jones, "t")
+        invariants["unnormalized_jones"] = format_poly(v_to_unnormalized(jones), "q")
+    if conway_poly is not None:
+        invariants["conway"] = format_poly(conway_poly, "z")
+    if kh is not None:
+        invariants["kh"] = format_kh_polynomial(kh)
+
+    gradings = None
+    if kh is not None and inconsistent is None:
+        j_min = j_max = None  # the potential window belongs to a diagram
         if d is not None:
-            need = set(want) | ({"jones", "conway", "kh"} if run_tests else set())
-            if "jones" in need:
-                computed["jones"] = jones_V(d)
-            if "conway" in need:
-                computed["conway"] = conway(d)
-            if "kh" in need:
-                try:
-                    computed["kh"] = khovanov_homology(d)
-                except HomologyTooLarge as exc:
-                    flags.append(f"kh: skipped: {exc}")
+            window = extreme_gradings(kh, d)
+            j_min, j_max = window.j_min_potential, window.j_max_potential
+        j_lower, j_upper = kh.j_range()
+        gradings = result.gradings = {
+            "j_lower": j_lower,
+            "j_upper": j_upper,
+            "j_min_potential": j_min,
+            "j_max_potential": j_max,
+        }
 
-        values: dict[str, object] = {}
-        disagreements = []
-        for name in ("jones", "conway", "kh"):
-            values[name], err = _reconcile(
-                name, computed.get(name), getattr(record, name), mirror, flags
+    if error is None and d is not None and is_positive(d):
+        error = _positive_check(d, computed, gradings)
+
+    if run_tests and error is None:
+        if jones is None:
+            flags.append("tests: skipped, no Jones polynomial available")
+        else:
+            summary = jones_summary(jones)
+            lead = conway_poly.lead_coeff() if conway_poly else None
+            inp = ObstructionInput(
+                p1=summary.p1,
+                n=n,
+                lead_conway=lead,
+                jones_min=summary.min_deg,
+                jones_max=summary.max_deg,
+                j_lower=None if gradings is None else gradings["j_lower"],
+                j_upper=None if gradings is None else gradings["j_upper"],
             )
-            disagreements.append(err)
-        # under --mirror auto, an ingested nabla or Kh may be mirrored to fit V
-        mirrorable = values.keys() - computed.keys() if mirror == "auto" else ()
-        inconsistent = _self_check(values, mirrorable, flags)
-        jones, conway_poly, kh = values["jones"], values["conway"], values["kh"]
-        n, err4 = _component_count(jones, record.components, d)
-        error = inconsistent or next(filter(None, disagreements), None) or err4
-
-        if jones is not None:
-            invariants["jones"] = format_poly(jones, "t")
-            invariants["unnormalized_jones"] = format_poly(v_to_unnormalized(jones), "q")
-        if conway_poly is not None:
-            invariants["conway"] = format_poly(conway_poly, "z")
-        if kh is not None:
-            invariants["kh"] = format_kh_polynomial(kh)
-
-        if kh is not None and inconsistent is None:
-            if d is not None:
-                summary = extreme_gradings(kh, d)
-                gradings = {
-                    "j_lower": summary.j_lower,
-                    "j_upper": summary.j_upper,
-                    "j_min_potential": summary.j_min_potential,
-                    "j_max_potential": summary.j_max_potential,
-                }
-            else:
-                j_lower, j_upper = kh.j_range()
-                gradings = {
-                    "j_lower": j_lower,
-                    "j_upper": j_upper,
-                    "j_min_potential": None,
-                    "j_max_potential": None,
-                }
-
-        if error is None and d is not None and is_positive(d):
-            error = _positive_check(d, computed, gradings)
-
-        if run_tests and error is None:
-            if jones is None:
-                flags.append("tests: skipped, no Jones polynomial available")
-            else:
-                summary = jones_summary(jones)
-                lead = conway_poly.lead_coeff() if conway_poly else None
-                inp = ObstructionInput(
-                    p1=summary.p1,
-                    n=n,
-                    lead_conway=lead,
-                    jones_min=summary.min_deg,
-                    jones_max=summary.max_deg,
-                    j_lower=None if gradings is None else gradings["j_lower"],
-                    j_upper=None if gradings is None else gradings["j_upper"],
-                )
-                jr = jones_test(inp)
-                kr = khovanov_test(inp)
-                # a Jones-only failure raises before any report is kept
-                if jr.applicable and kr.applicable:
-                    comparison = strength_comparison(jr, kr)
-                reports = [jr, kr]
-                if kh is not None:
-                    reports.append(khovanov_test_from_kh1(kh, n, lead))
-                for r in reports:
-                    if r.equality_attained:
-                        flags.append(f"{r.test.value}: bound attained with equality")
-                    if r.failed and d is not None and is_positive(d):
-                        error = (
-                            f"{r.test.value} failed on a positive diagram; "
-                            "this contradicts the obstruction theorems"
-                        )
-    except Exception as exc:  # one bad record must not end the batch
-        error = f"{type(exc).__name__}: {exc}"
-
-    return RecordResult(
-        name=record.name,
-        source=source,
-        flags=flags,
-        error=error,
-        invariants=invariants,
-        gradings=gradings,
-        reports=reports,
-        comparison=comparison,
-        timing_ms=(time.perf_counter() - t0) * 1000.0,
-    )
+            jr = jones_test(inp)
+            kr = khovanov_test(inp)
+            # a Jones-only failure raises before any report is kept
+            if jr.applicable and kr.applicable:
+                result.comparison = strength_comparison(jr, kr)
+            reports = result.reports = [jr, kr]
+            if kh is not None:
+                reports.append(khovanov_test_from_kh1(kh, n, lead))
+            for r in reports:
+                if r.equality_attained:
+                    flags.append(f"{r.test.value}: bound attained with equality")
+                if r.failed and d is not None and is_positive(d):
+                    error = (
+                        f"{r.test.value} failed on a positive diagram; "
+                        "this contradicts the obstruction theorems"
+                    )
+    result.error = error
 
 
 def cmd_compute(

@@ -19,6 +19,7 @@ from .batch import (
     cmd_test,
     ingest_csv,
     open_text,
+    parsed_record,
     records_from_lines,
 )
 from .diagram import parse_braid, parse_pd
@@ -88,11 +89,9 @@ def _parse_columns(spec: str, parser: argparse.ArgumentParser) -> dict[str, str]
 
 
 def _gather_records(args, parser) -> list[LinkRecord]:
-    records: list[LinkRecord] = []
-    for text in args.pd:
-        records.append(LinkRecord(name=text, pd=parse_pd(text)))
-    for text in args.braid:
-        records.append(LinkRecord(name=text, braid=parse_braid(text)))
+    # the parsers are this module's bindings, which the benchmark's tracer wraps
+    records = [parsed_record(text, "pd", parse_pd, text) for text in args.pd]
+    records += [parsed_record(text, "braid", parse_braid, text) for text in args.braid]
     if args.file:
         if args.columns or args.file.endswith(".csv"):
             if not args.columns:
@@ -111,33 +110,49 @@ def _emit(batch: BatchResult, args) -> int:
     else:
         out = render_text(batch)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(out)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(out)
+        except OSError as exc:
+            print(f"poslink: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
+            return 1
     else:
         sys.stdout.write(out)
     return 0 if batch.all_ok else 1
 
 
+def _text(value) -> str:
+    if value is None:
+        return "-"
+    return str(value).lower() if isinstance(value, bool) else str(value)
+
+
 def render_text(batch: BatchResult) -> str:
+    """Each record's JSON fields (:meth:`RecordResult.to_dict`) in their
+    order, one per line, less the schema, the timing and empty fields: a
+    field added to the record shows up here as ``key: value``."""
     lines: list[str] = []
     for r in batch:
-        lines.append(f"== {r.name} ==")
-        lines.append(f"source: {r.source}")
-        for key in ("jones", "unnormalized_jones", "conway", "kh"):
-            if key in r.invariants:
-                lines.append(f"{key}: {r.invariants[key]}")
-        if r.gradings:
-            shown = " ".join(f"{k}={v}" for k, v in r.gradings.items() if v is not None)
-            lines.append(f"gradings: {shown}")
-        for report in r.reports:
-            lines.append("report:")
-            lines.extend("  " + line for line in report.to_lines())
-        if r.comparison is not None:
-            lines.append(f"comparison: {r.comparison.value}")
-        for flag in r.flags:
-            lines.append(f"flag: {flag}")
-        if r.error:
-            lines.append(f"error: {r.error}")
+        for key, value in r.to_dict().items():
+            if key in ("schema", "timing_ms") or value is None:
+                continue
+            if key == "name":
+                lines.append(f"== {value} ==")
+            elif key == "invariants":
+                lines.extend(f"{k}: {v}" for k, v in value.items())
+            elif key == "gradings":
+                shown = " ".join(f"{k}={v}" for k, v in value.items() if v is not None)
+                lines.append(f"gradings: {shown}")
+            elif key == "reports":
+                for report in value:
+                    lines.append("report:")
+                    lines.extend(
+                        f"  {k}: {_text(v)}" for k, v in report.items() if k != "equality" and v != ""
+                    )
+            elif key == "flags":
+                lines.extend(f"flag: {flag}" for flag in value)
+            else:
+                lines.append(f"{key}: {_text(value)}")
         lines.append("")
     return "\n".join(lines)
 

@@ -139,22 +139,6 @@ class ObstructionReport(Value):
     def failed(self) -> bool:
         return self.verdict is Verdict.FAIL
 
-    def to_lines(self) -> list[str]:
-        def num(x):
-            return "-" if x is None else str(x)
-
-        lines = [
-            f"test: {self.test.value}",
-            f"applicable: {str(self.applicable).lower()}",
-            f"lhs: {num(self.lhs)}",
-            f"rhs: {num(self.rhs)}",
-            f"gamma: {num(self.gamma)}",
-            f"verdict: {self.verdict.value}",
-        ]
-        if self.note:
-            lines.append(f"note: {self.note}")
-        return lines
-
     def to_dict(self) -> dict:
         return {
             "test": self.test.value,
@@ -170,6 +154,14 @@ class ObstructionReport(Value):
 
 def _not_applicable(kind: TestKind, note: str) -> ObstructionReport:
     return ObstructionReport(kind, False, None, None, None, Verdict.NOT_APPLICABLE, note)
+
+
+def _judged(kind: TestKind, lhs: Fraction, rhs: Fraction, g: int) -> ObstructionReport:
+    """The applicable report: Fail exactly when lhs > rhs."""
+    if lhs > rhs:
+        note = "violation certifies the link is not positive"
+        return ObstructionReport(kind, True, lhs, rhs, g, Verdict.FAIL, note)
+    return ObstructionReport(kind, True, lhs, rhs, g, Verdict.PASS)
 
 
 SPLIT_CAVEAT = "Conway polynomial zero or unknown; the link may be split"
@@ -204,11 +196,8 @@ def jones_test(inp: ObstructionInput) -> ObstructionReport:
         return _not_applicable(kind, why)
     if inp.jones_min is None or inp.jones_max is None:
         return _not_applicable(kind, "Jones degrees unavailable")
-    lhs = Fraction(inp.jones_max)
     rhs = 4 * Fraction(inp.jones_min) + Fraction(inp.n - 1, 2) + g
-    verdict = Verdict.FAIL if lhs > rhs else Verdict.PASS
-    note = "violation certifies the link is not positive" if verdict is Verdict.FAIL else ""
-    return ObstructionReport(kind, True, lhs, rhs, g, verdict, note)
+    return _judged(kind, Fraction(inp.jones_max), rhs, g)
 
 
 def khovanov_test(inp: ObstructionInput) -> ObstructionReport:
@@ -219,11 +208,8 @@ def khovanov_test(inp: ObstructionInput) -> ObstructionReport:
         return _not_applicable(kind, why)
     if inp.j_lower is None or inp.j_upper is None:
         return _not_applicable(kind, "extreme quantum gradings unavailable")
-    lhs = Fraction(inp.j_upper)
     rhs = Fraction(4 * inp.j_lower + inp.n + 4 + 2 * g)
-    verdict = Verdict.FAIL if lhs > rhs else Verdict.PASS
-    note = "violation certifies the link is not positive" if verdict is Verdict.FAIL else ""
-    return ObstructionReport(kind, True, lhs, rhs, g, verdict, note)
+    return _judged(kind, Fraction(inp.j_upper), rhs, g)
 
 
 KH1_CAVEAT = (

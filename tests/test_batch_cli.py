@@ -905,8 +905,35 @@ class TestCli:
         code = main(["compute", "--pd", "PD[X[1,2,3,4],X[2,3,4,1]]", "--jones", "--kh"])
         captured = capsys.readouterr()
         assert code == 1
-        assert "MalformedPD: PD code is not planar" in captured.err
+        assert "error: input parse error: PD code is not planar" in captured.out.splitlines()
         assert "jones:" not in captured.out
+
+    def test_malformed_braid_is_a_record_error(self, capsys):
+        # as for a malformed line of a --file, the good record still prints
+        code = main(["compute", "--jones", "--braid", "strands=2; 1 1 1",
+                     "--braid", "strands=2; 5"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert out.splitlines() == [
+            "== strands=2; 1 1 1 ==",
+            "source: braid",
+            "jones: t + t^3 - t^4",
+            "unnormalized_jones: q + q^3 + q^5 - q^9",
+            "",
+            "== strands=2; 5 ==",
+            "source: invariants",
+            "error: input parse error: letter 5 needs at least 6 strands, have 2",
+        ]
+
+    @pytest.mark.parametrize("where", ["missing", "directory"])
+    def test_unwritable_out_exits_1(self, where, tmp_path, capsys):
+        path = tmp_path / "missing" / "x" if where == "missing" else tmp_path
+        code = main(["compute", "--jones", "--braid", "strands=2; 1 1 1", "--out", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith(f"poslink: cannot write {path}: ")
+        assert "Traceback" not in captured.err
 
     def test_usage_error_exit_2(self):
         with pytest.raises(SystemExit) as exc:

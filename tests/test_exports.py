@@ -15,6 +15,24 @@ def test_every_export_resolves():
     assert len(set(poslink.__all__)) == len(poslink.__all__)
 
 
+def test_exports_are_the_56_names():
+    # the table in __init__ names each export once; this list pins it
+    assert set(poslink.__all__) == {
+        "BatchResult", "BigradedGroups", "BraidWord", "ChainSlice", "CrossingSigns", "Diagram",
+        "GradingSummary", "JonesSummary", "LaurentPoly", "LinkRecord", "ObstructionInput",
+        "ObstructionReport", "RecordResult", "Strength", "TestKind", "Verdict",
+        "a_state_circles", "all_a_state", "all_b_state", "b_state_circles", "braid_closure",
+        "chain_slices", "cmd_compute", "cmd_survey", "cmd_test", "components", "conway",
+        "crossing_signs", "euler_characteristic", "extreme_gradings", "format_kh_polynomial",
+        "format_poly", "gamma", "ingest_csv", "is_positive", "jones_summary", "jones_test",
+        "jones_V", "kauffman_bracket", "kh1_rank", "khovanov_homology", "khovanov_test",
+        "khovanov_test_from_kh1", "lead_coeff_conway", "lickorish_bounds", "parse_braid",
+        "parse_kh_polynomial", "parse_pd", "parse_poly", "positive_braid_words",
+        "state_circles", "strength_comparison", "survey_corpus", "unnormalized_to_v",
+        "v_to_unnormalized", "writhe",
+    }
+
+
 def test_star_import():
     namespace: dict = {}
     exec("from poslink import *", namespace)

@@ -24,8 +24,10 @@ from poslink import (
     cmd_test,
     strength_comparison,
 )
+from poslink import BatchResult, RecordResult
 from poslink import TestKind as ObstructionKind
 from poslink import batch
+from poslink.cli import render_text
 from poslink.errors import NotApplicableError
 from poslink.obstruction import InconsistentInvariants
 
@@ -291,12 +293,36 @@ class TestReportShape:
             r = jones_test(inp)
             assert (r.verdict is Verdict.FAIL) == (r.applicable and r.lhs > r.rhs)
 
-    def test_lines(self):
-        r = jones_test(_inp(p1=0, n=1, jones_min=Fraction(1), jones_max=Fraction(4)))
-        lines = r.to_lines()
-        assert "test: JonesTest" in lines
-        assert "verdict: Pass" in lines
-        assert any(line.startswith("rhs: 4") for line in lines)
+    def test_text_lines_are_the_dict_fields(self):
+        fail = khovanov_test(_inp(p1=0, n=1, j_lower=3, j_upper=21))
+        not_applicable = jones_test(_inp(p1=3, n=1, jones_min=Fraction(1), jones_max=Fraction(4)))
+        result = RecordResult(
+            "x", "invariants", reports=[fail, not_applicable],
+            comparison=Strength.KHOVANOV_ONLY_FAILS,
+        )
+        lines = render_text(BatchResult([result])).splitlines()
+        assert lines == [
+            "== x ==",
+            "source: invariants",
+            "report:", "  test: KhovanovTest", "  applicable: true", "  lhs: 21", "  rhs: 17",
+            "  gamma: 0", "  verdict: Fail", "  note: violation certifies the link is not positive",
+            "report:", "  test: JonesTest", "  applicable: false", "  lhs: -", "  rhs: -",
+            "  gamma: -", "  verdict: NotApplicable",
+            "  note: p1 = 3 is outside the supported cases 0, 1, 2",
+            "comparison: KhovanovOnlyFails",
+        ]
+        # every report line is a field of the report's JSON record, in order
+        shown = [line for line in lines if line.startswith("  ")]
+        fields = [
+            (key, value)
+            for r in result.to_dict()["reports"]
+            for key, value in r.items()
+            if key != "equality"
+        ]
+        assert len(shown) == len(fields)
+        for line, (key, value) in zip(shown, fields):
+            text = "-" if value is None else str(value)
+            assert line == f"  {key}: {text.lower() if isinstance(value, bool) else text}"
 
     def test_dict_serialization(self):
         r = khovanov_test(_inp(p1=0, n=1, j_lower=3, j_upper=21))
