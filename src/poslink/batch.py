@@ -85,11 +85,13 @@ class LinkRecord:
     """One link worth of input: a diagram, ingested invariants, or both.
 
     A row that failed to parse carries its message in ``error`` instead,
-    and its result reports that error.
+    and its result reports that error.  ``source`` names what the record
+    was read as: ``pd``, ``braid`` or ``invariants``.
     """
 
     __slots__ = (
         "name", "pd", "braid", "jones", "conway", "kh", "components", "flags", "error", "closure",
+        "source",
     )
 
     def __init__(
@@ -116,6 +118,7 @@ class LinkRecord:
         self.error = error
         # the braid's closure, built on first use or handed over by the survey
         self.closure = closure
+        self.source = "pd" if pd is not None else "braid" if braid is not None else "invariants"
         if error is None and all(getattr(self, role) is None for role in INPUT_ROLES):
             raise ValueError(f"record {name!r} carries no diagram and no invariants")
 
@@ -255,17 +258,18 @@ def ingest_csv(path: str, column_map: dict[str, str]) -> list[LinkRecord]:
 
 
 def open_text(path: str, newline: str | None = None) -> io.StringIO:
-    """The whole file decoded as UTF-8, to read as from ``open(path,
-    newline=newline)``.  Decoding it at once puts the file offset of a bad
-    byte in the FileUnreadable message; a streamed decode knows only its
-    offset within the chunk."""
+    """The whole file decoded as UTF-8, less a leading byte-order mark (as
+    spreadsheet and Notepad exports write one), to read as from
+    ``open(path, newline=newline)``.  Decoding it at once puts the file
+    offset of a bad byte in the FileUnreadable message; a streamed decode
+    knows only its offset within the chunk."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
     except OSError as exc:
         raise FileUnreadable(f"cannot read {path}: {exc}") from exc
     try:
-        return io.StringIO(data.decode("utf-8"), newline=newline)
+        return io.StringIO(data.decode("utf-8").removeprefix("\ufeff"), newline=newline)
     except UnicodeDecodeError as exc:
         raise FileUnreadable(
             f"cannot read {path}: byte offset {exc.start} is not UTF-8 ({exc.reason})"
@@ -275,11 +279,14 @@ def open_text(path: str, newline: str | None = None) -> io.StringIO:
 def parsed_record(name: str, role: str, parse: Callable[[str], object], text: str) -> LinkRecord:
     """The record of the diagram ``parse(text)`` in its ``role`` (``pd``
     or ``braid``), or, when the text does not parse, one that carries the
-    parse error: a malformed diagram is a record error, never the batch's."""
+    parse error and keeps the role as its source: a malformed diagram is a
+    record error, never the batch's."""
     try:
         return LinkRecord(name=name, **{role: parse(text)})
     except PoslinkError as exc:
-        return LinkRecord(name=name, error=f"input parse error: {exc}")
+        record = LinkRecord(name=name, error=f"input parse error: {exc}")
+        record.source = role
+        return record
 
 
 def records_from_lines(lines: Iterable[str]) -> list[LinkRecord]:
@@ -455,13 +462,7 @@ def process_record(
     mirror: str = "auto",
 ) -> RecordResult:
     t0 = time.perf_counter()
-    if record.pd is not None:
-        source = "pd"
-    elif record.braid is not None:
-        source = "braid"
-    else:
-        source = "invariants"
-    result = RecordResult(record.name, source, list(record.flags), record.error)
+    result = RecordResult(record.name, record.source, list(record.flags), record.error)
     if result.error is None:
         try:
             _evaluate(record, result, want, run_tests, mirror)
@@ -640,9 +641,9 @@ def cmd_survey(max_strands: int, max_length: int) -> BatchResult:
     The records are built in the sorted order of their renumbered
     crossings (:attr:`Diagram.contraction_crossings`), a depth-first walk
     of their prefixes, so each shares the longest prefix possible with
-    the one built just before it and the tangle builder takes that prefix
-    from its chain (:mod:`poslink.tangle`).  They are listed in word
-    order."""
+    the one built just before it, and the bracket and the tangle builder
+    take that prefix from their chains (:mod:`poslink.contraction`).
+    They are listed in word order."""
     records = []
     for word, diagram in survey_corpus(max_strands, max_length):
         letters = " ".join(str(k) for k in word.letters)

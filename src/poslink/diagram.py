@@ -52,35 +52,6 @@ def smoothing_pairs(crossing: Sequence[int], label: str) -> tuple[tuple[int, int
     raise ValueError(f"state labels must be {A_SMOOTHING!r} or {B_SMOOTHING!r}, got {label!r}")
 
 
-# the crossing's own four ends are -1..-4, so no arc label can clash
-_SLOT_PAIRS = [smoothing_pairs((-1, -2, -3, -4), label) for label in (A_SMOOTHING, B_SMOOTHING)]
-
-
-def _smoothings(matching: tuple, crossing) -> list[tuple[tuple, list[int]]]:
-    """The matchings (sorted (end, partner) items) left when one crossing
-    joins a tangle's open ends, for its A- and its B-smoothing, each with
-    one slot (-1..-4) on every loop that closes.  An open crossing arc
-    joins the tangle there; a new arc stays open at its label.  The
-    Kauffman bracket and the Khovanov tangle builder both contract by it."""
-    ends = dict(matching)
-    for slot, arc in enumerate(crossing):
-        far = ends.pop(arc, arc)
-        ends[-1 - slot] = far
-        ends[far] = -1 - slot
-    out = []
-    for pairs in _SLOT_PAIRS:
-        partner = dict(ends)
-        loops = []
-        for x, y in pairs:
-            u, v = partner.pop(x), partner.pop(y)
-            if u == y:
-                loops.append(x)
-            else:
-                partner[u], partner[v] = v, u
-        out.append((tuple(sorted(partner.items())), loops))
-    return out
-
-
 class Diagram:
     """An oriented link diagram: crossing tuples plus crossing-free circles.
 
@@ -184,19 +155,6 @@ class Diagram:
             tuple(names.setdefault(arc, len(names) + 1) for arc in self.crossings[k])
             for k in self.contraction_order
         )
-
-
-def shared_steps(chain: Sequence[tuple[Crossing, object]], crossings: Sequence[Crossing]) -> int:
-    """How many leading steps of ``chain``, one (crossing, state after
-    it) pair per step of an earlier contraction, add the same crossings as
-    ``crossings`` begins with: the steps a contraction of ``crossings``
-    can take from the chain.  The Kauffman bracket and the Khovanov tangle
-    builder each keep such a chain over :attr:`Diagram.contraction_crossings`."""
-    k = 0
-    n = min(len(chain), len(crossings))
-    while k < n and chain[k][0] == crossings[k]:
-        k += 1
-    return k
 
 
 def _far_ends(crossings: Sequence[Crossing]) -> list[int]:

@@ -157,7 +157,7 @@ def chain_slices(d: Diagram) -> dict[int, ChainSlice]:
     generators, differential = reduced_complex(d)
     counts: dict[tuple[int, int], int] = {}
     index: dict[int, int] = {}
-    for o, (h, q) in generators.items():
+    for o, (_, h, q) in generators.items():
         key = (h - qn, q + shift)
         index[o] = counts.get(key, 0)
         counts[key] = index[o] + 1
@@ -167,13 +167,13 @@ def chain_slices(d: Diagram) -> dict[int, ChainSlice]:
     for o, row in differential.items():
         if not row:
             continue
-        h, q = generators[o]
+        _, h, q = generators[o]
         i, j = h - qn, q + shift
         rows = slices[j].boundaries.get(i)
         if rows is None:
             rows = slices[j].boundaries[i] = [{} for _ in range(counts[(i + 1, j)])]
-        for t, coeff in row.items():
-            rows[index[t]][index[o]] = coeff
+        for t, f in row.items():
+            rows[index[t]][index[o]] = f[0]
     return slices
 
 

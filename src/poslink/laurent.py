@@ -1,7 +1,9 @@
 """Exact Laurent polynomials with half-integer exponents, and the
 Kauffman-bracket route to the Jones polynomial.  The bracket contracts the
 diagram one crossing at a time over planar matchings of the open ends
-(Kauffman, *State models and the Jones polynomial*, 1987).
+(Kauffman, *State models and the Jones polynomial*, 1987), by the
+contraction engine it shares with the Khovanov tangle builder
+(:mod:`poslink.contraction`).
 
 Exponents are stored as integer counts of half-steps (stored key k means
 exponent k/2), so t^(1/2) is exact and no rational arithmetic is needed.
@@ -14,15 +16,8 @@ import re
 from fractions import Fraction
 from typing import Iterator, Mapping
 
-from .diagram import (
-    Diagram,
-    _smoothings,
-    crossing_signs,
-    a_state_circles,
-    b_state_circles,
-    is_positive,
-    shared_steps,
-)
+from .contraction import _Interned, _smoothings, contract
+from .diagram import Diagram, a_state_circles, b_state_circles, crossing_signs, is_positive
 from .errors import (
     MalformedPolynomial,
     MixedParity,
@@ -281,52 +276,40 @@ def kauffman_bracket(d: Diagram) -> LaurentPoly:
     join a tangle as :attr:`Diagram.contraction_crossings` lists them, in
     the order the diagram computes once and shares with the Khovanov tangle
     builder, with the arcs renumbered.  The tangle's smoothings are summed
-    per planar matching of its open ends: each matching maps every open end
-    to the one its strand leaves by, and carries a Laurent polynomial on
-    half-step keys.  A crossing splits every matching into its A- and
-    B-smoothing, weighted A and A^-1, and each circle that closes
-    multiplies by delta = -A^2 - A^-2.  The bracket weighs a state by
-    delta^(circles - 1), and every state closes at least one circle, so
-    one delta is divided out at the end (exactly, by ``//``) or one fewer
-    taken for the free circles.  The cost is c times the live matchings.
-    On the n-strand braid closures the tests check, up to 40 crossings,
-    the order keeps at most 2n ends open, so at most Catalan(n) matchings.
-
-    The states after k steps are a function of the first k renumbered
-    crossings alone, so :data:`_CHAIN` keeps the last diagram's (crossing,
-    states after it) per step, and a call takes the steps its crossings
-    share with that chain (:func:`poslink.diagram.shared_steps`, as the
-    tangle builder does) and contracts the rest.
+    per planar matching of its open ends (:func:`_add_crossing`).  The
+    bracket weighs a state by delta^(circles - 1), and every state closes
+    at least one circle, so one delta is divided out at the end (exactly,
+    by ``//``) or one fewer taken for the free circles.  The cost is c
+    times the live matchings.  On the n-strand braid closures the tests
+    check, up to 40 crossings, the order keeps at most 2n ends open, so at
+    most Catalan(n) matchings.  The steps the diagram shares with the last
+    one contracted come from the engine's chain
+    (:func:`poslink.contraction.contract`).
     """
-    global _CHAIN
     crossings = d.contraction_crossings
     if not crossings:
         return _delta_power(d.free_circles - 1) if d.free_circles else LaurentPoly.one()
-    chain = _CHAIN
-    k = shared_steps(chain, crossings)
-    states = chain[k - 1][1] if k else {(): {0: 1}}
-    for crossing in crossings[k:]:
-        joined: dict[tuple, dict[int, int]] = {}
-        for matching, poly in states.items():
-            for (partner, loops), shift in zip(_smoothings(matching, crossing), (2, -2)):
-                acc = joined.setdefault(partner, {})
-                for f, g in _DELTAS[len(loops)].items():
-                    f += shift
-                    for e, c in poly.items():
-                        acc[e + f] = acc.get(e + f, 0) + c * g
-        states = joined
-        chain = _CHAIN = chain[:k] + ((crossing, states),)
-        k += 1
+    (poly,) = contract(crossings, _add_crossing, lambda empty: {empty: {0: 1}}).values()
     if d.free_circles:
-        return LaurentPoly._raw(states[()]) * _delta_power(d.free_circles - 1)
-    return LaurentPoly._raw(states[()]) // _delta_power(1)
+        return LaurentPoly._raw(poly) * _delta_power(d.free_circles - 1)
+    return LaurentPoly._raw(poly) // _delta_power(1)
 
 
-# the last diagram's (renumbered crossing, matching -> polynomial after
-# it) per step, every closed loop weighted by delta; the chain is replaced
-# whole, never changed in place, so each value it takes is one
-# contraction's finished steps
-_CHAIN: tuple[tuple[tuple[int, ...], dict[tuple, dict[int, int]]], ...] = ()
+def _add_crossing(
+    states: dict[int, dict[int, int]], local: tuple[int, ...], matchings: _Interned
+) -> dict[int, dict[int, int]]:
+    """The polynomials per matching with one more crossing: each matching
+    splits into its A- and B-smoothing (:func:`_smoothings`), weighted A
+    and A^-1, and each loop that closes multiplies by delta = -A^2 - A^-2."""
+    joined: dict[int, dict[int, int]] = {}
+    for m, poly in states.items():
+        for (m2, loops), shift in zip(_smoothings(matchings, m, local), (2, -2)):
+            acc = joined.setdefault(m2, {})
+            for f, g in _DELTAS[len(loops)].items():
+                f += shift
+                for e, c in poly.items():
+                    acc[e + f] = acc.get(e + f, 0) + c * g
+    return joined
 
 
 def _delta_power(n: int) -> LaurentPoly:

@@ -10,20 +10,16 @@ the identity of a matching (Gaussian elimination).
 The build starts from one object, the empty tangle: a free circle meets
 no crossing, and :mod:`poslink.khovanov` tensors it in afterwards.
 
-The builder reads the crossings as :attr:`Diagram.contraction_crossings`
-gives them and numbers the tangle's open ends by position: 0..w-1 after
-each step, the ends the crossing left open in their order, then its new
-arcs that stay open (:func:`_positions`).  A matching is the tuple
-of each end's partner, interned as a small int (:data:`_MATCHINGS`), and
-a crossing is named by the positions of its four arcs, new arcs
-numbered w, w+1, ... .  So matchings, smoothings, glued shapes, cycles
-and composition shapes name no arc, and their memos hang on the matching
-interner and last as long as its ids.  A glued cobordism is cut by its
-shape: the disk count, the gluings and the boundary circles as disk
-numbers, and the counts of circles kept open and of source loops
-delooped.  The shapes (:data:`_SHAPES`) and their delooped neck cuts
-(:data:`_CUTS`) live for the whole process too.  Every memo holds a
-function of its key alone, so no result depends on what the tables hold.
+The contraction engine (:mod:`poslink.contraction`) numbers the open
+ends by position, interns the matchings, smooths them and keeps the
+chain of the last diagram built, so :func:`reduced_complex` is the step
+:func:`_add_crossing` over it (:func:`poslink.contraction.contract`).
+Glued shapes, cycles and composition shapes name no arc either, and
+their memos hang on the matching interner beside the engine's.  A glued
+cobordism is cut by its shape: the disk count, the gluings and the
+boundary circles as disk numbers, and the counts of circles kept open
+and of source loops delooped.  The shapes (:data:`_SHAPES`) and their
+delooped neck cuts (:data:`_CUTS`) live for the whole process.
 
 A crossing splits each object into its A- and B-smoothing, and the
 saddle between the two is a block that depends on the object's matching
@@ -42,24 +38,9 @@ the entries the step made, as it would alone.
 :func:`_cancel_isomorphisms` then cancels whatever +-1 identity entry
 is left, in row order.
 
-The complex after k steps is a function of the first k renumbered
-crossings alone: they fix the tangle, its open ends and their positions,
-and each step's objects are numbered in the order of the step before.
-So :data:`_CHAIN` keeps, for the last diagram built, one (renumbered
-crossing, state after it) pair per step, the state being the reduced
-complex and the arc at each open end, and the next call takes the
-states of the steps its own crossings share with that chain
-(:func:`poslink.diagram.shared_steps`, the helper the Kauffman bracket's
-own chain matches with), cuts the chain at the first crossing that
-differs and builds on from there.  A complex joins the chain only once
-its cancellation is done; a later step reads it to build a new complex
-and never hands it to the cancellation, which works in place, so a
-complex the chain holds is never changed, and a call that raises leaves
-a chain of finished steps.  The matchings stay interned with the chain
-because its complexes name them by id.
-:func:`poslink.batch.cmd_survey` builds its records in the sorted order
-of their renumbered crossings, so each one shares the longest prefix
-possible with the one built just before it.
+A step reads the complex it is given and hands only the new one to the
+cancellation, which works in place, so a complex the chain holds is
+never changed.
 
 A crossing that splits the complex into more than
 :data:`MAX_TANGLE_OBJECTS` objects raises
@@ -75,7 +56,8 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 
-from .diagram import _SLOT_PAIRS, Diagram, _smoothings, shared_steps
+from .contraction import _SLOT_PAIRS, _Interned, _smoothings, contract
+from .diagram import Diagram
 from .errors import HomologyTooLarge
 
 # the most objects one crossing may split the complex into: (1 -2 3)^7
@@ -83,37 +65,10 @@ from .errors import HomologyTooLarge
 MAX_TANGLE_OBJECTS = 100_000
 
 
-class _Interned(dict):
-    """Small int ids for hashable values, in order of first lookup;
-    ``value[i]`` is the value of id i.  The memos of functions of
-    interned matchings hang on the table that numbers them, keyed by
-    its ids; the shape table leaves them empty."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.value: list = []
-        self.cycles: dict = {}  # (m1, m2) -> _cycles
-        self.composed: dict = {}  # (m1, m2, m3) -> composition shape, width
-        self.glued: dict = {}  # (m1, m2, local crossing) -> _glued
-        self.steps: dict = {}  # (m, local crossing) -> _step
-
-    def __missing__(self, x) -> int:
-        i = self[x] = len(self.value)
-        self.value.append(x)
-        return i
-
-
 # shape -> id, and (shape id, dots) -> delooped neck cut, for the whole
 # process: both are functions of label-free shapes alone
 _SHAPES = _Interned()
 _CUTS: dict[tuple[int, int], tuple[tuple[int, int, tuple], ...]] = {}
-# planar matching (each end's partner) -> id, and the last diagram's
-# (renumbered crossing, (objects, differential, arc at each open end) after
-# it) per step, whose objects name matchings by those ids; the chain is
-# replaced whole, never changed in place, so each value it takes is one
-# build's finished steps
-_MATCHINGS = _Interned()
-_CHAIN: tuple[tuple[tuple[int, ...], tuple[dict, dict, tuple[int, ...]]], ...] = ()
 
 
 def _cut(shape: int, dots: int) -> tuple[tuple[int, int, tuple], ...]:
@@ -127,43 +82,18 @@ def _cut(shape: int, dots: int) -> tuple[tuple[int, int, tuple], ...]:
     return _CUTS[key]
 
 
-def reduced_complex(d: Diagram) -> tuple[dict[int, tuple[int, int]], dict[int, dict]]:
+def reduced_complex(d: Diagram) -> tuple[dict[int, tuple[int, int, int]], dict[int, dict]]:
     """The complex of the diagram's crossings, with the homology of their
-    cube of resolutions over Z: (h, q) per generator, and per generator its
-    nonzero coefficients on the generators one degree up.  Free circles
-    are left out; the caller tensors them in.  Steps the diagram's
-    renumbered crossings share with the last diagram built are taken from
-    :data:`_CHAIN`, not rebuilt."""
-    global _CHAIN
-    matchings = _MATCHINGS
+    cube of resolutions over Z: (matching, h, q) per generator, the
+    matching that of the closed tangle, and per generator its nonzero
+    entries to the generators one degree up, each a closed cobordism
+    {0: coefficient}.  Free circles are left out; the caller tensors them
+    in.  Steps the diagram's renumbered crossings share with the last
+    diagram built come from the engine's chain
+    (:func:`poslink.contraction.contract`), not rebuilt, and the complex
+    returned is the one the chain holds: the caller must not change it."""
     crossings = d.contraction_crossings
-    chain = _CHAIN
-    k = shared_steps(chain, crossings)
-    objects, out, ends = chain[k - 1][1] if k else ({0: (matchings[()], 0, 0)}, {0: {}}, ())
-    for crossing in crossings[k:]:
-        local, ends = _positions(crossing, ends)
-        objects, out = _add_crossing(objects, out, local, matchings)
-        _cancel_isomorphisms(objects, out, matchings)
-        chain = _CHAIN = chain[:k] + ((crossing, (objects, out, ends)),)
-        k += 1
-    return (
-        {o: (h, q) for o, (_, h, q) in objects.items()},
-        {o: {t: f[0] for t, f in row.items()} for o, row in out.items()},
-    )
-
-
-def _positions(crossing: Sequence[int], ends: tuple[int, ...]) -> tuple[tuple, tuple]:
-    """The crossing with its arcs named by position, and the arc at each
-    open end after it.  ``ends`` holds the arc at each open end before it:
-    such an arc is named by its position 0..w-1, and an arc the crossing
-    meets first by w, w+1, ... in the order it meets them.  The open ends
-    after it are the ones it left open, in order, then its new arcs that
-    stay open."""
-    new = [arc for i, arc in enumerate(crossing) if arc not in ends and arc not in crossing[:i]]
-    w = len(ends)
-    local = tuple(ends.index(arc) if arc in ends else w + new.index(arc) for arc in crossing)
-    kept = tuple(arc for arc in ends if arc not in crossing)
-    return local, kept + tuple(arc for arc in new if crossing.count(arc) == 1)
+    return contract(crossings, _add_crossing, lambda empty: ({0: (empty, 0, 0)}, {0: {}}))
 
 
 def _cycles(matchings: _Interned, i1: int, i2: int) -> tuple[list[int], list[int]]:
@@ -260,9 +190,7 @@ def _step(matchings: _Interned, m: int, local: tuple[int, ...]) -> tuple:
     made."""
     key = (m, local)
     if key not in matchings.steps:
-        smoothed = _smoothings(tuple(enumerate(matchings.value[m])), local)
-        rank = {e: i for i, (e, _) in enumerate(smoothed[0][0])}  # open ends, then new arcs
-        sides = [(matchings[tuple(rank[p] for _, p in pairs)], loops) for pairs, loops in smoothed]
+        sides = _smoothings(matchings, m, local)
         saddle = _cut(_glue(matchings, m, m, local, [(*sides, [range(-4, 0)])])[0], 0)
         pairs = _saddle_pairs(saddle) if sides[0][0] == sides[1][0] else ()
         made = tuple(
@@ -331,17 +259,18 @@ def _saddle_pairs(saddle: Sequence[tuple[int, int, tuple]]) -> tuple[tuple[int, 
 
 
 def _add_crossing(
-    objects: dict, out: dict, local: tuple[int, ...], matchings: _Interned
+    state: tuple[dict, dict], local: tuple[int, ...], matchings: _Interned
 ) -> tuple[dict, dict]:
-    """The complex with one more crossing, its saddle pairs cancelled:
-    each object splits into its A- and B-smoothing, one object per
-    labelling of the loops that close, each entry f is glued to the
-    identity on either, and the saddle joins the two copies of each
-    object, with sign (-1)^h.  The objects of the pairs :func:`_step`
-    cancels are not made; each pair x -> y, phi, adds
-    -phi (x -> b)(a -> y) to the entries a -> b it joins.
-    HomologyTooLarge, before any entry, when the objects made outnumber
-    :data:`MAX_TANGLE_OBJECTS`."""
+    """The complex (objects, out) with one more crossing, reduced: each
+    object splits into its A- and B-smoothing, one object per labelling of
+    the loops that close, each entry f is glued to the identity on
+    either, and the saddle joins the two copies of each object, with sign
+    (-1)^h.  The objects of the pairs :func:`_step` cancels are not made;
+    each pair x -> y, phi, adds -phi (x -> b)(a -> y) to the entries
+    a -> b it joins, and :func:`_cancel_isomorphisms` then cancels the +-1
+    identity entries left.  HomologyTooLarge, before any entry, when the
+    objects made outnumber :data:`MAX_TANGLE_OBJECTS`."""
+    objects, out = state
     steps = {m: _step(matchings, m, local) for m in {m for m, _, _ in objects.values()}}
     objs: dict[int, tuple] = {}
     ids: dict[int, list[list]] = {}  # object -> new id per label per side, None if cancelled
@@ -401,6 +330,7 @@ def _add_crossing(
                     for t, g in outs.items():
                         correction = _compose(matchings, m1, mid, objs[t][0], f, g)
                         _add_to(row, t, correction.items(), -sign * phi)
+    _cancel_isomorphisms(objs, new, matchings)
     return objs, new
 
 

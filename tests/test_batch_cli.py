@@ -52,6 +52,8 @@ KNOTS_CSV = str(DATA_DIR / "knots.csv")
 # rows whose ingested invariants do not fit together as written
 INCONSISTENT_CSV = str(DATA_DIR / "inconsistent.csv")
 INCONSISTENT_COLUMNS = {"name": "Name", "jones": "Jones", "conway": "Conway", "kh": "Kh"}
+# the UTF-8 byte-order mark
+BOM = b"\xef\xbb\xbf"
 
 
 class TestIngest:
@@ -493,11 +495,9 @@ class TestSurvey:
         # the bracket's and the tangle builder's chains, empty and then
         # holding diagrams outside the survey, some of which share a prefix
         # with its records
-        from poslink import laurent, tangle
+        from poslink import contraction, laurent, tangle
 
-        monkeypatch.setattr(tangle, "_MATCHINGS", tangle._Interned())
-        monkeypatch.setattr(tangle, "_CHAIN", ())
-        monkeypatch.setattr(laurent, "_CHAIN", ())
+        monkeypatch.setattr(contraction, "_MATCHINGS", contraction._Interned())
         fresh = [{**r.to_dict(), "timing_ms": 0} for r in cmd_survey(3, 7)]
         rng = random.Random(3)
         for text in ("strands=3; 1 2 1 2 1 2 1 2 1 2", "strands=3; 1 1 2 -1 2", "strands=4; 1 -2 3 1 2"):
@@ -508,15 +508,15 @@ class TestSurvey:
             d = polygon_diagram(rng, max_crossings=8)
             jones_V(d)
             khovanov_homology(d)
-        assert laurent._CHAIN and tangle._CHAIN
+        chains = contraction._MATCHINGS.chains
+        assert chains[laurent._add_crossing] and chains[tangle._add_crossing]
         again = [{**r.to_dict(), "timing_ms": 0} for r in cmd_survey(3, 7)]
         assert again == fresh
 
     def test_build_order_does_not_reach_the_output(self, monkeypatch):
-        from poslink import tangle
+        from poslink import contraction
 
-        monkeypatch.setattr(tangle, "_MATCHINGS", tangle._Interned())
-        monkeypatch.setattr(tangle, "_CHAIN", ())
+        monkeypatch.setattr(contraction, "_MATCHINGS", contraction._Interned())
         corpus = survey_corpus(3, 8)
         batch = cmd_survey(3, 8)
         assert [r.name for r in batch] == [
@@ -554,6 +554,7 @@ class TestPerRecordIsolation:
         assert "expected 'strands=<n>; <letters>'" in bad.error
         batch = cmd_compute(records, want=frozenset({"jones"}))
         assert [r.error for r in batch] == [None, bad.error, None]
+        assert [r.source for r in batch] == ["braid"] * 3
         assert batch.results[0].invariants["jones"] == "t + t^3 - t^4"
         assert batch.results[1].invariants == {}
         assert batch.results[2].invariants["jones"] == "-t^(1/2) - t^(5/2)"
@@ -572,6 +573,7 @@ class TestPerRecordIsolation:
         assert bad.error.startswith("row unusable: jones: cell parse error: ")
         batch = cmd_test(records)
         assert batch.results[0].error == bad.error
+        assert batch.results[0].source == "invariants"
         assert batch.results[0].reports == []
         assert batch.results[1].error is None
         assert len(batch.results[1].reports) == 2
@@ -905,7 +907,9 @@ class TestCli:
         code = main(["compute", "--pd", "PD[X[1,2,3,4],X[2,3,4,1]]", "--jones", "--kh"])
         captured = capsys.readouterr()
         assert code == 1
-        assert "error: input parse error: PD code is not planar" in captured.out.splitlines()
+        lines = captured.out.splitlines()
+        # the record reports the role its text was read as
+        assert lines[1:3] == ["source: pd", "error: input parse error: PD code is not planar"]
         assert "jones:" not in captured.out
 
     def test_malformed_braid_is_a_record_error(self, capsys):
@@ -921,7 +925,7 @@ class TestCli:
             "unnormalized_jones: q + q^3 + q^5 - q^9",
             "",
             "== strands=2; 5 ==",
-            "source: invariants",
+            "source: braid",
             "error: input parse error: letter 5 needs at least 6 strands, have 2",
         ]
 
@@ -962,8 +966,11 @@ class TestCli:
              ["compute", "--jones"], "byte offset 29 is not UTF-8"),
             (b"Name,Jones\nbig," + b"t" * 140000 + b"\n",
              ["test", "--columns", "name=Name,jones=Jones"], "line 2: field larger than"),
+            # the offset counts the byte-order mark, as a hex dump shows it
+            (BOM + b"strands=2; 1 1 1\nstrands=2; 1\xfe\n",
+             ["compute", "--jones"], "byte offset 32 is not UTF-8"),
         ],
-        ids=["csv-byte", "lines-byte", "csv-field"],
+        ids=["csv-byte", "lines-byte", "csv-field", "bom-byte"],
     )
     def test_bad_input_bytes_exit_1(self, tmp_path, capsys, content, args, where):
         path = tmp_path / "input"
@@ -972,6 +979,24 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"poslink: cannot read {path}: {where}")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "content, args, expected",
+        [
+            (BOM + b"Name,Jones\nk,t + t^3 - t^4\n",
+             ["ingest", "--columns", "name=Name,jones=Jones"], ["== k ==", "source: invariants"]),
+            (BOM + b"strands=2; 1 1 1\n",
+             ["compute", "--jones"], ["source: braid", "jones: t + t^3 - t^4"]),
+        ],
+        ids=["csv", "lines"],
+    )
+    def test_byte_order_mark_is_not_input(self, tmp_path, capsys, content, args, expected):
+        # spreadsheet "CSV UTF-8" exports and Notepad files begin with one
+        path = tmp_path / "input"
+        path.write_bytes(content)
+        assert main([*args, "--file", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert all(line in lines for line in expected), lines
 
     def test_record_format_deterministic(self, tmp_path):
         out1, out2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"

@@ -38,12 +38,12 @@ from poslink import (
 )
 from poslink.diagram import BraidWord
 from poslink.errors import EmptyHomology, HomologyTooLarge, MalformedKhPolynomial
-from poslink import khovanov, tangle
+from poslink import contraction, khovanov, laurent, tangle
 from poslink.tangle import _deloop, _neck_cut, reduced_complex
 
 from conftest import mirror
 from polygon_diagrams import polygon_diagram
-from reference import cube_slices, per_map_homology
+from reference import cube_slices, jones_states, per_map_homology
 
 TREFOIL_KH = BigradedGroups(
     {
@@ -221,7 +221,7 @@ def has_torsion(kh: BigradedGroups) -> bool:
 
 def assert_no_unit_entry(d: Diagram) -> None:
     _, differential = reduced_complex(d)
-    assert all(abs(v) != 1 for row in differential.values() for v in row.values()), d
+    assert all(abs(f[0]) != 1 for row in differential.values() for f in row.values()), d
 
 
 def random_braid(rng: random.Random, strands: tuple[int, int], letters: int) -> BraidWord:
@@ -585,24 +585,28 @@ def count_calls(monkeypatch, name: str = "_neck_cut") -> Counter:
 
 def empty_tables(monkeypatch) -> None:
     """Give the tangle builder fresh, empty process-wide state: the
-    label-free tables, the matching interner with the memos that hang on
-    it, and the chain."""
-    monkeypatch.setattr(tangle, "_SHAPES", tangle._Interned())
+    label-free tables, and the matching interner with the memos and the
+    chains that hang on it."""
+    monkeypatch.setattr(tangle, "_SHAPES", contraction._Interned())
     monkeypatch.setattr(tangle, "_CUTS", {})
-    monkeypatch.setattr(tangle, "_MATCHINGS", tangle._Interned())
-    monkeypatch.setattr(tangle, "_CHAIN", ())
+    monkeypatch.setattr(contraction, "_MATCHINGS", contraction._Interned())
 
 
 def fresh_build(d: Diagram) -> tuple:
-    """reduced_complex(d) from an empty chain and matching interner, whose
-    memos start empty with it; the builder's own chain and interner are put
-    back afterwards."""
-    saved = tangle._MATCHINGS, tangle._CHAIN
-    tangle._MATCHINGS, tangle._CHAIN = tangle._Interned(), ()
+    """reduced_complex(d) from an empty matching interner, whose memos and
+    chains start empty with it; the engine's own interner is put back
+    afterwards."""
+    saved = contraction._MATCHINGS
+    contraction._MATCHINGS = contraction._Interned()
     try:
         return reduced_complex(d)
     finally:
-        tangle._MATCHINGS, tangle._CHAIN = saved
+        contraction._MATCHINGS = saved
+
+
+def builder_chain() -> tuple:
+    """The tangle builder's chain: (crossing, (complex, ends)) per step."""
+    return contraction._MATCHINGS.chains.get(tangle._add_crossing, ())
 
 
 class TestMemos:
@@ -645,7 +649,7 @@ class TestMemos:
         assert e.crossings != d.crossings and e.contraction_order == d.contraction_order
         first = reduced_complex(d)
         # without the chain, which would hand e every step of d
-        monkeypatch.setattr(tangle, "_CHAIN", ())
+        monkeypatch.delitem(contraction._MATCHINGS.chains, tangle._add_crossing)
         count = count_calls(monkeypatch)
         assert reduced_complex(e) == first
         assert count["calls"] == 0
@@ -663,11 +667,25 @@ class TestMemos:
         # every memo names matchings and crossings by position, so a
         # second pass over the same records finds every entry it needs
         empty_tables(monkeypatch)
+        # the bracket smooths its matchings through the memo that the
+        # builder's steps read too
+        jones_V(braid_closure(parse_braid(MIXED_4_BRAID)))
+        assert table_sizes()["smoothings"] and not table_sizes()["steps"]
         assert cmd_survey(3, 8).all_ok
         sizes = table_sizes()
-        count = count_calls(monkeypatch, "_smoothings")
+        smoothings = Counter()
+        smooth = contraction._smoothings
+
+        def counting(matchings, m, local):
+            smoothings["calls"] += 1
+            smoothings["new"] += (m, local) not in matchings.smoothings
+            return smooth(matchings, m, local)
+
+        monkeypatch.setattr(laurent, "_smoothings", counting)
+        monkeypatch.setattr(tangle, "_smoothings", counting)
         assert cmd_survey(3, 8).all_ok
-        assert count["calls"] == 0
+        # neither the bracket nor the builder smooths a matching anew
+        assert smoothings["calls"] > 0 and smoothings["new"] == 0
         assert table_sizes() == sizes
 
     def test_empty_tables_reset_the_memos(self, monkeypatch):
@@ -677,17 +695,20 @@ class TestMemos:
         assert not any(table_sizes().values())
         d = braid_closure(parse_braid("strands=3; 1 -2 1"))
         fresh_build(d)
-        assert not any(table_sizes()[name] for name in ("matchings", "steps", "glued"))
+        names = ("matchings", "smoothings", "chains", "steps", "glued")
+        assert not any(table_sizes()[name] for name in names)
 
 
 def table_sizes() -> dict[str, int]:
-    """The entry count of every process-wide table of the tangle builder."""
-    m = tangle._MATCHINGS
+    """The entry count of every process-wide table of the contraction
+    engine and the tangle builder."""
+    m = contraction._MATCHINGS
+    names = ("smoothings", "chains", "cycles", "composed", "glued", "steps")
     return {
         "shapes": len(tangle._SHAPES),
         "cuts": len(tangle._CUTS),
         "matchings": len(m),
-        **{name: len(getattr(m, name)) for name in ("cycles", "composed", "glued", "steps")},
+        **{name: len(getattr(m, name)) for name in names},
     }
 
 
@@ -749,7 +770,7 @@ class TestChain:
         d = braid_closure(parse_braid(MIXED_4_BRAID))
         with pytest.raises(RuntimeError, match="third crossing"):
             reduced_complex(d)
-        assert len(tangle._CHAIN) == 2
+        assert len(builder_chain()) == 2
         monkeypatch.setattr(tangle, "_cancel_isomorphisms", cancel)
         words = [MIXED_4_BRAID, "strands=4; 1 -2 3 -1 -2", "strands=4; 1 -2", MIXED_4_BRAID]
         for w in words:
@@ -762,12 +783,30 @@ class TestChain:
         monkeypatch.setattr(tangle, "MAX_TANGLE_OBJECTS", 9)
         with pytest.raises(HomologyTooLarge, match="10 tangle objects exceed the budget of 9"):
             reduced_complex(d)
-        assert len(tangle._CHAIN) == 5
-        assert [c for c, _ in tangle._CHAIN] == list(d.contraction_crossings[:5])
+        assert len(builder_chain()) == 5
+        assert [c for c, _ in builder_chain()] == list(d.contraction_crossings[:5])
         monkeypatch.setattr(tangle, "MAX_TANGLE_OBJECTS", 10)
         for w in words:
             e = braid_closure(parse_braid(w))
             assert repr(reduced_complex(e)) == repr(fresh_build(e)), w
+
+    def test_new_matching_table_starts_with_no_chain(self, monkeypatch):
+        # both chains hang on the matching interner, so replacing it alone
+        # cannot leave a chain whose states name ids of the old table
+        words = [MIXED_4_BRAID, "strands=4; 1 -2 3 -1 -2", "strands=4; 1 -2 3 -1 2 2"]
+        corpus = [braid_closure(parse_braid(w)) for w in words]
+        empty_tables(monkeypatch)
+        fresh = [(jones_V(d), repr(fresh_build(d)), khovanov_homology(d)) for d in corpus]
+        # the old table numbers the matchings in another order than a
+        # new one does, and its chains end at the first diagram
+        for d in [*polygon_corpus(36, 10, 8), corpus[0]]:
+            jones_V(d)
+            khovanov_homology(d)
+        monkeypatch.setattr(contraction, "_MATCHINGS", contraction._Interned())
+        for d, (v, complex_, kh) in zip(corpus, fresh):
+            assert jones_V(d) == v == jones_states(d)
+            assert repr(reduced_complex(d)) == complex_
+            assert khovanov_homology(d) == kh == per_map_homology(d)
 
 
 class TestChainComplex:

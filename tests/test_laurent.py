@@ -24,7 +24,7 @@ from poslink import (
     unnormalized_to_v,
     v_to_unnormalized,
 )
-from poslink import laurent
+from poslink import contraction, laurent
 from poslink.batch import survey_corpus
 from poslink.errors import (
     MalformedPolynomial,
@@ -433,6 +433,11 @@ def chain_corpus() -> list:
     return corpus
 
 
+def bracket_chain() -> tuple:
+    """The bracket's chain: (crossing, (states, ends)) per step."""
+    return contraction._MATCHINGS.chains.get(laurent._add_crossing, ())
+
+
 class TestBracketChain:
     """kauffman_bracket takes from the chain of the last diagram contracted
     every step that its own renumbered crossings share with it, so a run
@@ -440,7 +445,7 @@ class TestBracketChain:
     depends on what the chain holds."""
 
     def test_any_order_matches_the_state_sum(self, monkeypatch):
-        monkeypatch.setattr(laurent, "_CHAIN", ())
+        monkeypatch.setattr(contraction, "_MATCHINGS", contraction._Interned())
         corpus = chain_corpus()
         expected = {id(d): jones_states(d) for d in corpus}
         shuffled = corpus[:]
@@ -452,40 +457,39 @@ class TestBracketChain:
                 assert jones_V(d) == expected[id(d)], d
 
     def test_sorted_run_contracts_each_prefix_once(self, monkeypatch):
-        monkeypatch.setattr(laurent, "_CHAIN", ())
-        shared = laurent.shared_steps
+        monkeypatch.setattr(contraction, "_MATCHINGS", contraction._Interned())
+        add = laurent._add_crossing
         steps = []
 
-        def counting(chain, crossings):
-            k = shared(chain, crossings)
-            steps.append(len(crossings) - k)
-            return k
+        def counting(*args):
+            steps.append(None)
+            return add(*args)
 
-        monkeypatch.setattr(laurent, "shared_steps", counting)
+        monkeypatch.setattr(laurent, "_add_crossing", counting)
         corpus = sorted((d for _, d in survey_corpus(3, 8)), key=lambda d: d.contraction_crossings)
         for d in corpus:
             kauffman_bracket(d)
         runs = [d.contraction_crossings for d in corpus]
         prefixes = {c[:k] for c in runs for k in range(1, len(c) + 1)}
-        assert sum(steps) == len(prefixes) < sum(map(len, runs))
+        assert len(steps) == len(prefixes) < sum(map(len, runs))
 
     @pytest.mark.parametrize("fail_at", [0, 2, 5])
     def test_failed_contraction_leaves_an_exact_chain(self, monkeypatch, fail_at):
-        monkeypatch.setattr(laurent, "_CHAIN", ())
+        monkeypatch.setattr(contraction, "_MATCHINGS", contraction._Interned())
         smoothings = laurent._smoothings
 
-        def failing(matching, crossing):
+        def failing(matchings, m, local):
             # the chain holds one entry per finished step
-            if len(laurent._CHAIN) == fail_at:
+            if len(bracket_chain()) == fail_at:
                 raise RuntimeError("contraction stopped")
-            return smoothings(matching, crossing)
+            return smoothings(matchings, m, local)
 
         monkeypatch.setattr(laurent, "_smoothings", failing)
         d = braid_closure(parse_braid("strands=4; 1 -2 3 -1 -2 3 1 2"))
         with pytest.raises(RuntimeError, match="contraction stopped"):
             kauffman_bracket(d)
-        assert len(laurent._CHAIN) == fail_at
-        assert [c for c, _ in laurent._CHAIN] == list(d.contraction_crossings[:fail_at])
+        assert len(bracket_chain()) == fail_at
+        assert [c for c, _ in bracket_chain()] == list(d.contraction_crossings[:fail_at])
         monkeypatch.setattr(laurent, "_smoothings", smoothings)
         texts = ["strands=4; 1 -2 3 -1 -2 3 1 2", "strands=4; 1 -2 3 -1", "strands=4; 1 -2 3 -1 -2 3 1 2"]
         for text in texts:

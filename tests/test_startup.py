@@ -101,6 +101,14 @@ def test_homology_loads_no_polynomial_layer():
     assert run["output"].count("kh: q + q^3 + t^2 q^5") == 2
 
 
+def test_contraction_engine_loads_with_the_bracket_or_the_builder():
+    # import poslink alone loads neither of the engine's two users
+    assert "poslink.contraction" not in run_fresh()["modules"]
+    for flag in ("--jones", "--kh"):
+        run = run_fresh(["compute", "--braid", "strands=2; 1 1 1", flag])
+        assert "poslink.contraction" in run["modules"], flag
+
+
 def test_jones_loads_no_seifert_module():
     run = run_fresh(["compute", "--braid", "strands=2; 1 1 1", "--jones"])
     assert "poslink.laurent" in run["modules"]
